@@ -4,12 +4,24 @@ real-valued Jaccard family, interiority, and coincidence.
 Zero-denominator conventions keep every index total: a ratio over two
 identically zero signals is 0 for the Jaccard family and 1 for interiority
 (vacuous containment), so coincidence stays 0 through its Jaccard factor.
+
+The sums an index needs are taken in fused left-to-right passes over the
+validated sample tuples, several accumulators to a loop, with each
+accumulator adding the same terms in the same order as the single-sum
+definition, so the fused results are bit-identical to it.  The ``_*_windows``
+functions score a template against every valid window of a signal for
+:func:`msetsim.sliding.slide`, doing the template's share of the work once
+per call.
 """
 
 import math
 from dataclasses import dataclass
 
-from .msetops import MsetOpKind, Signal, abs_mass, aggregate, kernel, require_compatible
+# kernel and abs_mass are no longer called here; they stay importable from
+# this module, where the benchmark's tracer (perfbench/spans.py) wraps them.
+from .msetops import MsetOpKind, Signal, abs_mass, aggregate, kernel, require_compatible  # noqa: F401
+
+_positive = (0.0).__lt__  # v > 0 for a float v
 
 
 @dataclass(frozen=True)
@@ -26,18 +38,97 @@ class SimilarityReport:
     euclidean: float
 
 
+# Fused sum loops.  The min/max loops take each operand as a stream of
+# "is positive" flags and a stream of magnitudes: same-sign pairs are those
+# with equal flags, and a pair with a zero operand has a zero minimum, so
+# its signed-intersection term is zero whichever side it lands on.
+
+def _jaccard_sums(fp, fa, gp, ga) -> tuple[float, float]:
+    """Signed-intersection and absolute-union sums."""
+    scap = acup = 0.0
+    for xp, ax, yp, ay in zip(fp, fa, gp, ga):
+        if ay > ax:
+            acup += ay
+            if xp is yp:
+                scap += ax
+            else:
+                scap -= ax
+        else:
+            acup += ax
+            if xp is yp:
+                scap += ay
+            else:
+                scap -= ay
+    return scap, acup
+
+
+def _overlap_sums(fp, fa, gp, ga) -> tuple[float, float, float, float]:
+    """Signed-intersection, absolute-union and absolute-intersection sums,
+    and the absolute mass of the second operand."""
+    scap = acup = acap = gmass = 0.0
+    for xp, ax, yp, ay in zip(fp, fa, gp, ga):
+        gmass += ay
+        if ay > ax:
+            acup += ay
+            acap += ax
+            if xp is yp:
+                scap += ax
+            else:
+                scap -= ax
+        else:
+            acup += ax
+            acap += ay
+            if xp is yp:
+                scap += ay
+            else:
+                scap -= ay
+    return scap, acup, acap, gmass
+
+
+def _gates(values):
+    """The sign-flag and magnitude streams of a sample sequence."""
+    return map(_positive, values), map(abs, values)
+
+
+def _abs_sum(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v if v > 0 else -v
+    return total
+
+
+def _dot(fv, gv) -> float:
+    total = 0.0
+    for a, b in zip(fv, gv):
+        total += a * b
+    return total
+
+
+def _products(fv, gv) -> tuple[float, float, float, float]:
+    """Sums of f*f, g*g, f*g and (f-g)**2."""
+    ff = gg = fg = ee = 0.0
+    for a, b in zip(fv, gv):
+        ff += a * a
+        gg += b * b
+        fg += a * b
+        d = a - b
+        ee += d * d
+    return ff, gg, fg, ee
+
+
+def _ratio(num: float, den: float, empty: float) -> float:
+    return empty if den == 0.0 else num / den
+
+
 def inner(f: Signal, g: Signal) -> float:
     """Inner product dx * sum(f_i * g_i), summed left to right."""
     require_compatible(f, g)
-    total = 0.0
-    for a, b in zip(f.values, g.values):
-        total += a * b
-    return f.dx * total
+    return f.dx * _dot(f.values, g.values)
 
 
 def norm(f: Signal) -> float:
     """Euclidean norm, the square root of the self inner product."""
-    return math.sqrt(inner(f, f))
+    return math.sqrt(f.dx * _dot(f.values, f.values))
 
 
 def euclidean(f: Signal, g: Signal) -> float:
@@ -50,13 +141,19 @@ def euclidean(f: Signal, g: Signal) -> float:
     return math.sqrt(f.dx * total)
 
 
-def cosine(f: Signal, g: Signal) -> float:
-    """Cosine similarity; undefined (raises) for a zero-norm operand."""
-    nf = norm(f)
-    ng = norm(g)
+def _cosine(dx: float, ff: float, gg: float, fg: float) -> float:
+    nf = math.sqrt(dx * ff)
+    ng = math.sqrt(dx * gg)
     if nf == 0.0 or ng == 0.0:
         raise ValueError("cosine similarity is undefined for a zero-norm operand")
-    return inner(f, g) / (nf * ng)
+    return dx * fg / (nf * ng)
+
+
+def cosine(f: Signal, g: Signal) -> float:
+    """Cosine similarity; undefined (raises) for a zero-norm operand."""
+    require_compatible(f, g)
+    ff, gg, fg, _ = _products(f.values, g.values)
+    return _cosine(f.dx, ff, gg, fg)
 
 
 def jaccard(f: Signal, g: Signal) -> float:
@@ -67,10 +164,9 @@ def jaccard(f: Signal, g: Signal) -> float:
     For all-nonnegative samples this reduces to the classic sum-of-min over
     sum-of-max multiset ratio.
     """
-    den = aggregate(MsetOpKind.ACUP, f, g)
-    if den == 0.0:
-        return 0.0
-    return aggregate(MsetOpKind.SCAP, f, g) / den
+    require_compatible(f, g)
+    scap, acup = _jaccard_sums(*_gates(f.values), *_gates(g.values))
+    return _ratio(f.dx * scap, f.dx * acup, 0.0)
 
 
 def jaccard_alt(f: Signal, g: Signal) -> float:
@@ -91,6 +187,19 @@ def jaccard_alt(f: Signal, g: Signal) -> float:
     return inner(f, g) / den_sq
 
 
+def _jaccard_interiority(dx: float, fmass: float, sums) -> tuple[float, float]:
+    """Jaccard and interiority from the pair's overlap sums."""
+    scap, acup, acap, gmass = sums
+    j = _ratio(dx * scap, dx * acup, 0.0)
+    return j, _ratio(dx * acap, min(dx * fmass, dx * gmass), 1.0)
+
+
+def _pair_jaccard_interiority(f: Signal, g: Signal) -> tuple[float, float]:
+    require_compatible(f, g)
+    sums = _overlap_sums(*_gates(f.values), *_gates(g.values))
+    return _jaccard_interiority(f.dx, _abs_sum(f.values), sums)
+
+
 def interiority(f: Signal, g: Signal) -> float:
     """Containment of the smaller operand: sign-blind intersection mass over
     the smaller absolute mass.
@@ -98,15 +207,13 @@ def interiority(f: Signal, g: Signal) -> float:
     Returns 1 when the smaller mass is zero: a zero-mass operand is
     vacuously contained.
     """
-    den = min(abs_mass(f), abs_mass(g))
-    if den == 0.0:
-        return 1.0
-    return aggregate(MsetOpKind.ACAP, f, g) / den
+    return _pair_jaccard_interiority(f, g)[1]
 
 
 def coincidence(f: Signal, g: Signal) -> float:
     """Product of the real-valued Jaccard and interiority indices."""
-    return jaccard(f, g) * interiority(f, g)
+    j, i = _pair_jaccard_interiority(f, g)
+    return j * i
 
 
 def signed_power(value: float, exponent: int) -> float:
@@ -140,21 +247,86 @@ def split_intersection(f: Signal, g: Signal, alpha: float) -> float:
     wp = 2.0 * alpha
     wm = 2.0 * (1.0 - alpha)
     total = 0.0
-    for x, y in zip(f.values, g.values):
-        total += wp * kernel(MsetOpKind.SCAP_PLUS, x, y) \
-            - wm * kernel(MsetOpKind.SCAP_MINUS, x, y)
+    for xp, ax, yp, ay in zip(*_gates(f.values), *_gates(g.values)):
+        if xp is yp:
+            total += wp * (ay if ay < ax else ax)
+        else:
+            total -= wm * (ay if ay < ax else ax)
     return f.dx * total
 
 
 def report(f: Signal, g: Signal) -> SimilarityReport:
     """Compute every index for one operand pair."""
+    require_compatible(f, g)
+    fv, gv, dx = f.values, g.values, f.dx
+    j, i = _jaccard_interiority(dx, _abs_sum(fv), _overlap_sums(*_gates(fv), *_gates(gv)))
+    ff, gg, fg, ee = _products(fv, gv)
     return SimilarityReport(
-        jaccard=jaccard(f, g),
-        interiority=interiority(f, g),
-        coincidence=coincidence(f, g),
-        cosine=cosine(f, g),
-        inner=inner(f, g),
-        norm_f=norm(f),
-        norm_g=norm(g),
-        euclidean=euclidean(f, g),
+        jaccard=j,
+        interiority=i,
+        coincidence=j * i,
+        cosine=_cosine(dx, ff, gg, fg),
+        inner=dx * fg,
+        norm_f=math.sqrt(dx * ff),
+        norm_g=math.sqrt(dx * gg),
+        euclidean=math.sqrt(dx * ee),
     )
+
+
+# Window scorers for slide: each returns the score of every valid window,
+# lag 0 first, and the lags flagged degenerate (scored 0).  The caller has
+# checked that the template fits in the signal and that the spacings agree.
+
+def _window_gates(values):
+    """The sign-flag and magnitude tuples of a sample sequence, for slicing."""
+    return tuple(map(_positive, values)), tuple(map(abs, values))
+
+
+def _inner_windows(template: Signal, signal: Signal):
+    tv, sv, dx, m = template.values, signal.values, signal.dx, len(template.values)
+    return [dx * _dot(tv, sv[k:k + m]) for k in range(len(sv) - m + 1)], []
+
+
+def _jaccard_windows(template: Signal, signal: Signal):
+    m, dx = len(template.values), signal.dx
+    tp, ta = _window_gates(template.values)
+    sp, sa = _window_gates(signal.values)
+    scores = []
+    for k in range(len(sa) - m + 1):
+        scap, acup = _jaccard_sums(tp, ta, sp[k:k + m], sa[k:k + m])
+        scores.append(_ratio(dx * scap, dx * acup, 0.0))
+    return scores, []
+
+
+def _coincidence_windows(template: Signal, signal: Signal):
+    m, dx = len(template.values), signal.dx
+    tp, ta = _window_gates(template.values)
+    sp, sa = _window_gates(signal.values)
+    tmass = _abs_sum(ta)
+    scores = []
+    for k in range(len(sa) - m + 1):
+        j, i = _jaccard_interiority(dx, tmass, _overlap_sums(tp, ta, sp[k:k + m], sa[k:k + m]))
+        scores.append(j * i)
+    return scores, []
+
+
+def _cosine_windows(template: Signal, signal: Signal):
+    tv, sv, dx, m = template.values, signal.values, signal.dx, len(template.values)
+    lags = range(len(sv) - m + 1)
+    nt = norm(template)
+    if nt == 0.0:
+        return [0.0] * len(lags), list(lags)
+    scores = []
+    flagged = []
+    for k in lags:
+        tw = ww = 0.0
+        for a, b in zip(tv, sv[k:k + m]):
+            tw += a * b
+            ww += b * b
+        nw = math.sqrt(dx * ww)
+        if nw == 0.0:
+            scores.append(0.0)
+            flagged.append(k)
+        else:
+            scores.append(dx * tw / (nt * nw))
+    return scores, flagged

@@ -1,15 +1,23 @@
 """Sampled signals and the ten sign-aware multiset binary operations, as
 pointwise kernels and as rectangle-rule aggregations over signal pairs.
 
-Aggregation is a plain left-to-right sum so that results are bit-identical
-across runs, platforms with the same float semantics, and thread counts.
+:class:`Signal` is the one place samples are validated: every sample is
+checked finite once, when the signal is built.  Code below that boundary
+works on the validated value tuples directly, with no per-sample checks.
+
+Aggregation is a plain left-to-right ``total += term`` loop over the value
+tuples, with each kind's sign gate taken from comparisons of the operands
+rather than from :func:`kernel`, so results are bit-identical across runs,
+platforms with the same float semantics, and thread counts.  The builtin
+``sum()`` is not used: from CPython 3.12 it sums floats with compensation,
+so its result would depend on the interpreter version.  A zero term leaves
+a left-to-right sum unchanged (the running total starts at +0.0 and can
+never become -0.0), so the loops skip the pairs whose term is zero.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-from .signs import sign
 
 
 class MsetOpKind(Enum):
@@ -40,12 +48,12 @@ class Signal:
     dx: float = 1.0
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
         if not vals:
             raise ValueError("signal needs at least one sample")
-        for v in vals:
-            if not math.isfinite(v):
-                raise ValueError(f"signal samples must be finite, got {v!r}")
+        if not all(map(math.isfinite, vals)):
+            bad = next(v for v in vals if not math.isfinite(v))
+            raise ValueError(f"signal samples must be finite, got {bad!r}")
         dx = float(self.dx)
         if not math.isfinite(dx) or dx <= 0:
             raise ValueError(f"sample spacing must be a positive finite real, got {dx!r}")
@@ -62,6 +70,33 @@ def require_compatible(f: Signal, g: Signal) -> None:
         raise ValueError(f"signal lengths differ: {len(f.values)} vs {len(g.values)}")
     if f.dx != g.dx:
         raise ValueError(f"sample spacings differ: {f.dx!r} vs {g.dx!r}")
+
+
+# Every kind but CAP and CUP is a sign-gate weight times the min or max of
+# the magnitudes |x| and |y|, and the weight depends only on whether the
+# operands have the same sign, opposite signs, or a zero among them: the
+# sign product sx*sy for the signed forms, the half gates |sx +- sy| / 2 for
+# the gated forms, 1 for the absolute forms.  Each entry is (same-sign
+# weight, opposite-sign weight, zero-operand weight, uses max).  With two
+# zero operands the half gates are 0, not 1/2, but the magnitude is then 0
+# too, so the product does not change.
+_GATED = {
+    MsetOpKind.SCAP: (1.0, -1.0, 0.0, False),
+    MsetOpKind.SCUP: (1.0, -1.0, 0.0, True),
+    MsetOpKind.SCAP_MINUS: (0.0, 1.0, 0.5, False),
+    MsetOpKind.SCAP_PLUS: (1.0, 0.0, 0.5, False),
+    MsetOpKind.SCUP_MINUS: (0.0, 1.0, 0.5, True),
+    MsetOpKind.SCUP_PLUS: (1.0, 0.0, 0.5, True),
+    MsetOpKind.ACAP: (1.0, 1.0, 1.0, False),
+    MsetOpKind.ACUP: (1.0, 1.0, 1.0, True),
+}
+
+
+def _gated(kind) -> tuple[float, float, float, bool]:
+    try:
+        return _GATED[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown operation kind: {kind!r}") from None
 
 
 def kernel(kind: MsetOpKind, x: float, y: float) -> float:
@@ -84,29 +119,43 @@ def kernel(kind: MsetOpKind, x: float, y: float) -> float:
         return min(ax, ay)
     if kind is MsetOpKind.ACUP:
         return max(ax, ay)
-    sx = sign(x)
-    sy = sign(y)
-    if kind is MsetOpKind.SCAP:
-        return sx * sy * min(ax, ay)
-    if kind is MsetOpKind.SCUP:
-        return sx * sy * max(ax, ay)
-    if kind is MsetOpKind.SCAP_PLUS:
-        return abs(sx + sy) / 2.0 * min(ax, ay)
-    if kind is MsetOpKind.SCAP_MINUS:
-        return abs(sx - sy) / 2.0 * min(ax, ay)
-    if kind is MsetOpKind.SCUP_PLUS:
-        return abs(sx + sy) / 2.0 * max(ax, ay)
-    if kind is MsetOpKind.SCUP_MINUS:
-        return abs(sx - sy) / 2.0 * max(ax, ay)
-    raise ValueError(f"unknown operation kind: {kind!r}")
+    same, opposite, zero, use_max = _gated(kind)
+    if x == 0 or y == 0:
+        w = zero
+    elif (x > 0) is (y > 0):
+        w = same
+    else:
+        w = opposite
+    return w * (max(ax, ay) if use_max else min(ax, ay))
 
 
 def aggregate(kind: MsetOpKind, f: Signal, g: Signal) -> float:
     """dx times the left-to-right sum of the pointwise kernel over the pair."""
     require_compatible(f, g)
     total = 0.0
-    for x, y in zip(f.values, g.values):
-        total += kernel(kind, x, y)
+    if kind is MsetOpKind.CAP:
+        for x, y in zip(f.values, g.values):
+            total += y if y < x else x
+    elif kind is MsetOpKind.CUP:
+        for x, y in zip(f.values, g.values):
+            total += y if y > x else x
+    else:
+        # the kernel's gate and magnitude, skipping pairs of weight 0
+        same, opposite, zero, use_max = _gated(kind)
+        for x, y in zip(f.values, g.values):
+            if x == 0 or y == 0:
+                w = zero
+            elif (x > 0) is (y > 0):
+                w = same
+            else:
+                w = opposite
+            if w:
+                ax = abs(x)
+                ay = abs(y)
+                if use_max:
+                    total += w * (ay if ay > ax else ax)
+                else:
+                    total += w * (ay if ay < ax else ax)
     return f.dx * total
 
 
@@ -114,5 +163,5 @@ def abs_mass(f: Signal) -> float:
     """dx times the sum of absolute sample values; the operand's total magnitude."""
     total = 0.0
     for v in f.values:
-        total += abs(v)
+        total += v if v > 0 else -v
     return f.dx * total

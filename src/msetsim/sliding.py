@@ -3,14 +3,28 @@ matching profiles over 1-D signals.
 
 Valid mode only: every window lies fully inside the signal, no boundary
 padding, so window scores are exactly the index values they claim to be.
+
+Each index has a window scorer that walks the signal's sample tuple
+directly: windows are tuple slices, not new :class:`Signal` objects, and
+the template's share of the work (its norm, statistics, absolute mass and
+degeneracy, and its sign and magnitude tuples) is done once per call.  A
+window then costs O(M) for a template of M samples: one fused pass (two for
+pearson, whose window mean comes first).  Consecutive windows share M - 1
+samples, but each window's sums are taken afresh, left to right, so the
+scores are bit-identical to calling the index on each window.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 
-from .indices import coincidence, cosine, inner, jaccard, norm
+from .indices import _coincidence_windows, _cosine_windows, _inner_windows, _jaccard_windows
 from .msetops import Signal
-from .stats import pearson, sample_stats
+from .stats import _pearson_windows
+
+# No longer called here; kept as module attributes because the benchmark's
+# tracer (perfbench/spans.py) wraps them by name.
+from .indices import norm  # noqa: F401
+from .stats import sample_stats  # noqa: F401
 
 
 class SlideIndex(Enum):
@@ -38,21 +52,14 @@ class MatchProfile:
     degenerate_lags: tuple[int, ...] = ()
 
 
+# Window scorers: (template, signal) -> (score per lag, degenerate lags).
 _SCORERS = {
-    SlideIndex.INNER: inner,
-    SlideIndex.JACCARD: jaccard,
-    SlideIndex.COINCIDENCE: coincidence,
-    SlideIndex.PEARSON: pearson,
-    SlideIndex.COSINE: cosine,
+    SlideIndex.INNER: _inner_windows,
+    SlideIndex.JACCARD: _jaccard_windows,
+    SlideIndex.COINCIDENCE: _coincidence_windows,
+    SlideIndex.PEARSON: _pearson_windows,
+    SlideIndex.COSINE: _cosine_windows,
 }
-
-
-def _degenerate(index: SlideIndex, sig: Signal) -> bool:
-    if index is SlideIndex.PEARSON:
-        return len(sig.values) < 2 or sample_stats(sig).variance == 0.0
-    if index is SlideIndex.COSINE:
-        return norm(sig) == 0.0
-    return False
 
 
 def slide(template: Signal, signal: Signal, index: SlideIndex) -> MatchProfile:
@@ -65,22 +72,13 @@ def slide(template: Signal, signal: Signal, index: SlideIndex) -> MatchProfile:
     if template.dx != signal.dx:
         raise ValueError(f"sample spacings differ: {template.dx!r} vs {signal.dx!r}")
 
-    score_fn = _SCORERS[index]
-    template_degenerate = _degenerate(index, template)
-    lags = tuple(range(len(signal.values) - m + 1))
-    scores = []
-    flagged = []
-    for k in lags:
-        window = Signal(signal.values[k:k + m], signal.dx)
-        if template_degenerate or _degenerate(index, window):
-            scores.append(0.0)
-            flagged.append(k)
-        else:
-            scores.append(score_fn(template, window))
+    scores, flagged = _SCORERS[index](template, signal)
     best_lag = 0
     best_score = scores[0]
-    for k, s in zip(lags[1:], scores[1:]):
+    for k in range(1, len(scores)):
+        s = scores[k]
         if s > best_score:  # strict: ties keep the smallest lag
             best_lag = k
             best_score = s
-    return MatchProfile(lags, tuple(scores), best_lag, best_score, tuple(flagged))
+    return MatchProfile(tuple(range(len(scores))), tuple(scores), best_lag, best_score,
+                        tuple(flagged))

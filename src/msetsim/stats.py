@@ -3,7 +3,8 @@ coefficient.
 
 Variance and covariance use the unbiased 1/(N-1) normalization throughout,
 so the double Pearson parts recombine to the plain coefficient at
-alpha = 0.5.
+alpha = 0.5.  Each mean and variance is computed once per operand, with
+explicit left-to-right sums, and sums that share a pass share one loop.
 """
 
 import math
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .msetops import Signal, require_compatible
-from .signs import sign
 
 
 class SampleStats(NamedTuple):
@@ -21,12 +21,16 @@ class SampleStats(NamedTuple):
     n: int
 
 
+def _total(values) -> float:
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def mean(v: Signal) -> float:
     """Arithmetic mean of the samples."""
-    total = 0.0
-    for x in v.values:
-        total += x
-    return total / len(v.values)
+    return _total(v.values) / len(v.values)
 
 
 def sample_stats(v: Signal) -> SampleStats:
@@ -51,11 +55,16 @@ def standardize(v: Signal) -> Signal:
     return Signal(tuple((x - st.mean) / st.std for x in v.values), v.dx)
 
 
-def covariance(x: Signal, y: Signal) -> float:
-    """Unbiased sample covariance of two equal-length signals."""
+def _pair_length(x: Signal, y: Signal) -> int:
     n = len(x.values)
     if len(y.values) != n:
         raise ValueError(f"signal lengths differ: {n} vs {len(y.values)}")
+    return n
+
+
+def covariance(x: Signal, y: Signal) -> float:
+    """Unbiased sample covariance of two equal-length signals."""
+    n = _pair_length(x, y)
     if n < 2:
         raise ValueError("covariance needs at least 2 samples")
     mx = mean(x)
@@ -66,18 +75,35 @@ def covariance(x: Signal, y: Signal) -> float:
     return total / (n - 1)
 
 
+def _pearson(cov_sum: float, std_x: float, std_y: float, n: int) -> float:
+    r = cov_sum / (n - 1) / (std_x * std_y)
+    return min(1.0, max(-1.0, r))
+
+
 def pearson(x: Signal, y: Signal) -> float:
-    """Pearson correlation coefficient.
+    """Pearson correlation coefficient, from the two means and one fused
+    pass for both variances and the covariance.
 
     Cauchy-Schwarz bounds the true value by 1, so the result is clamped to
     [-1, 1] only to absorb rounding excursions.
     """
-    sx = sample_stats(x)
-    sy = sample_stats(y)
-    if sx.std == 0.0 or sy.std == 0.0:
+    if len(x.values) < 2 or len(y.values) < 2:
+        raise ValueError("variance needs at least 2 samples")
+    n = _pair_length(x, y)
+    mx = mean(x)
+    my = mean(y)
+    sxx = syy = sxy = 0.0
+    for a, b in zip(x.values, y.values):
+        da = a - mx
+        db = b - my
+        sxx += da * da
+        syy += db * db
+        sxy += da * db
+    std_x = math.sqrt(sxx / (n - 1))
+    std_y = math.sqrt(syy / (n - 1))
+    if std_x == 0.0 or std_y == 0.0:
         raise ValueError("pearson correlation is undefined for a zero-variance operand")
-    r = covariance(x, y) / (sx.std * sy.std)
-    return min(1.0, max(-1.0, r))
+    return _pearson(sxy, std_x, std_y, n)
 
 
 @dataclass(frozen=True)
@@ -96,6 +122,29 @@ class SplitProduct:
         return 2.0 * alpha * self.same_sign + 2.0 * (1.0 - alpha) * self.opposite_sign
 
 
+def _split_sums(fv, gv) -> tuple[float, float]:
+    """Sums of the same-sign and opposite-sign products f*g.
+
+    Only a same-signed pair has a positive product and only an
+    opposite-signed pair a negative one; a zero product (a zero sample, or
+    underflow) adds nothing to either part.  A product that overflows to
+    infinity also puts 0*inf, a NaN, into the other part, as the gated form
+    gate * product does.
+    """
+    plus = minus = 0.0
+    for a, b in zip(fv, gv):
+        p = a * b
+        if p > 0.0:
+            plus += p
+            if p == math.inf:
+                minus += 0.0 * p
+        elif p < 0.0:
+            minus += p
+            if p == -math.inf:
+                plus += 0.0 * p
+    return plus, minus
+
+
 def split_inner(f: Signal, g: Signal) -> SplitProduct:
     """Split the inner product into the contributions of same-signed and
     opposite-signed sample pairs.
@@ -104,14 +153,7 @@ def split_inner(f: Signal, g: Signal) -> SplitProduct:
     gate) but contribute zero to both parts since their product is zero.
     """
     require_compatible(f, g)
-    plus = 0.0
-    minus = 0.0
-    for x, y in zip(f.values, g.values):
-        p = x * y
-        sx = sign(x)
-        sy = sign(y)
-        plus += abs(sx + sy) / 2.0 * p
-        minus += abs(sx - sy) / 2.0 * p
+    plus, minus = _split_sums(f.values, g.values)
     return SplitProduct(f.dx * plus, f.dx * minus)
 
 
@@ -134,14 +176,38 @@ def double_pearson(x: Signal, y: Signal, alpha: float) -> DoublePearson:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    n = len(x.values)
-    if len(y.values) != n:
-        raise ValueError(f"signal lengths differ: {n} vs {len(y.values)}")
-    xs = standardize(x)
-    ys = standardize(y)
+    n = _pair_length(x, y)
     # unit spacing: the split is a vector statistic like the coefficient itself
-    sp = split_inner(Signal(xs.values), Signal(ys.values))
-    p_plus = sp.same_sign / (n - 1)
-    p_minus = sp.opposite_sign / (n - 1)
+    plus, minus = _split_sums(standardize(x).values, standardize(y).values)
+    p_plus = plus / (n - 1)
+    p_minus = minus / (n - 1)
     p_alpha = 2.0 * alpha * p_plus + 2.0 * (1.0 - alpha) * p_minus
     return DoublePearson(p_plus, p_minus, p_alpha)
+
+
+def _pearson_windows(template: Signal, signal: Signal):
+    """Pearson score of every valid window, and the lags flagged degenerate
+    (fewer than 2 samples or zero variance on either side), for slide."""
+    tv, sv, m = template.values, signal.values, len(template.values)
+    lags = range(len(sv) - m + 1)
+    st = sample_stats(template) if m >= 2 else None
+    if st is None or st.variance == 0.0:
+        return [0.0] * len(lags), list(lags)
+    tdev = tuple(a - st.mean for a in tv)
+    scores = []
+    flagged = []
+    for k in lags:
+        window = sv[k:k + m]
+        mw = _total(window) / m
+        sww = stw = 0.0
+        for da, b in zip(tdev, window):
+            db = b - mw
+            sww += db * db
+            stw += da * db
+        var = sww / (m - 1)
+        if var == 0.0:
+            scores.append(0.0)
+            flagged.append(k)
+        else:
+            scores.append(_pearson(stw, st.std, math.sqrt(var), m))
+    return scores, flagged

@@ -31,6 +31,14 @@ class TestSignal:
         with pytest.raises(ValueError, match="finite"):
             Signal((1.0, bad))
 
+    @pytest.mark.parametrize("bad,shown", [(math.nan, "nan"), (math.inf, "inf"),
+                                           (-math.inf, "-inf")])
+    def test_names_the_first_non_finite_sample(self, bad, shown):
+        with pytest.raises(ValueError, match=f"finite, got {shown}$"):
+            Signal((1.0, 2.0, bad, math.nan, 3.0))
+        with pytest.raises(ValueError, match=f"finite, got {shown}$"):
+            Signal([str(bad)])
+
     @pytest.mark.parametrize("dx", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_spacing(self, dx):
         with pytest.raises(ValueError, match="spacing"):
@@ -65,6 +73,23 @@ def test_kernel_examples(kind, x, y, expected):
 def test_kernel_rejects_non_finite():
     with pytest.raises(ValueError):
         kernel(MsetOpKind.SCAP, math.nan, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", list(MsetOpKind))
+def test_kernel_rejects_non_finite_operands(kind, bad):
+    with pytest.raises(ValueError, match="finite"):
+        kernel(kind, bad, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        kernel(kind, 1.0, bad)
+
+
+@pytest.mark.parametrize("kind", ["cap", None, 3, [], MsetOpKind])
+def test_unknown_kind_is_a_value_error(kind):
+    with pytest.raises(ValueError, match="unknown operation kind"):
+        kernel(kind, 1.0, 2.0)
+    with pytest.raises(ValueError, match="unknown operation kind"):
+        aggregate(kind, Signal((1.0, -2.0)), Signal((2.0, 0.5)))
 
 
 @given(st.sampled_from(list(MsetOpKind)), finite, finite)
