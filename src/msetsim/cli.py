@@ -7,6 +7,7 @@ error (unreadable files, unparseable cells, undefined index values).
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from . import fields, indices, io, sliding, stats
@@ -104,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=float, help="heatmap black level")
     p.add_argument("--hi", type=float, help="heatmap white level")
     p.add_argument("--threads", type=_positive_int, default=1,
-                   help="worker cap for field generation (output is identical for all N)")
+                   help="accepted for compatibility; changes nothing (fields are "
+                        "evaluated in one thread)")
 
     p = sub.add_parser("slide", help="sliding-window index profile of a template")
     p.add_argument("--template", required=True, help="CSV file, first column")
@@ -214,10 +216,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one parser serves them all
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

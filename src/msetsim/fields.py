@@ -7,13 +7,11 @@ lattice points and surface symmetries hold bit for bit.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .indices import signed_power
 from .msetops import MsetOpKind, kernel
-from .signs import gen_kronecker
 
 
 class FieldExpr(Enum):
@@ -107,40 +105,99 @@ def jr_value(x: float, y: float) -> float:
     return kernel(MsetOpKind.SCAP, x, y) / den
 
 
-def _a1(x, y):
-    return kernel(MsetOpKind.SCAP, x, y)
+class _Columns(NamedTuple):
+    """The x side of the lattice, prepared once per field: the coordinates,
+    their magnitudes, and the sign product sx*sy for a row with y > 0
+    (``pos``) and with y < 0 (``neg``), as 1.0, -1.0 or +0.0."""
+
+    xs: tuple[float, ...]
+    mag: tuple[float, ...]
+    pos: tuple[float, ...]
+    neg: tuple[float, ...]
 
 
-def _a2(x, y):
-    return kernel(MsetOpKind.ACUP, x, y)
+def _columns(xs: tuple[float, ...]) -> _Columns:
+    pos = tuple(1.0 if x > 0 else -1.0 if x < 0 else 0.0 for x in xs)
+    neg = tuple(-s if s else 0.0 for s in pos)
+    return _Columns(xs, tuple(map(abs, xs)), pos, neg)
 
 
-def _a3(x, y):
-    return x * y
+# Row evaluators: (columns, y, d) -> the row's values, x from x_min upward.
+# Each one gives, bit for bit, what the public per-cell definitions give:
+# kernel()'s gate table for the min/max surfaces, jr_value, signed_power
+# of jr_value and gen_kronecker.  The sign product s is exact and applied
+# last: s*m is m, -m or +0.0 (x == 0), as kernel()'s weight gives, and
+# s*(m/den) equals (s*m)/den.  A row with y == 0 lies on the zero gate of
+# the signed surfaces and is +0.0 throughout.
+
+def _a1_row(c, y, d):
+    if y == 0:
+        return [0.0] * len(c.xs)
+    ay = abs(y)
+    return [s * (a if a < ay else ay) for s, a in zip(c.pos if y > 0 else c.neg, c.mag)]
 
 
-def _a4(x, y):
-    m = kernel(MsetOpKind.ACUP, x, y)
-    return m * m
+def _a2_row(c, y, d):
+    ay = abs(y)
+    return [a if a > ay else ay for a in c.mag]
 
 
-def _a5(x, y):
-    return kernel(MsetOpKind.ACAP, x, y)
+def _a3_row(c, y, d):
+    return [x * y for x in c.xs]
 
 
-def _kron(x, y):
-    return float(gen_kronecker(x, y))
+def _a4_row(c, y, d):
+    ay = abs(y)
+    yy = ay * ay
+    return [a * a if a > ay else yy for a in c.mag]
 
 
-_CELLS = {
-    FieldExpr.A1: _a1,
-    FieldExpr.A2: _a2,
-    FieldExpr.A3: _a3,
-    FieldExpr.A4: _a4,
-    FieldExpr.A5: _a5,
-    FieldExpr.JR: jr_value,
-    FieldExpr.KRON: _kron,
+def _a5_row(c, y, d):
+    ay = abs(y)
+    return [a if a < ay else ay for a in c.mag]
+
+
+def _jr_row(c, y, d):
+    if y == 0:
+        return [0.0] * len(c.xs)
+    ay = abs(y)
+    # min(|x|, |y|) / max(|x|, |y|), signed
+    return [s * (a / ay if a < ay else ay / a)
+            for s, a in zip(c.pos if y > 0 else c.neg, c.mag)]
+
+
+def _jr_pow_row(c, y, d):
+    # signed_power of each jr value
+    if d % 2:
+        return [math.copysign(abs(v) ** d, v) for v in _jr_row(c, y, d)]
+    return [abs(v) ** d for v in _jr_row(c, y, d)]
+
+
+def _kron_row(c, y, d):
+    if y == 0:
+        return [0.0] * len(c.xs)
+    ny = -y
+    return [1.0 if x == y else -1.0 if x == ny else 0.0 for x in c.xs]
+
+
+_ROWS = {
+    FieldExpr.A1: _a1_row,
+    FieldExpr.A2: _a2_row,
+    FieldExpr.A3: _a3_row,
+    FieldExpr.A4: _a4_row,
+    FieldExpr.A5: _a5_row,
+    FieldExpr.JR: _jr_row,
+    FieldExpr.JR_POW: _jr_pow_row,
+    FieldExpr.KRON: _kron_row,
 }
+
+
+def _finite_axis(axis: str, lo: float, hi: float, pts: tuple[float, ...]) -> tuple[float, ...]:
+    if not all(map(math.isfinite, pts)):
+        raise ValueError(
+            f"the {axis} lattice from {lo!r} to {hi!r} has non-finite points: "
+            f"the endpoint blend overflows; narrow the {axis} range")
+    return pts
 
 
 def field(expr: FieldExpr, spec: GridSpec, d: int | None = None,
@@ -148,38 +205,23 @@ def field(expr: FieldExpr, spec: GridSpec, d: int | None = None,
     """Evaluate one surface over the lattice.
 
     ``d`` is the power for FieldExpr.JR_POW and ignored otherwise.
-    ``threads`` caps the worker count; cells are independent and written to
-    disjoint rows, so the result is identical for every thread count.
+    ``threads`` must be >= 1; it is accepted for compatibility and changes
+    nothing: rows are evaluated one after another in this thread, and the
+    result was always identical for every thread count.  Lattices with a
+    non-finite point (ranges so wide that the endpoint blend overflows)
+    raise ValueError naming the axis.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
-    if expr is FieldExpr.JR_POW:
-        if not isinstance(d, int) or d < 1:
-            raise ValueError(f"JR_POW needs a positive integer power, got {d!r}")
-        power = d
-
-        def cell(x, y):
-            return signed_power(jr_value(x, y), power)
-    else:
-        cell = _CELLS[expr]
-
-    xs = spec.xs()
-    ys = spec.ys()
-    rows: list[list[float] | None] = [None] * spec.ny
-
-    def eval_row(j: int) -> None:
-        y = ys[j]
-        rows[j] = [cell(x, y) for x in xs]
-
-    if threads == 1:
-        for j in range(spec.ny):
-            eval_row(j)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(eval_row, range(spec.ny)))
+    if expr is FieldExpr.JR_POW and (not isinstance(d, int) or d < 1):
+        raise ValueError(f"JR_POW needs a positive integer power, got {d!r}")
+    row = _ROWS[expr]
+    xs = _finite_axis("x", spec.x_min, spec.x_max, spec.xs())
+    ys = _finite_axis("y", spec.y_min, spec.y_max, spec.ys())
+    c = _columns(xs)
     values: list[float] = []
-    for row in rows:
-        values.extend(row)
+    for y in ys:
+        values += row(c, y, d)
     return ScalarField(spec, tuple(values))
 
 

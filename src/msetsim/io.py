@@ -110,16 +110,23 @@ def read_csv(path, selectors: Sequence[ColumnSelector],
 
 def write_field_csv(fld: ScalarField, path) -> None:
     """Write "x,y,value" lines, one per cell, in row-major order (y from
-    y_min upward, x from x_min upward within each row)."""
-    xs = fld.spec.xs()
-    ys = fld.spec.ys()
+    y_min upward, x from x_min upward within each row).
+
+    Each x coordinate is formatted once per file and each y once per row;
+    a row is written with one join.  Values are formatted per cell, exactly
+    as :func:`fmt` does (signed zeros print as ``-0``).
+    """
+    nx = fld.spec.nx
+    fxs = [fmt(x) for x in fld.spec.xs()]
+    values = fld.values
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("x,y,value\n")
-        k = 0
-        for y in ys:
-            for x in xs:
-                fh.write(f"{fmt(x)},{fmt(y)},{fmt(fld.values[k])}\n")
-                k += 1
+        base = 0
+        for y in fld.spec.ys():
+            mid = f",{fmt(y)},"
+            fh.write("".join([f"{fx}{mid}{v:.17g}\n"
+                              for fx, v in zip(fxs, values[base:base + nx])]))
+            base += nx
 
 
 @dataclass(frozen=True)
@@ -143,19 +150,13 @@ def write_pgm(fld: ScalarField, rng: HeatmapRange, path) -> None:
     """
     nx = fld.spec.nx
     ny = fld.spec.ny
-    span = rng.hi - rng.lo
-    payload = bytearray(nx * ny)
-    pos = 0
-    for j in range(ny - 1, -1, -1):
-        base = j * nx
-        for i in range(nx):
-            t = (fld.values[base + i] - rng.lo) / span
-            if t < 0.0:
-                t = 0.0
-            elif t > 1.0:
-                t = 1.0
-            payload[pos] = int(255.0 * t + 0.5)
-            pos += 1
+    lo = rng.lo
+    span = rng.hi - lo
+    values = fld.values
+    payload = bytearray()
+    for base in range((ny - 1) * nx, -1, -nx):
+        payload += bytes([0 if t < 0.0 else 255 if t > 1.0 else int(255.0 * t + 0.5)
+                          for v in values[base:base + nx] for t in [(v - lo) / span]])
     with open(path, "wb") as fh:
         fh.write(f"P5\n{nx} {ny}\n255\n".encode("ascii"))
-        fh.write(bytes(payload))
+        fh.write(payload)

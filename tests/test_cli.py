@@ -99,6 +99,25 @@ class TestFieldCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_overflowing_lattice_is_data_error(self, tmp_path, capsys):
+        code = cli(["field", "--expr", "a3", "--nx", "5", "--ny", "5",
+                    "--xmin=-1e308", "--xmax=1e308", "--out", str(tmp_path / "f.csv")])
+        assert code == 1
+        assert "the x lattice" in capsys.readouterr().err
+
+    def test_repeated_calls_start_from_defaults(self, tmp_path):
+        out = tmp_path / "f.csv"
+        assert cli(["field", "--expr", "jrpow", "--D", "2", "--nx", "3", "--ny", "3",
+                    "--xmin", "1", "--out", str(out)]) == 0
+        assert cli(["field", "--expr", "--bogus"]) == 2
+        assert cli(["field", "--expr", "jrpow", "--nx", "3", "--ny", "3",
+                    "--out", str(out)]) == 0
+        # D back at 1 and xmin back at -2: (-2, -2) on the crest scores +1,
+        # (2, -2) on the anti-crest keeps its sign
+        lines = out.read_text().splitlines()
+        assert lines[1] == "-2,-2,1"
+        assert lines[3] == "2,-2,-1"
+
 
 class TestSlide:
     def test_profile_file_and_best_lag(self, tmp_path, capsys):

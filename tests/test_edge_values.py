@@ -2,7 +2,8 @@
 subnormals, zero and all-zero templates, the extreme template lengths, a
 non-unit spacing, and magnitudes near 1e308 where sums overflow to inf or
 NaN.  Floats are compared by their bit patterns, so -0.0 differs from 0.0
-and NaN results are checked too."""
+and NaN results are checked too.  The scalar surfaces are compared cell by
+cell with the public pointwise definitions on the same kinds of lattice."""
 
 import itertools
 import random
@@ -11,8 +12,10 @@ from dataclasses import astuple
 
 import pytest
 
-from msetsim.indices import report, split_intersection
-from msetsim.msetops import MsetOpKind, Signal, abs_mass, aggregate
+from msetsim.fields import FieldExpr, GridSpec, field
+from msetsim.indices import report, signed_power, split_intersection
+from msetsim.msetops import MsetOpKind, Signal, abs_mass, aggregate, kernel
+from msetsim.signs import gen_kronecker
 from msetsim.sliding import SlideIndex, slide
 from msetsim.stats import covariance, pearson, split_inner
 
@@ -181,3 +184,75 @@ def test_cosine_flags_window_whose_norm_underflows_with_spacing():
     assert profile.degenerate_lags == (0,)
     assert bits(profile.scores[0]) == bits(0.0)
     assert profile.scores[1] > 0.0
+
+
+# Per-cell reference surfaces built from the public pointwise definitions.
+def _ref_a4(x, y):
+    m = kernel(MsetOpKind.ACUP, x, y)
+    return m * m  # overflows to inf; m ** 2 would raise
+
+
+def _ref_jr(x, y):
+    den = kernel(MsetOpKind.ACUP, x, y)
+    return 0.0 if den == 0 else kernel(MsetOpKind.SCAP, x, y) / den
+
+
+_REF_CELL = {
+    FieldExpr.A1: lambda x, y, d: kernel(MsetOpKind.SCAP, x, y),
+    FieldExpr.A2: lambda x, y, d: kernel(MsetOpKind.ACUP, x, y),
+    FieldExpr.A3: lambda x, y, d: x * y,
+    FieldExpr.A4: lambda x, y, d: _ref_a4(x, y),
+    FieldExpr.A5: lambda x, y, d: kernel(MsetOpKind.ACAP, x, y),
+    FieldExpr.JR: lambda x, y, d: _ref_jr(x, y),
+    FieldExpr.JR_POW: lambda x, y, d: signed_power(_ref_jr(x, y), d),
+    FieldExpr.KRON: lambda x, y, d: float(gen_kronecker(x, y)),
+}
+
+SURFACE_GRIDS = {
+    "symmetric": GridSpec(nx=5, ny=5),
+    "symmetric_odd": GridSpec(-3.0, 3.0, -1.5, 1.5, 13, 9),
+    "asymmetric": GridSpec(0.1, 3.7, -1.0, -0.3, 7, 5),
+    "negative_zero_ends": GridSpec(-1.0, -0.0, -0.0, 2.5, 4, 3),
+    "subnormal": GridSpec(-1e-310, 2e-310, -5e-324, 1.5e-323, 9, 7),
+    "huge": GridSpec(-1e300, 1e300, -1e300, 1e300, 5, 5),
+    "two_by_two": GridSpec(-1.0, 2.0, -3.0, 0.5, 2, 2),
+}
+
+
+def surface_cases():
+    for name, spec in SURFACE_GRIDS.items():
+        for expr in FieldExpr:
+            for d in (range(1, 8) if expr is FieldExpr.JR_POW else (None,)):
+                yield pytest.param(expr, spec, d, id=f"{expr.value}-{name}-d{d}")
+
+
+@pytest.mark.parametrize("expr, spec, d", surface_cases())
+def test_surface_bits_match_pointwise_reference(expr, spec, d):
+    cell = _REF_CELL[expr]
+    want = [cell(x, y, d) for y in spec.ys() for x in spec.xs()]
+    assert all_bits(field(expr, spec, d=d).values) == all_bits(want)
+
+
+def test_surface_grids_reach_their_edge_values():
+    # guards the cases above against becoming vacuous
+    a3 = field(FieldExpr.A3, SURFACE_GRIDS["symmetric"]).values
+    assert all_bits(a3).count(bits(-0.0)) == 4
+    huge = field(FieldExpr.A3, SURFACE_GRIDS["huge"]).values
+    assert huge.count(float("inf")) == 8 and huge.count(-float("inf")) == 8
+    assert any(0.0 < abs(x) < 2.2e-308 for x in SURFACE_GRIDS["subnormal"].xs())
+    assert bits(SURFACE_GRIDS["negative_zero_ends"].xs()[-1]) == bits(-0.0)
+
+
+OVERFLOWING = GridSpec(-1e308, 1e308, -1e308, 1e308, 5, 5)
+
+
+@pytest.mark.parametrize("expr", list(FieldExpr))
+def test_surface_rejects_lattice_whose_blend_overflows(expr):
+    # the endpoint blend of +-1e308 gives (-1e308, -inf, nan, inf, 1e308);
+    # before the lattice was checked, a3 returned inf and nan cells here
+    xs = OVERFLOWING.xs()
+    assert any(x != x for x in xs) and float("inf") in xs
+    with pytest.raises(ValueError, match="the x lattice"):
+        field(expr, OVERFLOWING, d=3)
+    with pytest.raises(ValueError, match="the y lattice"):
+        field(expr, GridSpec(-1.0, 1.0, -1e308, 1e308, 3, 5), d=3)

@@ -146,6 +146,49 @@ class TestFieldCsv:
         assert back == fld.values
 
 
+    @pytest.mark.parametrize("expr, spec, d", [
+        (FieldExpr.A3, GridSpec(nx=5, ny=5), None),
+        (FieldExpr.JR, GridSpec(nx=41, ny=41), None),
+        (FieldExpr.JR_POW, GridSpec(-1.0, 3.0, -2.0, 0.5, 9, 6), 3),
+        (FieldExpr.A1, GridSpec(-1e-310, 2e-310, -5e-324, 1.5e-323, 7, 5), None),
+        (FieldExpr.A4, GridSpec(-1e300, 1e300, -1e300, 1e300, 5, 5), None),
+        (FieldExpr.KRON, GridSpec(-1.0, -0.0, -0.0, 1.0, 3, 2), None),
+    ])
+    def test_every_line_matches_reference_writer(self, tmp_path, expr, spec, d):
+        def ref(v):
+            return format(v, ".17g")
+
+        fld = field(expr, spec, d=d)
+        want = ["x,y,value\n"]
+        k = 0
+        for y in spec.ys():
+            for x in spec.xs():
+                want.append(f"{ref(x)},{ref(y)},{ref(fld.values[k])}\n")
+                k += 1
+        out = tmp_path / "f.csv"
+        write_field_csv(fld, out)
+        with open(out, newline="", encoding="utf-8") as fh:
+            assert fh.readlines() == want
+
+    def test_signed_zeros_print_as_minus_zero(self, tmp_path):
+        out = tmp_path / "a3.csv"
+        write_field_csv(field(FieldExpr.A3, GridSpec(nx=5, ny=5)), out)
+        lines = out.read_text().splitlines()
+        assert [ln for ln in lines if ln.endswith(",-0")] == [
+            "0,-2,-0", "0,-1,-0", "-2,0,-0", "-1,0,-0"]
+
+
+def reference_pgm(fld, lo, hi) -> bytes:
+    """Per-cell rendering: top image row first, each pixel rounded on its own."""
+    nx, ny = fld.spec.nx, fld.spec.ny
+    out = bytearray(f"P5\n{nx} {ny}\n255\n".encode("ascii"))
+    for j in reversed(range(ny)):
+        for i in range(nx):
+            t = min(max((fld.at(i, j) - lo) / (hi - lo), 0.0), 1.0)
+            out.append(math.floor(255.0 * t + 0.5))
+    return bytes(out)
+
+
 class TestPgm:
     def make_kron(self, n=101):
         return field(FieldExpr.KRON, GridSpec(nx=n, ny=n))
@@ -196,6 +239,21 @@ class TestPgm:
         row = payload[image_row * 41:(image_row + 1) * 41]
         segment = row[j:]  # from the diagonal rightwards
         assert all(a >= b for a, b in zip(segment, segment[1:]))
+
+    @pytest.mark.parametrize("expr, spec", [
+        (FieldExpr.JR, GridSpec(nx=41, ny=41)),
+        (FieldExpr.A3, GridSpec(nx=5, ny=5)),
+        (FieldExpr.JR_POW, GridSpec(-1.0, 3.0, -2.0, 0.5, 9, 6)),
+        (FieldExpr.KRON, GridSpec(-1.0, 1.0, -1.0, 1.0, 2, 2)),
+        (FieldExpr.A4, GridSpec(-2e154, 2e154, -2e154, 2e154, 5, 5)),  # inf rim
+    ])
+    def test_bytes_match_reference_rendering(self, tmp_path, expr, spec):
+        fld = field(expr, spec, d=3)
+        finite = [v for v in fld.values if math.isfinite(v)]
+        for lo, hi in ((-1.0, 1.0), (min(finite), max(finite))):
+            out = tmp_path / "f.pgm"
+            write_pgm(fld, HeatmapRange(lo, hi), out)
+            assert out.read_bytes() == reference_pgm(fld, lo, hi), (lo, hi)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
