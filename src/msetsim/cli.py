@@ -8,6 +8,7 @@ error (unreadable files, unparseable cells, undefined index values).
 import argparse
 import dataclasses
 import functools
+import math
 import sys
 
 from . import fields, indices, io, sliding, stats
@@ -17,6 +18,16 @@ from .signs import conjoint_signs
 from .sliding import SlideIndex
 
 BOUNDED_EXPRS = ("jr", "jrpow", "kron")  # default heatmap range [-1, 1]
+
+# compute --index: one function per index; "all" prints the whole report()
+_INDEX_FNS = {
+    "jaccard": indices.jaccard,
+    "coincidence": indices.coincidence,
+    "interiority": indices.interiority,
+    "cosine": indices.cosine,
+    "pearson": stats.pearson,
+    "inner": indices.inner,
+}
 
 
 def _unit_interval(text: str) -> float:
@@ -36,6 +47,8 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not v > 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text}")
+    if v == math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite: {text}")
     return v
 
 
@@ -73,7 +86,9 @@ def _two_selectors(text: str) -> list:
     return [_selector(p) for p in parts]
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one parser serves them all
     parser = argparse.ArgumentParser(
         prog="msetsim",
         description="Sign-aware multiset similarity indices for sampled signals.")
@@ -84,14 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", required=True, type=_two_selectors,
                    help="two column selectors (names or 0-based indices), e.g. x,y")
     p.add_argument("--index", default="all",
-                   choices=["jaccard", "coincidence", "interiority", "cosine",
-                            "pearson", "inner", "all"])
+                   choices=[*_INDEX_FNS, "all"])
     p.add_argument("--dx", type=_positive_float, default=1.0,
                    help="sample spacing (default 1)")
 
     p = sub.add_parser("field", help="evaluate a scalar surface over an (x, y) grid")
     p.add_argument("--expr", required=True,
-                   choices=["a1", "a2", "a3", "a4", "a5", "jr", "kron", "jrpow"])
+                   choices=[e.value for e in FieldExpr])
     p.add_argument("--D", dest="power", type=_positive_int, default=1,
                    help="power for jrpow (default 1)")
     p.add_argument("--xmin", type=float, default=-2.0)
@@ -112,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--template", required=True, help="CSV file, first column")
     p.add_argument("--signal", required=True, help="CSV file, first column")
     p.add_argument("--index", required=True,
-                   choices=["inner", "jaccard", "coincidence", "pearson", "cosine"])
+                   choices=[i.value for i in SlideIndex])
     p.add_argument("--out", required=True, help="profile CSV output path")
 
     p = sub.add_parser("split", help="double Pearson split of two CSV columns")
@@ -140,15 +154,7 @@ def _cmd_compute(args) -> None:
         for fld in dataclasses.fields(rep):
             print(f"{fld.name}={fmt(getattr(rep, fld.name))}")
         return
-    fn = {
-        "jaccard": indices.jaccard,
-        "coincidence": indices.coincidence,
-        "interiority": indices.interiority,
-        "cosine": indices.cosine,
-        "pearson": stats.pearson,
-        "inner": indices.inner,
-    }[args.index]
-    print(f"{args.index}={fmt(fn(f, g))}")
+    print(f"{args.index}={fmt(_INDEX_FNS[args.index](f, g))}")
 
 
 def _cmd_field(args) -> None:
@@ -214,12 +220,6 @@ _COMMANDS = {
     "standardize": _cmd_standardize,
     "signs": _cmd_signs,
 }
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # parse_args keeps no state between calls, so one parser serves them all
-    return build_parser()
 
 
 def main(argv=None) -> int:

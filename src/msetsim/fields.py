@@ -21,8 +21,8 @@ class FieldExpr(Enum):
     A4 = "a4"         # squared union of absolutes
     A5 = "a5"         # intersection of absolutes: min(|x|, |y|)
     JR = "jr"         # A1/A2, 0 at the origin
-    JR_POW = "jrpow"  # sign-preserving power of JR
     KRON = "kron"     # generalized Kronecker delta
+    JR_POW = "jrpow"  # sign-preserving power of JR
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ per call.
 import math
 from dataclasses import dataclass
 
-# kernel and abs_mass are no longer called here; they stay importable from
-# this module, where the benchmark's tracer (perfbench/spans.py) wraps them.
+# kernel is no longer called here; it stays importable from this module,
+# where the benchmark's tracer (perfbench/spans.py) wraps it.
 from .msetops import MsetOpKind, Signal, abs_mass, aggregate, kernel, require_compatible  # noqa: F401
 
 _positive = (0.0).__lt__  # v > 0 for a float v
@@ -88,13 +88,6 @@ def _overlap_sums(fp, fa, gp, ga) -> tuple[float, float, float, float]:
 def _gates(values):
     """The sign-flag and magnitude streams of a sample sequence."""
     return map(_positive, values), map(abs, values)
-
-
-def _abs_sum(values) -> float:
-    total = 0.0
-    for v in values:
-        total += v if v > 0 else -v
-    return total
 
 
 def _dot(fv, gv) -> float:
@@ -188,16 +181,17 @@ def jaccard_alt(f: Signal, g: Signal) -> float:
 
 
 def _jaccard_interiority(dx: float, fmass: float, sums) -> tuple[float, float]:
-    """Jaccard and interiority from the pair's overlap sums."""
+    """Jaccard and interiority from the first operand's :func:`abs_mass`
+    and the pair's overlap sums."""
     scap, acup, acap, gmass = sums
     j = _ratio(dx * scap, dx * acup, 0.0)
-    return j, _ratio(dx * acap, min(dx * fmass, dx * gmass), 1.0)
+    return j, _ratio(dx * acap, min(fmass, dx * gmass), 1.0)
 
 
 def _pair_jaccard_interiority(f: Signal, g: Signal) -> tuple[float, float]:
     require_compatible(f, g)
     sums = _overlap_sums(*_gates(f.values), *_gates(g.values))
-    return _jaccard_interiority(f.dx, _abs_sum(f.values), sums)
+    return _jaccard_interiority(f.dx, abs_mass(f), sums)
 
 
 def interiority(f: Signal, g: Signal) -> float:
@@ -259,7 +253,7 @@ def report(f: Signal, g: Signal) -> SimilarityReport:
     """Compute every index for one operand pair."""
     require_compatible(f, g)
     fv, gv, dx = f.values, g.values, f.dx
-    j, i = _jaccard_interiority(dx, _abs_sum(fv), _overlap_sums(*_gates(fv), *_gates(gv)))
+    j, i = _jaccard_interiority(dx, abs_mass(f), _overlap_sums(*_gates(fv), *_gates(gv)))
     ff, gg, fg, ee = _products(fv, gv)
     return SimilarityReport(
         jaccard=j,
@@ -302,7 +296,7 @@ def _coincidence_windows(template: Signal, signal: Signal):
     m, dx = len(template.values), signal.dx
     tp, ta = _window_gates(template.values)
     sp, sa = _window_gates(signal.values)
-    tmass = _abs_sum(ta)
+    tmass = abs_mass(template)
     scores = []
     for k in range(len(sa) - m + 1):
         j, i = _jaccard_interiority(dx, tmass, _overlap_sums(tp, ta, sp[k:k + m], sa[k:k + m]))

@@ -6,13 +6,15 @@ checked finite once, when the signal is built.  Code below that boundary
 works on the validated value tuples directly, with no per-sample checks.
 
 Aggregation is a plain left-to-right ``total += term`` loop over the value
-tuples, with each kind's sign gate taken from comparisons of the operands
-rather than from :func:`kernel`, so results are bit-identical across runs,
-platforms with the same float semantics, and thread counts.  The builtin
-``sum()`` is not used: from CPython 3.12 it sums floats with compensation,
-so its result would depend on the interpreter version.  A zero term leaves
-a left-to-right sum unchanged (the running total starts at +0.0 and can
-never become -0.0), so the loops skip the pairs whose term is zero.
+tuples, so results are bit-identical across runs and platforms with the
+same float semantics.  The builtin ``sum()`` is not used: from CPython 3.12
+it sums floats with compensation, so its result would depend on the
+interpreter version.  There is one gate loop: every kind but CAP and CUP
+goes through the same gated sum, with the sign gate taken from comparisons
+of the operands, and :func:`kernel` is that sum over the single pair
+(x, y).  A zero term leaves a left-to-right sum unchanged (the running
+total starts at +0.0 and can never become -0.0), so the loop skips the
+pairs whose term is zero.
 """
 
 import math
@@ -92,11 +94,29 @@ _GATED = {
 }
 
 
-def _gated(kind) -> tuple[float, float, float, bool]:
+def _gated_sum(kind, xs, ys) -> float:
+    """Left-to-right sum of the gated kernel over paired operands; a pair of
+    weight 0 is skipped, which leaves the sum as 0.0 * magnitude would."""
     try:
-        return _GATED[kind]
+        same, opposite, zero, use_max = _GATED[kind]
     except (KeyError, TypeError):
         raise ValueError(f"unknown operation kind: {kind!r}") from None
+    total = 0.0
+    for x, y in zip(xs, ys):
+        if x == 0 or y == 0:
+            w = zero
+        elif (x > 0) is (y > 0):
+            w = same
+        else:
+            w = opposite
+        if w:
+            ax = abs(x)
+            ay = abs(y)
+            if use_max:
+                total += w * (ay if ay > ax else ax)
+            else:
+                total += w * (ay if ay < ax else ax)
+    return total
 
 
 def kernel(kind: MsetOpKind, x: float, y: float) -> float:
@@ -105,7 +125,9 @@ def kernel(kind: MsetOpKind, x: float, y: float) -> float:
     The signed forms multiply min/max of the absolute values by the sign
     product; the half forms replace the sign product by the same-sign or
     opposite-sign gate, so SCAP == SCAP_PLUS - SCAP_MINUS pointwise (and
-    likewise for SCUP).
+    likewise for SCUP).  Every kind but CAP and CUP is the gated sum over
+    the single pair, so a zero result is +0.0: a weight of -1 needs two
+    nonzero operands, whose magnitude is then nonzero.
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"kernel() requires finite operands, got ({x!r}, {y!r})")
@@ -113,20 +135,7 @@ def kernel(kind: MsetOpKind, x: float, y: float) -> float:
         return min(x, y)
     if kind is MsetOpKind.CUP:
         return max(x, y)
-    ax = abs(x)
-    ay = abs(y)
-    if kind is MsetOpKind.ACAP:
-        return min(ax, ay)
-    if kind is MsetOpKind.ACUP:
-        return max(ax, ay)
-    same, opposite, zero, use_max = _gated(kind)
-    if x == 0 or y == 0:
-        w = zero
-    elif (x > 0) is (y > 0):
-        w = same
-    else:
-        w = opposite
-    return w * (max(ax, ay) if use_max else min(ax, ay))
+    return _gated_sum(kind, (x,), (y,))
 
 
 def aggregate(kind: MsetOpKind, f: Signal, g: Signal) -> float:
@@ -140,22 +149,7 @@ def aggregate(kind: MsetOpKind, f: Signal, g: Signal) -> float:
         for x, y in zip(f.values, g.values):
             total += y if y > x else x
     else:
-        # the kernel's gate and magnitude, skipping pairs of weight 0
-        same, opposite, zero, use_max = _gated(kind)
-        for x, y in zip(f.values, g.values):
-            if x == 0 or y == 0:
-                w = zero
-            elif (x > 0) is (y > 0):
-                w = same
-            else:
-                w = opposite
-            if w:
-                ax = abs(x)
-                ay = abs(y)
-                if use_max:
-                    total += w * (ay if ay > ax else ax)
-                else:
-                    total += w * (ay if ay < ax else ax)
+        total = _gated_sum(kind, f.values, g.values)
     return f.dx * total
 
 

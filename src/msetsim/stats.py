@@ -4,7 +4,8 @@ coefficient.
 Variance and covariance use the unbiased 1/(N-1) normalization throughout,
 so the double Pearson parts recombine to the plain coefficient at
 alpha = 0.5.  Each mean and variance is computed once per operand, with
-explicit left-to-right sums, and sums that share a pass share one loop.
+explicit left-to-right sums, and sums that share a pass share one loop:
+covariance and pearson take their centred sums from the same pass.
 """
 
 import math
@@ -62,17 +63,26 @@ def _pair_length(x: Signal, y: Signal) -> int:
     return n
 
 
+def _centred_sums(x: Signal, y: Signal) -> tuple[float, float, float]:
+    """Sums of (x - mx)**2, (y - my)**2 and (x - mx)*(y - my), in one pass."""
+    mx = mean(x)
+    my = mean(y)
+    sxx = syy = sxy = 0.0
+    for a, b in zip(x.values, y.values):
+        da = a - mx
+        db = b - my
+        sxx += da * da
+        syy += db * db
+        sxy += da * db
+    return sxx, syy, sxy
+
+
 def covariance(x: Signal, y: Signal) -> float:
     """Unbiased sample covariance of two equal-length signals."""
     n = _pair_length(x, y)
     if n < 2:
         raise ValueError("covariance needs at least 2 samples")
-    mx = mean(x)
-    my = mean(y)
-    total = 0.0
-    for a, b in zip(x.values, y.values):
-        total += (a - mx) * (b - my)
-    return total / (n - 1)
+    return _centred_sums(x, y)[2] / (n - 1)
 
 
 def _pearson(cov_sum: float, std_x: float, std_y: float, n: int) -> float:
@@ -90,15 +100,7 @@ def pearson(x: Signal, y: Signal) -> float:
     if len(x.values) < 2 or len(y.values) < 2:
         raise ValueError("variance needs at least 2 samples")
     n = _pair_length(x, y)
-    mx = mean(x)
-    my = mean(y)
-    sxx = syy = sxy = 0.0
-    for a, b in zip(x.values, y.values):
-        da = a - mx
-        db = b - my
-        sxx += da * da
-        syy += db * db
-        sxy += da * db
+    sxx, syy, sxy = _centred_sums(x, y)
     std_x = math.sqrt(sxx / (n - 1))
     std_y = math.sqrt(syy / (n - 1))
     if std_x == 0.0 or std_y == 0.0:

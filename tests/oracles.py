@@ -165,11 +165,11 @@ def osplit_inner(fv, gv, dx=1.0):
     return dx * plus, dx * minus
 
 
-def _window_degenerate(index, wv):
+def _window_degenerate(index, wv, dx):
     if index == "pearson":
         return len(wv) < 2 or ovariance(wv) == 0.0
     if index == "cosine":
-        return onorm(wv) == 0.0
+        return onorm(wv, dx) == 0.0
     return False
 
 
@@ -183,13 +183,13 @@ def oslide(tv, sv, index, dx=1.0):
         "cosine": ocosine,
     }
     score = scorers[index]
-    t_bad = _window_degenerate(index, tv)
+    t_bad = _window_degenerate(index, tv, dx)
     lags = list(range(len(sv) - len(tv) + 1))
     scores = []
     flagged = []
     for k in lags:
         window = list(sv[k:k + len(tv)])
-        if t_bad or _window_degenerate(index, window):
+        if t_bad or _window_degenerate(index, window, dx):
             scores.append(0.0)
             flagged.append(k)
         else:

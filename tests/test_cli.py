@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from msetsim.cli import cli, main
 from msetsim.msetops import Signal
 from msetsim.signs import conjoint_signs
@@ -214,6 +216,16 @@ class TestExitCodes:
         assert cli(["split", "--input", str(p), "--cols", "a,b",
                     "--alpha", "1.5"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("dx", ["inf", "1e400", "0", "nan", "-1"])
+    def test_non_positive_or_non_finite_dx_is_usage_error(self, tmp_path, capsys, dx):
+        # "1e400" parses to inf; a spacing is checked like every other flag
+        # value, before the file is read
+        p = tmp_path / "d.csv"
+        write_two_cols(p, [1, 2], [3, 4])
+        assert cli(["compute", "--input", str(p), "--cols", "a,b",
+                    "--dx", dx]) == 2
+        assert "--dx" in capsys.readouterr().err
 
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         assert cli(["compute", "--input", str(tmp_path / "nope.csv"),

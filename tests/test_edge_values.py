@@ -13,7 +13,14 @@ from dataclasses import astuple
 import pytest
 
 from msetsim.fields import FieldExpr, GridSpec, field
-from msetsim.indices import report, signed_power, split_intersection
+from msetsim.indices import (
+    coincidence,
+    interiority,
+    jaccard,
+    report,
+    signed_power,
+    split_intersection,
+)
 from msetsim.msetops import MsetOpKind, Signal, abs_mass, aggregate, kernel
 from msetsim.signs import gen_kronecker
 from msetsim.sliding import SlideIndex, slide
@@ -30,6 +37,7 @@ from oracles import (
     oinner,
     ointeriority,
     ojaccard,
+    okernel,
     onorm,
     opearson,
     oslide,
@@ -67,6 +75,35 @@ def edge_pairs():
     return pairs
 
 
+@pytest.mark.parametrize("op", OP_NAMES)
+def test_kernel_bits_match_oracle(op):
+    # The oracle's s*x magnitudes can give -0.0 where the library gives
+    # +0.0 (for example scap_minus at (-0.0, 1.0)), so zeros are pinned to
+    # +0.0 rather than compared with the oracle's bits.
+    kind = MsetOpKind(op)
+    for x, y in itertools.product(EDGE, repeat=2):
+        got = kernel(kind, x, y)
+        want = okernel(op, x, y)
+        where = (op, x, y)
+        assert got == want, where
+        if kind is MsetOpKind.CAP:
+            assert bits(got) == bits(min(x, y)), where
+        elif kind is MsetOpKind.CUP:
+            assert bits(got) == bits(max(x, y)), where
+        elif got == 0.0:
+            assert bits(got) == bits(0.0), where
+        else:
+            assert bits(got) == bits(want), where
+
+
+def test_kernel_oracle_zeros_differ_in_sign():
+    # guards the test above: its zero rule is needed on these edge values
+    negative = [(op, x, y) for op in OP_NAMES[2:]
+                for x, y in itertools.product(EDGE, repeat=2)
+                if bits(okernel(op, x, y)) == bits(-0.0)]
+    assert negative
+
+
 @pytest.mark.parametrize("dx", [1.0, 0.5])
 @pytest.mark.parametrize("op", OP_NAMES)
 def test_aggregate_bits_match_oracle(op, dx):
@@ -101,6 +138,9 @@ def test_pair_indices_bits_match_oracle(dx):
         for alpha in (0.0, 0.3, 1.0):
             assert bits(split_intersection(f, g, alpha)) == \
                 bits(osplit_intersection(fv, gv, alpha, dx)), where
+        assert bits(jaccard(f, g)) == bits(ojaccard(fv, gv, dx)), where
+        assert bits(interiority(f, g)) == bits(ointeriority(fv, gv, dx)), where
+        assert bits(coincidence(f, g)) == bits(ocoincidence(fv, gv, dx)), where
         if len(fv) >= 2:
             assert bits(covariance(f, g)) == bits(ocovariance(fv, gv)), where
             if ovariance(fv) != 0.0 and ovariance(gv) != 0.0:
@@ -175,15 +215,30 @@ def test_slide_overflow_cases_produce_nan():
     assert profile.scores[0] == float("inf")
 
 
-def test_cosine_flags_window_whose_norm_underflows_with_spacing():
+UNDERFLOWING_NORMS = [
     # the squared norm 5e-324 of the first window is nonzero, but dx times
-    # it is 0, so its norm is 0 and the window is flagged; the oracle checks
-    # degeneracy at unit spacing, so this case is pinned here instead
-    profile = slide(Signal((2e-160, 1e-160), 0.5), Signal((2.2e-162, 0.0, 1e-160), 0.5),
-                    SlideIndex.COSINE)
-    assert profile.degenerate_lags == (0,)
-    assert bits(profile.scores[0]) == bits(0.0)
-    assert profile.scores[1] > 0.0
+    # it is 0, so its norm is 0 and the window is flagged
+    ((2e-160, 1e-160), (2.2e-162, 0.0, 1e-160), 0.5, (0,)),
+    # at a spacing of 1e-300 windows of ordinary small samples underflow
+    ((1.0, -2.0), (1e-13, 0.0, 1.0, 2.0, 0.0, -1e-12), 1e-300, (0, 4)),
+    # and so does the template, which flags every lag
+    ((1e-13, 2e-13), (1.0, 2.0, 3.0), 1e-300, (0, 1)),
+]
+
+
+def test_cosine_flags_window_whose_norm_underflows_with_spacing():
+    for tv, sv, dx, flagged in UNDERFLOWING_NORMS:
+        profile = slide(Signal(tv, dx), Signal(sv, dx), SlideIndex.COSINE)
+        where = (tv, sv, dx)
+        assert profile.degenerate_lags == flagged, where
+        assert all(bits(profile.scores[k]) == bits(0.0) for k in flagged), where
+        if len(flagged) < len(profile.lags):
+            assert profile.best_score > 0.0, where
+        lags, scores, best_lag, best_score, oflagged = oslide(list(tv), list(sv), "cosine", dx)
+        assert profile.lags == tuple(lags), where
+        assert all_bits(profile.scores) == all_bits(scores), where
+        assert (profile.best_lag, bits(profile.best_score)) == (best_lag, bits(best_score)), where
+        assert profile.degenerate_lags == tuple(oflagged), where
 
 
 # Per-cell reference surfaces built from the public pointwise definitions.
