@@ -3,6 +3,10 @@ slide templates, split correlations, standardize and sign-annotate columns.
 
 Exit codes: 0 success, 2 usage error (bad flags or flag values), 1 data
 error (unreadable files, unparseable cells, undefined index values).
+Every numeric flag is checked while parsing, so a non-finite grid bound or
+heatmap level is a usage error; a non-finite ``compute`` or ``split``
+output is a data error that names it and prints nothing.  Files are read
+and written by :mod:`msetsim.io`.
 """
 
 import argparse
@@ -30,43 +34,33 @@ _INDEX_FNS = {
 }
 
 
-def _unit_interval(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 <= v <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1]: {text}")
-    return v
+def _checked(convert, *checks):
+    """An argparse type: ``convert`` the text, then apply each ``(test,
+    message)`` in turn; the first failing test is a usage error that quotes
+    the text after its message."""
+    noun = "an integer" if convert is int else "a number"
+
+    def parse(text: str):
+        try:
+            v = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+        for test, message in checks:
+            if not test(v):
+                raise argparse.ArgumentTypeError(f"{message}: {text}")
+        return v
+
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not v > 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text}")
-    if v == math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite: {text}")
-    return v
-
-
-def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {text}")
-    return v
-
-
-def _axis_points(text: str) -> int:
-    v = _positive_int(text)
-    if v < 2:
-        raise argparse.ArgumentTypeError(f"grids need at least 2 points per axis: {text}")
-    return v
+_FINITE = (math.isfinite, "must be finite")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+_finite_float = _checked(float, _FINITE)
+_positive_float = _checked(float, (lambda v: v > 0, "must be positive"), _FINITE)
+_unit_interval = _checked(float, (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"))
+_positive_int = _checked(int, _AT_LEAST_1)
+_axis_points = _checked(int, _AT_LEAST_1,
+                        (lambda v: v >= 2, "grids need at least 2 points per axis"))
 
 
 def _selector(token: str):
@@ -108,16 +102,16 @@ def _parser() -> argparse.ArgumentParser:
                    choices=[e.value for e in FieldExpr])
     p.add_argument("--D", dest="power", type=_positive_int, default=1,
                    help="power for jrpow (default 1)")
-    p.add_argument("--xmin", type=float, default=-2.0)
-    p.add_argument("--xmax", type=float, default=2.0)
-    p.add_argument("--ymin", type=float, default=-2.0)
-    p.add_argument("--ymax", type=float, default=2.0)
+    p.add_argument("--xmin", type=_finite_float, default=-2.0)
+    p.add_argument("--xmax", type=_finite_float, default=2.0)
+    p.add_argument("--ymin", type=_finite_float, default=-2.0)
+    p.add_argument("--ymax", type=_finite_float, default=2.0)
     p.add_argument("--nx", type=_axis_points, default=401)
     p.add_argument("--ny", type=_axis_points, default=401)
     p.add_argument("--out", required=True, help="field CSV output path")
     p.add_argument("--pgm", help="also render a PGM heatmap to this path")
-    p.add_argument("--lo", type=float, help="heatmap black level")
-    p.add_argument("--hi", type=float, help="heatmap white level")
+    p.add_argument("--lo", type=_finite_float, help="heatmap black level")
+    p.add_argument("--hi", type=_finite_float, help="heatmap white level")
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="accepted for compatibility; changes nothing (fields are "
                         "evaluated in one thread)")
@@ -147,14 +141,22 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_values(values: dict) -> None:
+    """Print one ``name=value`` line per entry; a non-finite value is a
+    data error naming every such output, and then nothing is printed."""
+    bad = [f"{name}={fmt(v)}" for name, v in values.items() if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"not finite: {', '.join(bad)}")
+    for name, v in values.items():
+        print(f"{name}={fmt(v)}")
+
+
 def _cmd_compute(args) -> None:
     f, g = io.read_csv(args.input, args.cols, dx=args.dx)
     if args.index == "all":
-        rep = indices.report(f, g)
-        for fld in dataclasses.fields(rep):
-            print(f"{fld.name}={fmt(getattr(rep, fld.name))}")
-        return
-    print(f"{args.index}={fmt(_INDEX_FNS[args.index](f, g))}")
+        _print_values(dataclasses.asdict(indices.report(f, g)))
+    else:
+        _print_values({args.index: _INDEX_FNS[args.index](f, g)})
 
 
 def _cmd_field(args) -> None:
@@ -178,38 +180,25 @@ def _cmd_slide(args) -> None:
     template = io.read_csv(args.template, [0])[0]
     signal = io.read_csv(args.signal, [0])[0]
     profile = sliding.slide(template, signal, SlideIndex(args.index))
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        fh.write("lag,score\n")
-        for lag, score in zip(profile.lags, profile.scores):
-            fh.write(f"{lag},{fmt(score)}\n")
+    io.write_csv(args.out, ("lag", "score"), zip(profile.lags, profile.scores))
     print(f"best_lag={profile.best_lag}")
 
 
 def _cmd_split(args) -> None:
     x, y = io.read_csv(args.input, args.cols)
     dp = stats.double_pearson(x, y, args.alpha)
-    print(f"p_plus={fmt(dp.p_plus)}")
-    print(f"p_minus={fmt(dp.p_minus)}")
-    print(f"p_alpha={fmt(dp.p_alpha)}")
-    print(f"pearson={fmt(stats.pearson(x, y))}")
+    _print_values({**dp._asdict(), "pearson": stats.pearson(x, y)})
 
 
 def _cmd_standardize(args) -> None:
     sig = io.read_csv(args.input, [args.col])[0]
-    out = stats.standardize(sig)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        fh.write("value\n")
-        for v in out.values:
-            fh.write(f"{fmt(v)}\n")
+    io.write_csv(args.out, ("value",), ((v,) for v in stats.standardize(sig).values))
 
 
 def _cmd_signs(args) -> None:
     f, g = io.read_csv(args.input, args.cols)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        fh.write("s_hp,s_hm,s_xy\n")
-        for x, y in zip(f.values, g.values):
-            s = conjoint_signs(x, y)
-            fh.write(f"{fmt(s.s_hp)},{fmt(s.s_hm)},{fmt(s.s_xy)}\n")
+    io.write_csv(args.out, ("s_hp", "s_hm", "s_xy"),
+                 ((s.s_hp, s.s_hm, s.s_xy) for s in map(conjoint_signs, f.values, g.values)))
 
 
 _COMMANDS = {
@@ -223,6 +212,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run the CLI on an argv list (without the program name; ``None`` reads
+    ``sys.argv``) and return the exit code instead of exiting."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
@@ -235,10 +226,7 @@ def main(argv=None) -> int:
     return 0
 
 
-def cli(argv) -> int:
-    """Run the CLI on an argv list (without the program name); returns the
-    exit code instead of exiting."""
-    return main(argv)
+cli = main  # the name tests and callers import
 
 
 if __name__ == "__main__":

@@ -6,9 +6,10 @@ guaranteed to parse back to the same binary64 value.
 """
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .fields import ScalarField
 from .msetops import Signal
@@ -56,56 +57,63 @@ def read_csv(path, selectors: Sequence[ColumnSelector],
     counts as data exactly when all its selected cells parse as numbers.
     Fully empty rows are skipped; short (ragged) rows, blank cells, and
     unparseable or non-finite cells raise with the offending row number.
+    Records are read one at a time and only the selected cells are kept.
     """
     selectors = list(selectors)
     if not selectors:
         raise ValueError("at least one column selector is required")
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: file is empty")
+        records = csv.reader(fh)
+        first = next(records, None)
+        if first is None:
+            raise ValueError(f"{path}: file is empty")
 
-    want_names = any(isinstance(s, str) for s in selectors)
-    if has_header is None:
-        if want_names:
-            has_header = True
-        else:
-            first = rows[0]
-            picked = [int(s) for s in selectors]
-            has_header = not all(
-                i < len(first) and _parses_as_number(first[i].strip()) for i in picked)
-    elif want_names and not has_header:
-        raise ValueError(f"{path}: column names need a header row")
+        want_names = any(isinstance(s, str) for s in selectors)
+        if has_header is None:
+            has_header = want_names or not all(
+                i < len(first) and _parses_as_number(first[i].strip())
+                for i in map(int, selectors))
+        elif want_names and not has_header:
+            raise ValueError(f"{path}: column names need a header row")
 
-    header = [h.strip() for h in rows[0]] if has_header else None
-    data_start = 2 if has_header else 1
-    data = rows[1:] if has_header else rows
+        header = [h.strip() for h in first] if has_header else None
+        if not has_header:
+            records = itertools.chain([first], records)
 
-    indices = [_resolve(s, header, path) for s in selectors]
-    labels = [repr(s) for s in selectors]
-    columns: list[list[float]] = [[] for _ in selectors]
-    for row_no, record in enumerate(data, start=data_start):
-        if not record:
-            continue
-        for slot, (idx, label) in enumerate(zip(indices, labels)):
-            if idx >= len(record):
-                raise ValueError(
-                    f"{path}: row {row_no} has {len(record)} cell(s), "
-                    f"column {label} needs index {idx}")
-            cell = record[idx].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {row_no}, column {label}: "
-                    f"cannot parse {cell!r} as a number") from None
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"{path}: row {row_no}, column {label}: non-finite value {cell!r}")
-            columns[slot].append(value)
+        indices = [_resolve(s, header, path) for s in selectors]
+        labels = [repr(s) for s in selectors]
+        columns: list[list[float]] = [[] for _ in selectors]
+        for row_no, record in enumerate(records, start=2 if has_header else 1):
+            if not record:
+                continue
+            for slot, (idx, label) in enumerate(zip(indices, labels)):
+                if idx >= len(record):
+                    raise ValueError(
+                        f"{path}: row {row_no} has {len(record)} cell(s), "
+                        f"column {label} needs index {idx}")
+                cell = record[idx].strip()
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {row_no}, column {label}: "
+                        f"cannot parse {cell!r} as a number") from None
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}: row {row_no}, column {label}: non-finite value {cell!r}")
+                columns[slot].append(value)
     if not columns[0]:
         raise ValueError(f"{path}: no data rows")
     return [Signal(tuple(col), dx) for col in columns]
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
+    """Write a header line of column names, then one line per row with each
+    number formatted by :func:`fmt`."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(fmt, row)) + "\n")
 
 
 def write_field_csv(fld: ScalarField, path) -> None:

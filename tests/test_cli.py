@@ -5,6 +5,7 @@ import pytest
 from msetsim.cli import cli, main
 from msetsim.msetops import Signal
 from msetsim.signs import conjoint_signs
+from msetsim.sliding import SlideIndex, slide
 from msetsim.stats import double_pearson, pearson, standardize
 
 
@@ -19,6 +20,19 @@ def parse_kv(captured: str) -> dict:
 def write_two_cols(path, xs, ys, header="a,b"):
     lines = [header] + [f"{x},{y}" for x, y in zip(xs, ys)]
     path.write_text("\n".join(lines) + "\n")
+
+
+def reference_csv(header, rows) -> str:
+    """The expected output file: each number with 17 significant digits,
+    lags as plain integers."""
+    def cell(v):
+        return str(v) if isinstance(v, int) else format(v, ".17g")
+    return ",".join(header) + "\n" + "".join(",".join(map(cell, row)) + "\n" for row in rows)
+
+
+# samples with both signed zeros, so the sign gates take the value 0.5
+ZERO_XS = [0.0, -0.0, 0.5, -1.25, 0.0, 3.0, -0.0, 1e-310, -2.0]
+ZERO_YS = [-0.0, 0.0, -0.5, 2.0, 1.5, 0.0, -3.0, -1e-310, -0.0]
 
 
 class TestCompute:
@@ -137,6 +151,22 @@ class TestSlide:
         assert lines[3].split(",")[0] == "2"
         assert float(lines[3].split(",")[1]) == 1.0
 
+    @pytest.mark.parametrize("index", list(SlideIndex))
+    def test_profile_bytes_match_reference(self, tmp_path, capsys, index):
+        tpl = tmp_path / "t.csv"
+        sig = tmp_path / "s.csv"
+        out = tmp_path / "profile.csv"
+        template = [0.0, -0.0, 0.5]
+        samples = [-0.0, 0.0, -0.5, 0.5, -0.0, 1.0, -1.0, 0.0, 1e-310, 0.0]
+        tpl.write_text("".join(f"{v}\n" for v in template))
+        sig.write_text("".join(f"{v}\n" for v in samples))
+        assert cli(["slide", "--template", str(tpl), "--signal", str(sig),
+                    "--index", index.value, "--out", str(out)]) == 0
+        prof = slide(Signal(template), Signal(samples), index)
+        assert capsys.readouterr().out == f"best_lag={prof.best_lag}\n"
+        want = reference_csv(["lag", "score"], zip(prof.lags, prof.scores))
+        assert out.read_bytes() == want.encode()
+
 
 class TestSplit:
     def test_alpha_half_matches_pearson(self, tmp_path, capsys):
@@ -165,6 +195,15 @@ class TestStandardize:
         got = tuple(float(v) for v in lines[1:])
         assert got == standardize(Signal((1, 2, 3))).values
 
+    def test_bytes_match_reference(self, tmp_path):
+        src = tmp_path / "d.csv"
+        out = tmp_path / "std.csv"
+        write_two_cols(src, ZERO_XS, ZERO_YS, header="x,y")
+        assert cli(["standardize", "--input", str(src), "--col", "y",
+                    "--out", str(out)]) == 0
+        rows = [(v,) for v in standardize(Signal(ZERO_YS)).values]
+        assert out.read_bytes() == reference_csv(["value"], rows).encode()
+
     def test_constant_column_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "d.csv"
         src.write_text("v\n2\n2\n")
@@ -192,6 +231,43 @@ class TestSigns:
             expected = conjoint_signs(x, y)
             assert (s_hp, s_hm, s_xy) == (expected.s_hp, expected.s_hm, expected.s_xy)
             assert s_xy == s_hp - s_hm
+
+    def test_bytes_match_reference(self, tmp_path):
+        src = tmp_path / "d.csv"
+        out = tmp_path / "signs.csv"
+        write_two_cols(src, ZERO_XS, ZERO_YS)
+        assert cli(["signs", "--input", str(src), "--cols", "0,1",
+                    "--out", str(out)]) == 0
+        rows = [conjoint_signs(x, y)[2:] for x, y in zip(ZERO_XS, ZERO_YS)]
+        assert 0.5 in {v for row in rows for v in row}
+        assert out.read_bytes() == reference_csv(["s_hp", "s_hm", "s_xy"], rows).encode()
+
+
+class TestNonFiniteOutputs:
+    """README: an undefined (non-finite) index value is a data error, exit 1,
+    with nothing on stdout and each such output named on stderr."""
+
+    def write_huge(self, path):
+        # 1e308 * 1e308 overflows, so the inner product is +inf
+        write_two_cols(path, [1e308, 1e308], [1e308, 1e308])
+
+    def test_compute_all(self, tmp_path, capsys):
+        p = tmp_path / "d.csv"
+        self.write_huge(p)
+        assert cli(["compute", "--input", str(p), "--cols", "a,b"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not finite: ")
+        assert "inner=inf" in captured.err
+
+    def test_compute_single_index(self, tmp_path, capsys):
+        p = tmp_path / "d.csv"
+        self.write_huge(p)
+        assert cli(["compute", "--input", str(p), "--cols", "a,b",
+                    "--index", "inner"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: not finite: inner=inf\n"
 
 
 class TestExitCodes:
@@ -226,6 +302,20 @@ class TestExitCodes:
         assert cli(["compute", "--input", str(p), "--cols", "a,b",
                     "--dx", dx]) == 2
         assert "--dx" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--xmin", "--xmax", "--ymin", "--ymax", "--lo", "--hi"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_field_flag_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "f.csv"
+        assert cli(["field", "--expr", "a3", "--nx", "5", "--ny", "5", f"{flag}={value}",
+                    "--out", str(out), "--pgm", str(tmp_path / "f.pgm")]) == 2
+        assert f"argument {flag}: must be finite: {value}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unparseable_field_flag_says_not_a_number(self, tmp_path, capsys):
+        # the same message as --dx and --alpha
+        assert cli(["field", "--expr", "a3", "--lo", "x", "--out", str(tmp_path / "f.csv")]) == 2
+        assert "argument --lo: not a number: 'x'\n" in capsys.readouterr().err
 
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         assert cli(["compute", "--input", str(tmp_path / "nope.csv"),

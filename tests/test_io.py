@@ -123,6 +123,50 @@ class TestReadCsv:
         with pytest.raises(ValueError, match="selector"):
             read_csv(p, [])
 
+    def test_blank_first_line_is_an_empty_header(self, tmp_path):
+        # a blank first record has no selected cell that parses, so it is
+        # taken as the header; data rows keep their record numbers
+        p = tmp_path / "data.csv"
+        p.write_text("\n1,4\n2,5\n")
+        f, g = read_csv(p, [0, 1])
+        assert (f.values, g.values) == ((1.0, 2.0), (4.0, 5.0))
+        p.write_text("\n1,4\nq,5\n")
+        with pytest.raises(ValueError, match=r"row 3, column 0: cannot parse 'q'"):
+            read_csv(p, [0, 1])
+        p.write_text("\nx,y\n1,2\n")
+        with pytest.raises(ValueError, match=r"column 'x' not found in header \[\]"):
+            read_csv(p, ["x"])
+
+    def test_blank_rows_are_skipped_but_counted(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_text("x,y\n1,2\n\n\n3,4\n\n")
+        f, g = read_csv(p, ["x", "y"])
+        assert (f.values, g.values) == ((1.0, 3.0), (2.0, 4.0))
+        p.write_text("x,y\n1,2\n\n\n3,4\n5,oops\n")
+        with pytest.raises(ValueError, match=r"row 6, column 'y': cannot parse 'oops'"):
+            read_csv(p, ["x", "y"])
+        p.write_text("1,2\n\n3\n")
+        with pytest.raises(ValueError, match=r"row 3 has 1 cell\(s\), column 1 needs index 1"):
+            read_csv(p, [0, 1])
+
+    @pytest.mark.parametrize("selectors", [[0], ["x"]])
+    def test_only_blank_lines_is_no_data(self, tmp_path, selectors):
+        p = tmp_path / "data.csv"
+        p.write_text("\n\n\n")
+        with pytest.raises(ValueError, match="no data rows" if selectors == [0]
+                           else "not found in header"):
+            read_csv(p, selectors)
+
+    def test_first_row_shorter_than_selected_index_is_a_header(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_text("1\n2,3\n4,5\n")
+        f, g = read_csv(p, [0, 1])
+        assert (f.values, g.values) == ((2.0, 4.0), (3.0, 5.0))
+        (h,) = read_csv(p, [1])
+        assert h.values == (3.0, 5.0)
+        with pytest.raises(ValueError, match=r"row 1 has 1 cell\(s\), column 1 needs index 1"):
+            read_csv(p, [0, 1], has_header=False)
+
 
 class TestFieldCsv:
     def test_layout_and_roundtrip(self, tmp_path):
