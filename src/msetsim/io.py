@@ -56,52 +56,56 @@ def read_csv(path, selectors: Sequence[ColumnSelector],
     selector implies a header, and for pure index selectors the first row
     counts as data exactly when all its selected cells parse as numbers.
     Fully empty rows are skipped; short (ragged) rows, blank cells, and
-    unparseable or non-finite cells raise with the offending row number.
+    unparseable or non-finite cells raise with the offending row number; a
+    record the csv module rejects raises with the reader's line number.
     Records are read one at a time and only the selected cells are kept.
     """
     selectors = list(selectors)
     if not selectors:
         raise ValueError("at least one column selector is required")
     with open(path, newline="", encoding="utf-8") as fh:
-        records = csv.reader(fh)
-        first = next(records, None)
-        if first is None:
-            raise ValueError(f"{path}: file is empty")
+        reader = records = csv.reader(fh)
+        try:
+            first = next(records, None)
+            if first is None:
+                raise ValueError(f"{path}: file is empty")
 
-        want_names = any(isinstance(s, str) for s in selectors)
-        if has_header is None:
-            has_header = want_names or not all(
-                i < len(first) and _parses_as_number(first[i].strip())
-                for i in map(int, selectors))
-        elif want_names and not has_header:
-            raise ValueError(f"{path}: column names need a header row")
+            want_names = any(isinstance(s, str) for s in selectors)
+            if has_header is None:
+                has_header = want_names or not all(
+                    i < len(first) and _parses_as_number(first[i].strip())
+                    for i in map(int, selectors))
+            elif want_names and not has_header:
+                raise ValueError(f"{path}: column names need a header row")
 
-        header = [h.strip() for h in first] if has_header else None
-        if not has_header:
-            records = itertools.chain([first], records)
+            header = [h.strip() for h in first] if has_header else None
+            if not has_header:
+                records = itertools.chain([first], records)
 
-        indices = [_resolve(s, header, path) for s in selectors]
-        labels = [repr(s) for s in selectors]
-        columns: list[list[float]] = [[] for _ in selectors]
-        for row_no, record in enumerate(records, start=2 if has_header else 1):
-            if not record:
-                continue
-            for slot, (idx, label) in enumerate(zip(indices, labels)):
-                if idx >= len(record):
-                    raise ValueError(
-                        f"{path}: row {row_no} has {len(record)} cell(s), "
-                        f"column {label} needs index {idx}")
-                cell = record[idx].strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: row {row_no}, column {label}: "
-                        f"cannot parse {cell!r} as a number") from None
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"{path}: row {row_no}, column {label}: non-finite value {cell!r}")
-                columns[slot].append(value)
+            indices = [_resolve(s, header, path) for s in selectors]
+            labels = [repr(s) for s in selectors]
+            columns: list[list[float]] = [[] for _ in selectors]
+            for row_no, record in enumerate(records, start=2 if has_header else 1):
+                if not record:
+                    continue
+                for slot, (idx, label) in enumerate(zip(indices, labels)):
+                    if idx >= len(record):
+                        raise ValueError(
+                            f"{path}: row {row_no} has {len(record)} cell(s), "
+                            f"column {label} needs index {idx}")
+                    cell = record[idx].strip()
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: row {row_no}, column {label}: "
+                            f"cannot parse {cell!r} as a number") from None
+                    if not math.isfinite(value):
+                        raise ValueError(
+                            f"{path}: row {row_no}, column {label}: non-finite value {cell!r}")
+                    columns[slot].append(value)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not columns[0]:
         raise ValueError(f"{path}: no data rows")
     return [Signal(tuple(col), dx) for col in columns]
@@ -120,21 +124,18 @@ def write_field_csv(fld: ScalarField, path) -> None:
     """Write "x,y,value" lines, one per cell, in row-major order (y from
     y_min upward, x from x_min upward within each row).
 
-    Each x coordinate is formatted once per file and each y once per row;
-    a row is written with one join.  Values are formatted per cell, exactly
-    as :func:`fmt` does (signed zeros print as ``-0``).
+    The x coordinates are formatted once per file into a ``%`` template
+    (``\\x00`` marks the y slot; no :func:`fmt` output contains it or ``%``),
+    and each row's values are formatted by one ``%``: ``"%.17g" % v`` gives
+    the bytes of :func:`fmt` (signed zeros print as ``-0``).
     """
     nx = fld.spec.nx
-    fxs = [fmt(x) for x in fld.spec.xs()]
-    values = fld.values
+    tmpl = "".join([f"{fmt(x)},\x00,%.17g\n" for x in fld.spec.xs()])
+    values = tuple(fld.values)  # ``%`` needs a tuple; a caller may give a list
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("x,y,value\n")
-        base = 0
-        for y in fld.spec.ys():
-            mid = f",{fmt(y)},"
-            fh.write("".join([f"{fx}{mid}{v:.17g}\n"
-                              for fx, v in zip(fxs, values[base:base + nx])]))
-            base += nx
+        for base, y in zip(range(0, len(values), nx), fld.spec.ys()):
+            fh.write(tmpl.replace("\x00", fmt(y)) % values[base:base + nx])
 
 
 @dataclass(frozen=True)

@@ -322,6 +322,14 @@ class TestExitCodes:
                     "--cols", "a,b"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_csv_module_error_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "d.csv"
+        p.write_text('a,b\n1,2\n3,"' + "x" * 200_000 + '"\n')
+        assert cli(["compute", "--input", str(p), "--cols", "a,b"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: line 3: field larger than field limit")
+        assert "Traceback" not in err
+
     def test_unparseable_cell_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "d.csv"
         p.write_text("a,b\n1,2\nx,4\n")

@@ -1,10 +1,11 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from msetsim.fields import FieldExpr, GridSpec, field
+from msetsim.fields import FieldExpr, GridSpec, ScalarField, field
 from msetsim.io import HeatmapRange, fmt, read_csv, write_field_csv, write_pgm
 
 
@@ -157,6 +158,18 @@ class TestReadCsv:
                            else "not found in header"):
             read_csv(p, selectors)
 
+    @pytest.mark.parametrize("text, line", [
+        ('"' + "x" * 200_000 + '"\n1,2\n', 1),
+        ('a,b\n1,2\n3,"' + "x" * 200_000 + '"\n', 3),
+    ], ids=["header_row", "data_row"])
+    def test_csv_module_error_names_line(self, tmp_path, text, line):
+        # a quoted field over the csv module's default limit (131072 chars),
+        # once in the header-detection row and once in a data row
+        p = tmp_path / "data.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: line {line}: field larger than field limit"):
+            read_csv(p, [0, 1])
+
     def test_first_row_shorter_than_selected_index_is_a_header(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("1\n2,3\n4,5\n")
@@ -220,6 +233,37 @@ class TestFieldCsv:
         lines = out.read_text().splitlines()
         assert [ln for ln in lines if ln.endswith(",-0")] == [
             "0,-2,-0", "0,-1,-0", "-2,0,-0", "-1,0,-0"]
+
+
+# values whose "%.17g" and format(v, ".17g") forms must agree byte for byte:
+# signed zeros, subnormals, the normal and finite extremes, non-finite
+# values, and 17-digit forms with an exponent or on its threshold
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 1.5e-323, 1e-310, -2.2250738585072009e-308,
+    2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    math.inf, -math.inf, math.nan, 1e16, -1e16, 1e17, 1.2345e-5, 1e-5, 1e-4,
+    0.1, 1 / 3, -2.0, 123456789012345678.0, 1e22,
+]
+
+
+class TestFormatEquivalence:
+    @pytest.mark.parametrize("v", EDGE_VALUES, ids=repr)
+    def test_percent_matches_format(self, v):
+        assert ("%.17g" % v).encode() == format(v, ".17g").encode() == fmt(v).encode()
+
+    @pytest.mark.parametrize("as_values", [tuple, list])
+    def test_field_csv_matches_per_cell_writer(self, tmp_path, as_values):
+        spec = GridSpec(-1e-310, 3.0, -2.0, 1e300, 6, 4)
+        fld = ScalarField(spec, as_values(EDGE_VALUES))
+        want = ["x,y,value\n"]
+        cells = iter(EDGE_VALUES)
+        for y in spec.ys():
+            for x in spec.xs():
+                want.append(",".join(format(v, ".17g") for v in (x, y, next(cells))) + "\n")
+        out = tmp_path / "f.csv"
+        write_field_csv(fld, out)
+        with open(out, newline="", encoding="utf-8") as fh:
+            assert fh.readlines() == want
 
 
 def reference_pgm(fld, lo, hi) -> bytes:
