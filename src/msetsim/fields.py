@@ -72,10 +72,20 @@ def _lattice(lo: float, hi: float, n: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Row-major field values: rows run y_min upward, columns x_min upward."""
+    """Row-major field values: rows run y_min upward, columns x_min upward.
+
+    ``values`` is stored as a tuple and must hold exactly nx * ny values.
+    """
 
     spec: GridSpec
     values: tuple[float, ...]
+
+    def __post_init__(self):
+        values = tuple(self.values)
+        nx, ny = self.spec.nx, self.spec.ny
+        if len(values) != nx * ny:
+            raise ValueError(f"a {nx}x{ny} grid needs {nx * ny} values, got {len(values)}")
+        object.__setattr__(self, "values", values)
 
     def at(self, ix: int, iy: int) -> float:
         return self.values[iy * self.spec.nx + ix]
@@ -222,7 +232,7 @@ def field(expr: FieldExpr, spec: GridSpec, d: int | None = None,
     values: list[float] = []
     for y in ys:
         values += row(c, y, d)
-    return ScalarField(spec, tuple(values))
+    return ScalarField(spec, values)
 
 
 def probe(p: PolarProbe) -> float:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 # kernel is no longer called here; it stays importable from this module,
 # where the benchmark's tracer (perfbench/spans.py) wraps it.
-from .msetops import MsetOpKind, Signal, abs_mass, aggregate, kernel, require_compatible  # noqa: F401
+from .msetops import (MsetOpKind, Signal, _alpha_weights, _gated_sum, abs_mass,  # noqa: F401
+                      aggregate, kernel, require_compatible)
 
 _positive = (0.0).__lt__  # v > 0 for a float v
 
@@ -232,21 +233,13 @@ def split_intersection(f: Signal, g: Signal, alpha: float) -> float:
     """Signed intersection with its same-sign and opposite-sign parts reweighted.
 
     Aggregates 2*alpha*(same-sign part) - 2*(1-alpha)*(opposite-sign part)
-    in a single pointwise pass, so alpha = 0.5 reproduces the plain signed
-    intersection bit for bit.
+    in a single pass of the gate loop that serves :func:`aggregate`, with
+    the weight row (2*alpha, -2*(1-alpha), 0, min), so alpha = 0.5
+    reproduces the plain signed intersection bit for bit.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    wp, wm = _alpha_weights(alpha)
     require_compatible(f, g)
-    wp = 2.0 * alpha
-    wm = 2.0 * (1.0 - alpha)
-    total = 0.0
-    for xp, ax, yp, ay in zip(*_gates(f.values), *_gates(g.values)):
-        if xp is yp:
-            total += wp * (ay if ay < ax else ax)
-        else:
-            total -= wm * (ay if ay < ax else ax)
-    return f.dx * total
+    return f.dx * _gated_sum((wp, -wm, 0.0, False), f.values, g.values)
 
 
 def report(f: Signal, g: Signal) -> SimilarityReport:

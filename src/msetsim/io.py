@@ -131,7 +131,7 @@ def write_field_csv(fld: ScalarField, path) -> None:
     """
     nx = fld.spec.nx
     tmpl = "".join([f"{fmt(x)},\x00,%.17g\n" for x in fld.spec.xs()])
-    values = tuple(fld.values)  # ``%`` needs a tuple; a caller may give a list
+    values = fld.values  # a tuple, as ``%`` needs
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("x,y,value\n")
         for base, y in zip(range(0, len(values), nx), fld.spec.ys()):

@@ -12,9 +12,11 @@ it sums floats with compensation, so its result would depend on the
 interpreter version.  There is one gate loop: every kind but CAP and CUP
 goes through the same gated sum, with the sign gate taken from comparisons
 of the operands, and :func:`kernel` is that sum over the single pair
-(x, y).  A zero term leaves a left-to-right sum unchanged (the running
+(x, y); ``indices.split_intersection`` sums its alpha-weighted gates through
+it too.  A zero term leaves a left-to-right sum unchanged (the running
 total starts at +0.0 and can never become -0.0), so the loop skips the
-pairs whose term is zero.
+pairs whose term is zero.  The sign-split mixes take their alpha weights
+from one rule, :func:`_alpha_weights`.
 """
 
 import math
@@ -94,13 +96,20 @@ _GATED = {
 }
 
 
-def _gated_sum(kind, xs, ys) -> float:
-    """Left-to-right sum of the gated kernel over paired operands; a pair of
-    weight 0 is skipped, which leaves the sum as 0.0 * magnitude would."""
+def _weights(kind):
+    """The :data:`_GATED` weight row of a kind."""
     try:
-        same, opposite, zero, use_max = _GATED[kind]
+        return _GATED[kind]
     except (KeyError, TypeError):
         raise ValueError(f"unknown operation kind: {kind!r}") from None
+
+
+def _gated_sum(weights, xs, ys) -> float:
+    """Left-to-right sum over paired operands of a gate weight times the min
+    or max of the magnitudes, for a weight row ``(same, opposite, zero,
+    use_max)`` as in :data:`_GATED`; a pair of weight 0 is skipped, which
+    leaves the sum as 0.0 * magnitude would."""
+    same, opposite, zero, use_max = weights
     total = 0.0
     for x, y in zip(xs, ys):
         if x == 0 or y == 0:
@@ -135,7 +144,7 @@ def kernel(kind: MsetOpKind, x: float, y: float) -> float:
         return min(x, y)
     if kind is MsetOpKind.CUP:
         return max(x, y)
-    return _gated_sum(kind, (x,), (y,))
+    return _gated_sum(_weights(kind), (x,), (y,))
 
 
 def aggregate(kind: MsetOpKind, f: Signal, g: Signal) -> float:
@@ -149,8 +158,16 @@ def aggregate(kind: MsetOpKind, f: Signal, g: Signal) -> float:
         for x, y in zip(f.values, g.values):
             total += y if y > x else x
     else:
-        total = _gated_sum(kind, f.values, g.values)
+        total = _gated_sum(_weights(kind), f.values, g.values)
     return f.dx * total
+
+
+def _alpha_weights(alpha: float) -> tuple[float, float]:
+    """The weights (2*alpha, 2*(1-alpha)) of the same-sign and opposite-sign
+    parts in a sign-split mix; alpha = 0.5 weighs both parts 1."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    return 2.0 * alpha, 2.0 * (1.0 - alpha)
 
 
 def abs_mass(f: Signal) -> float:

@@ -73,12 +73,7 @@ def slide(template: Signal, signal: Signal, index: SlideIndex) -> MatchProfile:
         raise ValueError(f"sample spacings differ: {template.dx!r} vs {signal.dx!r}")
 
     scores, flagged = _SCORERS[index](template, signal)
-    best_lag = 0
-    best_score = scores[0]
-    for k in range(1, len(scores)):
-        s = scores[k]
-        if s > best_score:  # strict: ties keep the smallest lag
-            best_lag = k
-            best_score = s
-    return MatchProfile(tuple(range(len(scores))), tuple(scores), best_lag, best_score,
+    # max replaces its pick only on a strict >, so ties keep the smallest lag
+    best_lag = max(range(len(scores)), key=scores.__getitem__)
+    return MatchProfile(tuple(range(len(scores))), tuple(scores), best_lag, scores[best_lag],
                         tuple(flagged))

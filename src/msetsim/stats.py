@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .msetops import Signal, require_compatible
+from .msetops import Signal, _alpha_weights, require_compatible
 
 
 class SampleStats(NamedTuple):
@@ -48,12 +48,29 @@ def sample_stats(v: Signal) -> SampleStats:
     return SampleStats(m, var, math.sqrt(var), n)
 
 
-def standardize(v: Signal) -> Signal:
-    """Affine-map the samples to zero mean and unit standard deviation."""
+def _standardized(v: Signal):
+    """The lazy stream of standardized samples (x - mean) / std.
+
+    A standardized sample is non-finite only when the standard deviation
+    overflows to inf, and then every sample would be 0 or NaN, so that case
+    raises here, as does a zero variance; every value streamed is finite.
+    """
     st = sample_stats(v)
     if st.std == 0.0:
         raise ValueError("cannot standardize a zero-variance signal")
-    return Signal(tuple((x - st.mean) / st.std for x in v.values), v.dx)
+    if st.std == math.inf:
+        raise ValueError("cannot standardize this signal: the variance overflows")
+    return ((x - st.mean) / st.std for x in v.values)
+
+
+def standardize(v: Signal) -> Signal:
+    """Affine-map the samples to zero mean and unit standard deviation.
+
+    Raises ValueError for a zero variance and for one that overflows to
+    inf (samples near the float limit), where no standardized value would
+    be correct.
+    """
+    return Signal(_standardized(v), v.dx)
 
 
 def _pair_length(x: Signal, y: Signal) -> int:
@@ -119,9 +136,8 @@ class SplitProduct:
     def combined(self, alpha: float) -> float:
         """The mix 2*alpha*same_sign + 2*(1-alpha)*opposite_sign; alpha = 0.5
         recovers the plain inner product."""
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-        return 2.0 * alpha * self.same_sign + 2.0 * (1.0 - alpha) * self.opposite_sign
+        wp, wm = _alpha_weights(alpha)
+        return wp * self.same_sign + wm * self.opposite_sign
 
 
 def _split_sums(fv, gv) -> tuple[float, float]:
@@ -175,16 +191,18 @@ def double_pearson(x: Signal, y: Signal, alpha: float) -> DoublePearson:
     plain coefficient hides: a cloud mixing y = x with y = -x branches has
     Pearson near 0 but a strongly negative p_minus, while a single branch
     has p_minus = 0.
+
+    The standardized samples stream straight into the split sums, with no
+    new :class:`Signal`; like :func:`standardize`, this raises ValueError
+    when either variance is zero or overflows to inf.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    wp, wm = _alpha_weights(alpha)
     n = _pair_length(x, y)
     # unit spacing: the split is a vector statistic like the coefficient itself
-    plus, minus = _split_sums(standardize(x).values, standardize(y).values)
+    plus, minus = _split_sums(_standardized(x), _standardized(y))
     p_plus = plus / (n - 1)
     p_minus = minus / (n - 1)
-    p_alpha = 2.0 * alpha * p_plus + 2.0 * (1.0 - alpha) * p_minus
-    return DoublePearson(p_plus, p_minus, p_alpha)
+    return DoublePearson(p_plus, p_minus, wp * p_plus + wm * p_minus)
 
 
 def _pearson_windows(template: Signal, signal: Signal):

@@ -168,6 +168,10 @@ class TestSlide:
         assert out.read_bytes() == want.encode()
 
 
+# the standard deviation overflows to inf
+OVERFLOWING = [1e308, 5e307, -3e307, 1e307]
+
+
 class TestSplit:
     def test_alpha_half_matches_pearson(self, tmp_path, capsys):
         p = tmp_path / "d.csv"
@@ -182,8 +186,27 @@ class TestSplit:
         assert got["p_plus"] == dp.p_plus
         assert got["p_minus"] == dp.p_minus
 
+    def test_overflowing_variance_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "d.csv"
+        write_two_cols(p, OVERFLOWING, OVERFLOWING)
+        assert cli(["split", "--input", str(p), "--cols", "a,b", "--alpha", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflow" in captured.err
+
 
 class TestStandardize:
+    def test_overflowing_variance_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "d.csv"
+        out = tmp_path / "std.csv"
+        write_two_cols(src, OVERFLOWING, OVERFLOWING)
+        assert cli(["standardize", "--input", str(src), "--col", "a",
+                    "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflow" in captured.err
+        assert not out.exists()
+
     def test_output_column(self, tmp_path):
         src = tmp_path / "d.csv"
         out = tmp_path / "std.csv"

@@ -6,6 +6,7 @@ and NaN results are checked too.  The scalar surfaces are compared cell by
 cell with the public pointwise definitions on the same kinds of lattice."""
 
 import itertools
+import math
 import random
 import struct
 from dataclasses import astuple
@@ -24,7 +25,7 @@ from msetsim.indices import (
 from msetsim.msetops import MsetOpKind, Signal, abs_mass, aggregate, kernel
 from msetsim.signs import gen_kronecker
 from msetsim.sliding import SlideIndex, slide
-from msetsim.stats import covariance, pearson, split_inner
+from msetsim.stats import covariance, double_pearson, pearson, split_inner, standardize
 
 from oracles import (
     OP_NAMES,
@@ -38,6 +39,7 @@ from oracles import (
     ointeriority,
     ojaccard,
     okernel,
+    omean,
     onorm,
     opearson,
     oslide,
@@ -154,6 +156,54 @@ def test_pair_indices_bits_match_oracle(dx):
         assert all_bits(astuple(rep)) == all_bits(want), where
 
 
+ALPHAS = (0.0, 0.3, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("dx", [1.0, 0.5])
+def test_split_product_combined_bits_match_oracle(dx):
+    for fv, gv in edge_pairs():
+        plus, minus = osplit_inner(fv, gv, dx)
+        sp = split_inner(Signal(fv, dx), Signal(gv, dx))
+        for alpha in ALPHAS:
+            want = 2.0 * alpha * plus + 2.0 * (1.0 - alpha) * minus
+            assert bits(sp.combined(alpha)) == bits(want), (fv, gv, dx, alpha)
+
+
+def ostandardized(fv):
+    m = omean(fv)
+    s = math.sqrt(ovariance(fv))
+    return [(x - m) / s for x in fv]
+
+
+def standardizable(fv) -> bool:
+    return len(fv) >= 2 and 0.0 < ovariance(fv) < math.inf
+
+
+def standardizable_pairs():
+    """Three-sample rows of EDGE values around a middle sample, kept when
+    the variance is finite and nonzero, each paired with a random such row."""
+    rows = [[a, b, c] for a, b, c in itertools.product(EDGE, (0.0, -1.0, 2.5, 1e-160), EDGE)]
+    rows = [r for r in rows if standardizable(r)]
+    rng = random.Random(7003)
+    return [(r, rng.choice(rows)) for r in rows]
+
+
+def test_standardize_and_double_pearson_bits_match_oracle():
+    pairs = standardizable_pairs()
+    # guards the filter: edge values and subnormal variances stay in play
+    assert len(pairs) > 300
+    assert any(0.0 < ovariance(fv) < 2.2e-308 for fv, _ in pairs)
+    for fv, gv in pairs:
+        zf, zg = ostandardized(fv), ostandardized(gv)
+        assert all_bits(standardize(Signal(fv, 0.5)).values) == all_bits(zf), fv
+        plus, minus = osplit_inner(zf, zg)
+        p_plus, p_minus = plus / (len(fv) - 1), minus / (len(fv) - 1)
+        for alpha in ALPHAS:
+            want = (p_plus, p_minus, 2.0 * alpha * p_plus + 2.0 * (1.0 - alpha) * p_minus)
+            got = double_pearson(Signal(fv), Signal(gv), alpha)
+            assert all_bits(got) == all_bits(want), (fv, gv, alpha)
+
+
 def slide_cases():
     rng = random.Random(7002)
     cases = [
@@ -198,6 +248,32 @@ def test_slide_bits_match_oracle(index):
         assert profile.best_lag == best_lag, where
         assert bits(profile.best_score) == bits(best_score), where
         assert profile.degenerate_lags == tuple(flagged), where
+
+
+ARGMAX_CASES = [
+    # Jaccard scores (0.0, -0.0) and (-0.0, 0.0): a signed-zero tie keeps
+    # the smaller lag
+    ((2.0,), (0.0, -TINY), SlideIndex.JACCARD),
+    ((2.0,), (-TINY, 0.0), SlideIndex.JACCARD),
+    # cosine scores (nan, 0.0, 0.9999999999999998): no score is greater
+    # than the NaN at lag 0, so it stays the pick
+    ((1.0, 1.0), (HUGE, HUGE, 1.0, 1.0), SlideIndex.COSINE),
+]
+
+
+def test_slide_argmax_on_signed_zero_ties_and_nan_matches_oracle():
+    profiles = []
+    for tv, sv, index in ARGMAX_CASES:
+        profile = slide(Signal(tv), Signal(sv), index)
+        _, scores, best_lag, best_score, _ = oslide(list(tv), list(sv), index.value)
+        assert all_bits(profile.scores) == all_bits(scores), (tv, sv)
+        assert (profile.best_lag, bits(profile.best_score)) == (best_lag, bits(best_score))
+        assert best_lag == 0, (tv, sv)
+        profiles.append(profile)
+    # guards the cases above against becoming vacuous
+    assert all_bits(profiles[0].scores) == all_bits((0.0, -0.0))
+    assert all_bits(profiles[1].scores) == all_bits((-0.0, 0.0))
+    assert math.isnan(profiles[2].best_score) and profiles[2].scores[2] > 0.0
 
 
 def test_all_zero_template_flags_every_lag():

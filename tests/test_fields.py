@@ -210,6 +210,18 @@ class TestProbe:
             PolarProbe(**kwargs)
 
 
+@pytest.mark.parametrize("count", [3, 5])
+def test_scalar_field_rejects_a_wrong_value_count(count):
+    with pytest.raises(ValueError, match=f"2x2 grid needs 4 values, got {count}"):
+        ScalarField(GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2), [0.5] * count)
+
+
+def test_scalar_field_stores_values_as_a_tuple():
+    fld = ScalarField(GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2), [1.0, -0.0, 3.0, 4.0])
+    assert type(fld.values) is tuple
+    assert fld.values == (1.0, -0.0, 3.0, 4.0)
+
+
 def test_scalar_field_at_indexing():
     spec = GridSpec(0.0, 1.0, 0.0, 1.0, 3, 2)
     fld = ScalarField(spec, tuple(float(k) for k in range(6)))

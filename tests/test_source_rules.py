@@ -1,8 +1,16 @@
-"""Source rules for the summation contract: no module of the package may
-call the builtin ``sum`` or ``math.fsum``, or import ``statistics`` or
-``numpy``.  CPython 3.12 made ``sum()`` compensated for floats, ``fsum``
-rounds exactly and NumPy sums pairwise, so any of them would change result
-bits, or make them depend on the interpreter version."""
+"""Source rules of the package.
+
+The summation contract: no module may call the builtin ``sum`` or
+``math.fsum``, or import ``statistics`` or ``numpy``.  CPython 3.12 made
+``sum()`` compensated for floats, ``fsum`` rounds exactly and NumPy sums
+pairwise, so any of them would change result bits, or make them depend on
+the interpreter version.
+
+Validate once: samples are checked in ``Signal``, so only the functions
+that bring samples in (``io.read_csv``) or produce a standardized signal
+(``stats.standardize`` and the CLI command that writes one) may call
+``Signal(...)`` or ``standardize(...)``; code below them works on
+validated value tuples."""
 
 import ast
 from pathlib import Path
@@ -38,6 +46,30 @@ def violations(path: Path) -> list[str]:
     return found
 
 
+SIGNAL_BUILDERS = {"io.read_csv", "stats.standardize", "cli._cmd_standardize"}
+
+
+def signal_builds(path: Path) -> list[str]:
+    """Calls of ``Signal`` or ``standardize``, by plain or attribute name,
+    outside :data:`SIGNAL_BUILDERS`, each as ``scope:line: calls name()``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in ("Signal", "standardize") and scope not in SIGNAL_BUILDERS:
+                    found.append(f"{scope}:{child.lineno}: calls {name}()")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
+    return found
+
+
 def test_package_modules_found():
     assert {p.name for p in MODULES} >= {"indices.py", "msetops.py", "stats.py", "io.py"}
 
@@ -60,3 +92,28 @@ def test_rule_catches(tmp_path, src, bad):
     p = tmp_path / "m.py"
     p.write_text(src + "\n")
     assert any(bad in v for v in violations(p))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_signals_built_only_where_samples_enter(path):
+    assert signal_builds(path) == []
+
+
+@pytest.mark.parametrize("name, src, bad", [
+    ("m.py", "def f(v):\n    return Signal(v.values)", "m.f:2: calls Signal()"),
+    ("stats.py", "def double_pearson(x, y):\n    return standardize(x)",
+     "stats.double_pearson:2: calls standardize()"),
+    ("m.py", "class C:\n    def g(self, v):\n        return stats.standardize(v)",
+     "m.C.g:3: calls standardize()"),
+    ("m.py", "S = msetops.Signal((1.0,))", "m:1: calls Signal()"),
+])
+def test_signal_rule_catches(tmp_path, name, src, bad):
+    p = tmp_path / name
+    p.write_text(src + "\n")
+    assert signal_builds(p) == [bad]
+
+
+def test_signal_rule_allows_the_builders(tmp_path):
+    p = tmp_path / "stats.py"
+    p.write_text("def standardize(v):\n    return Signal(v.values)\n")
+    assert signal_builds(p) == []

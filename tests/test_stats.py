@@ -56,7 +56,17 @@ class TestSampleStats:
         assert st_.variance >= 0.0
 
 
+# samples whose standard deviation overflows to inf: (x - mean) / std is 0
+# for the first, and NaN for the second, whose mean overflows too
+OVERFLOWING = [(1e308, 5e307, -3e307, 1e307), (1.7e308, 1.7e308, -1.7e308)]
+
+
 class TestStandardize:
+    @pytest.mark.parametrize("values", OVERFLOWING)
+    def test_overflowing_variance_errors(self, values):
+        with pytest.raises(ValueError, match="overflow"):
+            standardize(Signal(values))
+
     def test_two_point(self):
         out = standardize(Signal((0, 2)))
         assert out.values == pytest.approx((-1 / math.sqrt(2), 1 / math.sqrt(2)), abs=1e-15)
@@ -284,3 +294,11 @@ class TestDoublePearson:
             double_pearson(x, Signal((1, 2)), 0.5)
         with pytest.raises(ValueError, match="zero-variance"):
             double_pearson(x, Signal((1, 1, 1)), 0.5)
+
+    @pytest.mark.parametrize("values", OVERFLOWING)
+    def test_overflowing_variance_errors(self, values):
+        f = Signal(values)
+        with pytest.raises(ValueError, match="overflow"):
+            double_pearson(f, f, 0.5)
+        with pytest.raises(ValueError, match="overflow"):
+            double_pearson(Signal(range(len(values))), f, 0.5)
