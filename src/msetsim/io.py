@@ -8,6 +8,7 @@ guaranteed to parse back to the same binary64 value.
 import csv
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -47,45 +48,58 @@ def _resolve(selector: ColumnSelector, header: list[str] | None, path) -> int:
     return idx
 
 
-def read_csv(path, selectors: Sequence[ColumnSelector],
-             has_header: bool | None = None, dx: float = 1.0) -> list[Signal]:
-    """Read one Signal per selected column, all sharing the spacing ``dx``.
+# records per bulk-converted chunk: large enough to amortise the per-chunk
+# calls, small enough that a chunk's cell strings stay a small share of the
+# columns read
+_CHUNK = 1024
 
-    Selectors are 0-based column indices or header names; names require a
-    header row.  With has_header=None the header is detected: any name
-    selector implies a header, and for pure index selectors the first row
-    counts as data exactly when all its selected cells parse as numbers.
-    Fully empty rows are skipped; short (ragged) rows, blank cells, and
-    unparseable or non-finite cells raise with the offending row number; a
-    record the csv module rejects raises with the reader's line number.
-    Records are read one at a time and only the selected cells are kept.
-    """
-    selectors = list(selectors)
-    if not selectors:
-        raise ValueError("at least one column selector is required")
+
+def _data_records(reader, path, selectors: list[ColumnSelector], has_header: bool | None):
+    """Consume the first record of ``reader`` and decide whether it is the
+    header; return the data records, the row number of the first of them,
+    and the column index of each selector."""
+    first = next(reader, None)
+    if first is None:
+        raise ValueError(f"{path}: file is empty")
+    want_names = any(isinstance(s, str) for s in selectors)
+    if has_header is None:
+        has_header = want_names or not all(
+            i < len(first) and _parses_as_number(first[i].strip())
+            for i in map(int, selectors))
+    elif want_names and not has_header:
+        raise ValueError(f"{path}: column names need a header row")
+    header = [h.strip() for h in first] if has_header else None
+    indices = [_resolve(s, header, path) for s in selectors]
+    if has_header:
+        return reader, 2, indices
+    return itertools.chain([first], reader), 1, indices
+
+
+def _columns_in_bulk(path, selectors, has_header) -> list[list[float]]:
+    """The selected columns, converted a chunk of records at a time with no
+    Python code per cell; any fault raises whatever exception met it."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = records = csv.reader(fh)
+        records, _, indices = _data_records(csv.reader(fh), path, selectors, has_header)
+        pick = operator.itemgetter(*indices)
+        columns: list[list[float]] = [[] for _ in indices]
+        for chunk in iter(lambda: list(itertools.islice(records, _CHUNK)), []):
+            cells = map(pick, filter(None, chunk))
+            for column, part in zip(columns, zip(*cells) if len(columns) > 1 else [cells]):
+                column.extend(map(float, part))
+    return columns
+
+
+def _columns_by_row(path, selectors, has_header) -> list[list[float]]:
+    """The selected columns, read one record and one cell at a time; the
+    first fault in file order raises a ValueError naming its row and
+    column, or the reader's line for a record the csv module rejects."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
         try:
-            first = next(records, None)
-            if first is None:
-                raise ValueError(f"{path}: file is empty")
-
-            want_names = any(isinstance(s, str) for s in selectors)
-            if has_header is None:
-                has_header = want_names or not all(
-                    i < len(first) and _parses_as_number(first[i].strip())
-                    for i in map(int, selectors))
-            elif want_names and not has_header:
-                raise ValueError(f"{path}: column names need a header row")
-
-            header = [h.strip() for h in first] if has_header else None
-            if not has_header:
-                records = itertools.chain([first], records)
-
-            indices = [_resolve(s, header, path) for s in selectors]
+            records, start, indices = _data_records(reader, path, selectors, has_header)
             labels = [repr(s) for s in selectors]
             columns: list[list[float]] = [[] for _ in selectors]
-            for row_no, record in enumerate(records, start=2 if has_header else 1):
+            for row_no, record in enumerate(records, start=start):
                 if not record:
                     continue
                 for slot, (idx, label) in enumerate(zip(indices, labels)):
@@ -106,9 +120,44 @@ def read_csv(path, selectors: Sequence[ColumnSelector],
                     columns[slot].append(value)
         except csv.Error as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return columns
+
+
+def read_csv(path, selectors: Sequence[ColumnSelector],
+             has_header: bool | None = None, dx: float = 1.0) -> list[Signal]:
+    """Read one Signal per selected column, all sharing the spacing ``dx``.
+
+    Selectors are 0-based column indices or header names; names require a
+    header row.  With has_header=None the header is detected: any name
+    selector implies a header, and for pure index selectors the first row
+    counts as data exactly when all its selected cells parse as numbers.
+    Fully empty rows are skipped; short (ragged) rows, blank cells, and
+    unparseable or non-finite cells raise with the offending row number; a
+    record the csv module rejects raises with the reader's line number.
+
+    Records are read in chunks of 1024, blank ones dropped, and each chunk's
+    selected cells are transposed and converted to float in bulk, so no
+    Python code runs per cell and memory does not grow with the file beyond
+    the columns kept.  ``float`` ignores the surrounding whitespace that
+    ``str.strip`` removes, so the values are those of ``float(cell.strip())``,
+    and :class:`Signal` is the only finiteness check.  Any fault on that
+    path (a short row, a cell ``float`` rejects, a non-finite value, an
+    empty column, a csv error) reruns the whole file through the
+    row-by-row reference loop, which raises the first fault in file order
+    with its row and column.  That loop can also succeed: ``float`` rejects
+    a cell padded with the ASCII separators U+001C..U+001F, which
+    ``str.strip`` removes, so such a file is read by the fallback.
+    """
+    selectors = list(selectors)
+    if not selectors:
+        raise ValueError("at least one column selector is required")
+    try:
+        return [Signal(col, dx) for col in _columns_in_bulk(path, selectors, has_header)]
+    except (IndexError, ValueError, csv.Error):
+        columns = _columns_by_row(path, selectors, has_header)
     if not columns[0]:
         raise ValueError(f"{path}: no data rows")
-    return [Signal(tuple(col), dx) for col in columns]
+    return [Signal(col, dx) for col in columns]
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:

@@ -112,7 +112,9 @@ def pearson(x: Signal, y: Signal) -> float:
     pass for both variances and the covariance.
 
     Cauchy-Schwarz bounds the true value by 1, so the result is clamped to
-    [-1, 1] only to absorb rounding excursions.
+    [-1, 1] only to absorb rounding excursions.  Raises ValueError when
+    either variance is zero, or overflows to inf (samples near the float
+    limit), where the clamp would turn a NaN ratio into -1.
     """
     if len(x.values) < 2 or len(y.values) < 2:
         raise ValueError("variance needs at least 2 samples")
@@ -122,6 +124,8 @@ def pearson(x: Signal, y: Signal) -> float:
     std_y = math.sqrt(syy / (n - 1))
     if std_x == 0.0 or std_y == 0.0:
         raise ValueError("pearson correlation is undefined for a zero-variance operand")
+    if not (math.isfinite(std_x) and math.isfinite(std_y)):
+        raise ValueError("cannot compute this pearson correlation: the variance overflows")
     return _pearson(sxy, std_x, std_y, n)
 
 

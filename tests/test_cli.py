@@ -56,6 +56,16 @@ class TestCompute:
         got = parse_kv(capsys.readouterr().out)
         assert got == {"pearson": pearson(Signal((1, 2, 3)), Signal((3, 2, 1)))}
 
+    def test_overflowing_pearson_is_data_error(self, tmp_path, capsys):
+        # before, the clamp turned the NaN ratio into pearson=-1, exit 0
+        p = tmp_path / "d.csv"
+        write_two_cols(p, OVERFLOWING, OVERFLOWING)
+        assert cli(["compute", "--input", str(p), "--cols", "a,b",
+                    "--index", "pearson"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the variance overflows" in captured.err
+
     def test_dx_flag(self, tmp_path, capsys):
         p = tmp_path / "d.csv"
         write_two_cols(p, [1, 2], [1, 2])

@@ -132,6 +132,7 @@ def test_aggregate_overflow_reaches_inf():
 
 @pytest.mark.parametrize("dx", [1.0, 0.5])
 def test_pair_indices_bits_match_oracle(dx):
+    overflows = 0
     for fv, gv in edge_pairs():
         f, g = Signal(fv, dx), Signal(gv, dx)
         where = (fv, gv, dx)
@@ -145,7 +146,16 @@ def test_pair_indices_bits_match_oracle(dx):
         assert bits(coincidence(f, g)) == bits(ocoincidence(fv, gv, dx)), where
         if len(fv) >= 2:
             assert bits(covariance(f, g)) == bits(ocovariance(fv, gv)), where
-            if ovariance(fv) != 0.0 and ovariance(gv) != 0.0:
+            var_f, var_g = ovariance(fv), ovariance(gv)
+            if var_f == 0.0 or var_g == 0.0:
+                with pytest.raises(ValueError, match="zero-variance"):
+                    pearson(f, g)
+            elif not (math.isfinite(var_f) and math.isfinite(var_g)):
+                # the clamp would map the NaN ratio to -1
+                with pytest.raises(ValueError, match="the variance overflows"):
+                    pearson(f, g)
+                overflows += 1
+            else:
                 assert bits(pearson(f, g)) == bits(opearson(fv, gv)), where
         if onorm(fv, dx) == 0.0 or onorm(gv, dx) == 0.0:
             continue  # report raises with cosine
@@ -154,6 +164,8 @@ def test_pair_indices_bits_match_oracle(dx):
                 ocosine(fv, gv, dx), oinner(fv, gv, dx), onorm(fv, dx), onorm(gv, dx),
                 oeuclidean(fv, gv, dx))
         assert all_bits(astuple(rep)) == all_bits(want), where
+    # guards the edge pairs: some pearson variances overflow
+    assert overflows > 0
 
 
 ALPHAS = (0.0, 0.3, 0.5, 1.0)

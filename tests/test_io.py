@@ -1,5 +1,9 @@
+import csv
 import math
+import random
 import re
+import sys
+from array import array
 
 import pytest
 from hypothesis import given
@@ -179,6 +183,147 @@ class TestReadCsv:
         assert h.values == (3.0, 5.0)
         with pytest.raises(ValueError, match=r"row 1 has 1 cell\(s\), column 1 needs index 1"):
             read_csv(p, [0, 1], has_header=False)
+
+
+# Reader equivalence: read_csv against a reference reader that converts
+# each cell with one float(cell.strip()), compared bit for bit.  The files
+# run to several thousand records, so faults and blank rows land in later
+# chunks of the bulk read and on its 1024-record chunk boundaries.
+
+# every str.isspace() character the csv module reads as part of a cell,
+# except U+001C..U+001F: float() rejects those, though str.strip() removes
+# them, so a cell padded with one is read by the row-by-row fallback
+SEPARATORS = "\x1c\x1d\x1e\x1f"
+PADDING = "".join(c for c in map(chr, range(sys.maxunicode + 1))
+                  if c.isspace() and c not in "\r\n" + SEPARATORS)
+
+
+def reference_columns(path, indices, has_header):
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = list(csv.reader(fh))[1 if has_header else 0:]
+    return [[float(r[i].strip()) for r in records if r] for i in indices]
+
+
+def value_bits(values) -> bytes:
+    return array("d", values).tobytes()
+
+
+def number_cell(rng) -> str:
+    """The text of one numeric cell: a plain repr, or an awkward form."""
+    cell = rng.choice((repr(rng.gauss(0.0, 1.0)), "-0", "0", "1_000", "-2_5.0_1", "5e-324",
+                       "-1e-310", "2.2250738585072014e-308", "1.7976931348623157e308",
+                       "1E5", ".5", "5.", "+7", "١٢", repr(rng.uniform(-1e6, 1e6))))
+    pad = "".join(rng.choice(PADDING) for _ in range(rng.randint(0, 2)))
+    cell = pad + cell + "".join(rng.choice(PADDING) for _ in range(rng.randint(0, 2)))
+    return f'"{cell}"' if rng.random() < 0.2 else cell
+
+
+def write_rows(path, rows, header=None, blanks=None):
+    """Write ``rows`` (lists of cell texts); ``blanks`` maps a 0-based data
+    record position to the number of blank lines written before it."""
+    blanks = blanks or {}
+    lines = [header] if header else []
+    for pos, row in enumerate(rows):
+        lines += [""] * blanks.get(pos, 0)
+        lines.append(",".join(row))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# blank lines around the chunk boundaries (records are counted before the
+# blank ones are dropped), and a run of blank lines longer than one chunk
+BLANKS = {1020: 1, 1021: 2, 1500: 3, 2100: 1100}
+
+
+def numeric_rows(seed, n=3000):
+    rng = random.Random(seed)
+    return [[number_cell(rng) for _ in range(3)] for _ in range(n)]
+
+
+class TestReadCsvEquivalence:
+    @pytest.mark.parametrize("selectors, indices, has_header", [
+        ([0, 1], [0, 1], True),
+        ([0, 1], [0, 1], False),
+        ([2], [2], False),
+        ([0, 0], [0, 0], True),
+        ([2, 0, 1], [2, 0, 1], False),
+        (["y"], [1], True),
+        (["z", "x"], [2, 0], True),
+        (["y", "y"], [1, 1], True),
+    ])
+    def test_values_match_reference_bit_for_bit(self, tmp_path, selectors, indices,
+                                                has_header):
+        p = tmp_path / "data.csv"
+        write_rows(p, numeric_rows(8101), "x,y,z" if has_header else None, BLANKS)
+        text = p.read_text(encoding="utf-8")
+        assert all(c in text for c in " \t\u3000\u2028\xa0\x0b") and '"' in text
+        # has_header is left to detection from the first record
+        signals = read_csv(p, selectors, dx=0.25)
+        want = reference_columns(p, indices, has_header)
+        assert len(want[0]) == 3000
+        assert [value_bits(s.values) for s in signals] == [value_bits(c) for c in want]
+        assert {s.dx for s in signals} == {0.25}
+
+    @pytest.mark.parametrize("pad", SEPARATORS)
+    def test_cells_float_rejects_but_strip_accepts(self, tmp_path, pad):
+        # float("\x1c1.5") raises, float("\x1c1.5".strip()) is 1.5, so a
+        # file with such a cell in a later chunk must still be read
+        with pytest.raises(ValueError):
+            float(pad + "1.5")
+        rows = [[repr(k * 0.5), repr(-k * 0.25)] for k in range(3000)]
+        rows[2600][1] = pad + rows[2600][1] + pad
+        p = tmp_path / "data.csv"
+        write_rows(p, rows, "x,y")
+        f, g = read_csv(p, ["x", "y"])
+        assert g.values[2600] == -650.0
+        assert [value_bits(f.values), value_bits(g.values)] == \
+            [value_bits(c) for c in reference_columns(p, [0, 1], True)]
+
+    @pytest.mark.parametrize("data_row, cell, message", [
+        (2500, "nan", "row {row}, column 'y': non-finite value 'nan'"),
+        (2500, " -inf ", "row {row}, column 'y': non-finite value '-inf'"),
+        (1024, "1e999", "row {row}, column 'y': non-finite value '1e999'"),
+        (2047, "banana", "row {row}, column 'y': cannot parse 'banana' as a number"),
+        (1500, "", "row {row}, column 'y': cannot parse '' as a number"),
+        (1100, '"1,2"', "row {row}, column 'y': cannot parse '1,2' as a number"),
+    ])
+    def test_bad_cell_in_later_chunk_names_row_and_column(self, tmp_path, data_row,
+                                                           cell, message):
+        # rows count from 1 at the header and include blank lines; the
+        # bad cell sits in column y
+        rows = [[repr(k * 0.5), repr(k * 1.5)] for k in range(3000)]
+        rows[data_row][1] = cell
+        p = tmp_path / "data.csv"
+        write_rows(p, rows, "x,y", blanks={10: 2})
+        want = f"{p}: " + message.format(row=data_row + 4)
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            read_csv(p, ["x", "y"])
+
+    def test_short_row_in_later_chunk_names_row_and_column(self, tmp_path):
+        rows = [[repr(k * 0.5), repr(k * 1.5), "0"] for k in range(3000)]
+        rows[2222] = ["7", "8"]
+        p = tmp_path / "data.csv"
+        write_rows(p, rows, blanks={5: 1})
+        want = f"{p}: row 2224 has 2 cell(s), column 2 needs index 2"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            read_csv(p, [0, 2])
+        (f,) = read_csv(p, [1])
+        assert value_bits(f.values) == value_bits(reference_columns(p, [1], False)[0])
+
+    @pytest.mark.parametrize("first_fault", ["cell", "csv"])
+    def test_first_fault_in_a_chunk_is_reported(self, tmp_path, first_fault):
+        # a bad cell and a record the csv module rejects in the same chunk:
+        # whichever comes first in the file is reported
+        rows = [[repr(k * 0.5), repr(k * 1.5)] for k in range(3000)]
+        bad, huge = (1100, 1105) if first_fault == "cell" else (1105, 1100)
+        rows[bad][0] = "oops"
+        rows[huge][1] = '"' + "x" * 200_000 + '"'
+        p = tmp_path / "data.csv"
+        write_rows(p, rows, "x,y")
+        want = (f"row {bad + 2}, column 0: cannot parse 'oops' as a number"
+                if first_fault == "cell" else
+                f"line {huge + 2}: field larger than field limit")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: {want}')}"):
+            read_csv(p, [0, 1])
 
 
 class TestFieldCsv:

@@ -144,6 +144,15 @@ class TestPearson:
         with pytest.raises(ValueError, match="zero-variance"):
             pearson(Signal((1, 1)), Signal((1, 2)))
 
+    @pytest.mark.parametrize("values", OVERFLOWING)
+    def test_overflowing_variance_errors(self, values):
+        # the fused sums give a NaN ratio, which the clamp would make -1
+        f = Signal(values)
+        with pytest.raises(ValueError, match="the variance overflows"):
+            pearson(f, f)
+        with pytest.raises(ValueError, match="the variance overflows"):
+            pearson(Signal(range(len(values))), f)
+
     def test_equals_standardized_covariance(self):
         rng = random.Random(33)
         for _ in range(200):
