@@ -86,9 +86,12 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="msetsim",
         description="Sign-aware multiset similarity indices for sampled signals.")
+    # each subcommand binds its handler as args.run; dest names the
+    # subcommand in the "required" usage error
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="similarity indices for two CSV columns")
+    p.set_defaults(run=_cmd_compute)
     p.add_argument("--input", required=True, help="CSV file")
     p.add_argument("--cols", required=True, type=_two_selectors,
                    help="two column selectors (names or 0-based indices), e.g. x,y")
@@ -98,6 +101,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="sample spacing (default 1)")
 
     p = sub.add_parser("field", help="evaluate a scalar surface over an (x, y) grid")
+    p.set_defaults(run=_cmd_field)
     p.add_argument("--expr", required=True,
                    choices=[e.value for e in FieldExpr])
     p.add_argument("--D", dest="power", type=_positive_int, default=1,
@@ -117,6 +121,7 @@ def _parser() -> argparse.ArgumentParser:
                         "evaluated in one thread)")
 
     p = sub.add_parser("slide", help="sliding-window index profile of a template")
+    p.set_defaults(run=_cmd_slide)
     p.add_argument("--template", required=True, help="CSV file, first column")
     p.add_argument("--signal", required=True, help="CSV file, first column")
     p.add_argument("--index", required=True,
@@ -124,16 +129,19 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="profile CSV output path")
 
     p = sub.add_parser("split", help="double Pearson split of two CSV columns")
+    p.set_defaults(run=_cmd_split)
     p.add_argument("--input", required=True)
     p.add_argument("--cols", required=True, type=_two_selectors)
     p.add_argument("--alpha", required=True, type=_unit_interval)
 
     p = sub.add_parser("standardize", help="standardize one CSV column")
+    p.set_defaults(run=_cmd_standardize)
     p.add_argument("--input", required=True)
     p.add_argument("--col", required=True, type=_selector)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("signs", help="per-row sign gates s_hp, s_hm, s_xy of two columns")
+    p.set_defaults(run=_cmd_signs)
     p.add_argument("--input", required=True)
     p.add_argument("--cols", required=True, type=_two_selectors)
     p.add_argument("--out", required=True)
@@ -201,16 +209,6 @@ def _cmd_signs(args) -> None:
                  ((s.s_hp, s.s_hm, s.s_xy) for s in map(conjoint_signs, f.values, g.values)))
 
 
-_COMMANDS = {
-    "compute": _cmd_compute,
-    "field": _cmd_field,
-    "slide": _cmd_slide,
-    "split": _cmd_split,
-    "standardize": _cmd_standardize,
-    "signs": _cmd_signs,
-}
-
-
 def main(argv=None) -> int:
     """Run the CLI on an argv list (without the program name; ``None`` reads
     ``sys.argv``) and return the exit code instead of exiting."""
@@ -219,7 +217,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        _COMMANDS[args.command](args)
+        args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -135,9 +135,9 @@ def euclidean(f: Signal, g: Signal) -> float:
     return math.sqrt(f.dx * total)
 
 
-def _cosine(dx: float, ff: float, gg: float, fg: float) -> float:
-    nf = math.sqrt(dx * ff)
-    ng = math.sqrt(dx * gg)
+def _cosine(dx: float, fg: float, nf: float, ng: float) -> float:
+    """Cosine from the cross-product sum and the two norms: the one place
+    that decides cosine is undefined, for a zero norm, and raises."""
     if nf == 0.0 or ng == 0.0:
         raise ValueError("cosine similarity is undefined for a zero-norm operand")
     return dx * fg / (nf * ng)
@@ -147,7 +147,7 @@ def cosine(f: Signal, g: Signal) -> float:
     """Cosine similarity; undefined (raises) for a zero-norm operand."""
     require_compatible(f, g)
     ff, gg, fg, _ = _products(f.values, g.values)
-    return _cosine(f.dx, ff, gg, fg)
+    return _cosine(f.dx, fg, math.sqrt(f.dx * ff), math.sqrt(f.dx * gg))
 
 
 def jaccard(f: Signal, g: Signal) -> float:
@@ -248,21 +248,25 @@ def report(f: Signal, g: Signal) -> SimilarityReport:
     fv, gv, dx = f.values, g.values, f.dx
     j, i = _jaccard_interiority(dx, abs_mass(f), _overlap_sums(*_gates(fv), *_gates(gv)))
     ff, gg, fg, ee = _products(fv, gv)
+    norm_f = math.sqrt(dx * ff)
+    norm_g = math.sqrt(dx * gg)
     return SimilarityReport(
         jaccard=j,
         interiority=i,
         coincidence=j * i,
-        cosine=_cosine(dx, ff, gg, fg),
+        cosine=_cosine(dx, fg, norm_f, norm_g),
         inner=dx * fg,
-        norm_f=math.sqrt(dx * ff),
-        norm_g=math.sqrt(dx * gg),
+        norm_f=norm_f,
+        norm_g=norm_g,
         euclidean=math.sqrt(dx * ee),
     )
 
 
 # Window scorers for slide: each returns the score of every valid window,
-# lag 0 first, and the lags flagged degenerate (scored 0).  The caller has
-# checked that the template fits in the signal and that the spacings agree.
+# lag 0 first, and the lags flagged degenerate (scored +0.0).  The caller
+# has checked that the template fits in the signal and that the spacings
+# agree.  Cosine windows are scored through _cosine, the pair function's own
+# rule, so a window is flagged exactly when cosine() would raise on it.
 
 def _window_gates(values):
     """The sign-flag and magnitude tuples of a sample sequence, for slicing."""
@@ -299,21 +303,17 @@ def _coincidence_windows(template: Signal, signal: Signal):
 
 def _cosine_windows(template: Signal, signal: Signal):
     tv, sv, dx, m = template.values, signal.values, signal.dx, len(template.values)
-    lags = range(len(sv) - m + 1)
     nt = norm(template)
-    if nt == 0.0:
-        return [0.0] * len(lags), list(lags)
     scores = []
     flagged = []
-    for k in lags:
+    for k in range(len(sv) - m + 1):
         tw = ww = 0.0
         for a, b in zip(tv, sv[k:k + m]):
             tw += a * b
             ww += b * b
-        nw = math.sqrt(dx * ww)
-        if nw == 0.0:
+        try:
+            scores.append(_cosine(dx, tw, nt, math.sqrt(dx * ww)))
+        except ValueError:
             scores.append(0.0)
             flagged.append(k)
-        else:
-            scores.append(dx * tw / (nt * nw))
     return scores, flagged

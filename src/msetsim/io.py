@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .fields import ScalarField
-from .msetops import Signal
+from .msetops import Signal, _spacing
 
 # a column is picked either by 0-based index or by header name
 ColumnSelector = Union[int, str]
@@ -135,6 +135,9 @@ def read_csv(path, selectors: Sequence[ColumnSelector],
     unparseable or non-finite cells raise with the offending row number; a
     record the csv module rejects raises with the reader's line number.
 
+    ``dx`` is checked before the file is opened, so a bad spacing is
+    reported ahead of a missing file or a bad cell.
+
     Records are read in chunks of 1024, blank ones dropped, and each chunk's
     selected cells are transposed and converted to float in bulk, so no
     Python code runs per cell and memory does not grow with the file beyond
@@ -151,6 +154,7 @@ def read_csv(path, selectors: Sequence[ColumnSelector],
     selectors = list(selectors)
     if not selectors:
         raise ValueError("at least one column selector is required")
+    dx = _spacing(dx)
     try:
         return [Signal(col, dx) for col in _columns_in_bulk(path, selectors, has_header)]
     except (IndexError, ValueError, csv.Error):

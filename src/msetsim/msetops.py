@@ -58,14 +58,21 @@ class Signal:
         if not all(map(math.isfinite, vals)):
             bad = next(v for v in vals if not math.isfinite(v))
             raise ValueError(f"signal samples must be finite, got {bad!r}")
-        dx = float(self.dx)
-        if not math.isfinite(dx) or dx <= 0:
-            raise ValueError(f"sample spacing must be a positive finite real, got {dx!r}")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "dx", dx)
+        object.__setattr__(self, "dx", _spacing(self.dx))
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def _spacing(dx) -> float:
+    """``dx`` as a float, raising unless it is a positive finite real: the
+    one spacing rule, for :class:`Signal` and for callers that check a
+    spacing before building signals with it."""
+    dx = float(dx)
+    if not math.isfinite(dx) or dx <= 0:
+        raise ValueError(f"sample spacing must be a positive finite real, got {dx!r}")
+    return dx
 
 
 def require_compatible(f: Signal, g: Signal) -> None:

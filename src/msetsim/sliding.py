@@ -6,10 +6,10 @@ padding, so window scores are exactly the index values they claim to be.
 
 Each index has a window scorer that walks the signal's sample tuple
 directly: windows are tuple slices, not new :class:`Signal` objects, and
-the template's share of the work (its norm, statistics, absolute mass and
-degeneracy, and its sign and magnitude tuples) is done once per call.  A
-window then costs O(M) for a template of M samples: one fused pass (two for
-pearson, whose window mean comes first).  Consecutive windows share M - 1
+the template's share of the work (its norm, statistics and absolute mass,
+and its sign and magnitude tuples) is done once per call.  A window then
+costs O(M) for a template of M samples: one fused pass (two for pearson,
+whose window mean comes first).  Consecutive windows share M - 1
 samples, but each window's sums are taken afresh, left to right, so the
 scores are bit-identical to calling the index on each window.
 """
@@ -41,8 +41,13 @@ class MatchProfile:
 
     ``lags`` runs 0 .. len(signal) - len(template) inclusive; ``best_lag``
     is the smallest lag attaining the maximum score.  ``degenerate_lags``
-    lists windows where pearson or cosine was undefined and the score was
-    set to 0 to keep the profile total.
+    lists the windows where pearson or cosine is undefined, scored +0.0 to
+    keep the profile total: a lag is listed exactly when :func:`pearson
+    <msetsim.stats.pearson>` or :func:`cosine <msetsim.indices.cosine>`
+    would raise on (template, window), because the window scorer calls the
+    same rule.  For pearson that includes a template or window variance
+    that overflows to inf; for cosine, a zero norm.  The other indices are
+    total and list none.
     """
 
     lags: tuple[int, ...]

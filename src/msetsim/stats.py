@@ -103,6 +103,13 @@ def covariance(x: Signal, y: Signal) -> float:
 
 
 def _pearson(cov_sum: float, std_x: float, std_y: float, n: int) -> float:
+    """Pearson from the centred cross sum and the two standard deviations:
+    the one place that decides pearson is undefined, for a zero standard
+    deviation or one that overflows, and raises."""
+    if std_x == 0.0 or std_y == 0.0:
+        raise ValueError("pearson correlation is undefined for a zero-variance operand")
+    if not (math.isfinite(std_x) and math.isfinite(std_y)):
+        raise ValueError("cannot compute this pearson correlation: the variance overflows")
     r = cov_sum / (n - 1) / (std_x * std_y)
     return min(1.0, max(-1.0, r))
 
@@ -120,13 +127,7 @@ def pearson(x: Signal, y: Signal) -> float:
         raise ValueError("variance needs at least 2 samples")
     n = _pair_length(x, y)
     sxx, syy, sxy = _centred_sums(x, y)
-    std_x = math.sqrt(sxx / (n - 1))
-    std_y = math.sqrt(syy / (n - 1))
-    if std_x == 0.0 or std_y == 0.0:
-        raise ValueError("pearson correlation is undefined for a zero-variance operand")
-    if not (math.isfinite(std_x) and math.isfinite(std_y)):
-        raise ValueError("cannot compute this pearson correlation: the variance overflows")
-    return _pearson(sxy, std_x, std_y, n)
+    return _pearson(sxy, math.sqrt(sxx / (n - 1)), math.sqrt(syy / (n - 1)), n)
 
 
 @dataclass(frozen=True)
@@ -210,13 +211,16 @@ def double_pearson(x: Signal, y: Signal, alpha: float) -> DoublePearson:
 
 
 def _pearson_windows(template: Signal, signal: Signal):
-    """Pearson score of every valid window, and the lags flagged degenerate
-    (fewer than 2 samples or zero variance on either side), for slide."""
+    """Pearson score of every valid window, and the lags flagged degenerate,
+    for slide.  Each window is scored through _pearson, the pair function's
+    own rule, so a lag is flagged (scored +0.0) exactly when pearson() would
+    raise on (template, window): fewer than 2 samples, or a variance on
+    either side that is zero or overflows."""
     tv, sv, m = template.values, signal.values, len(template.values)
     lags = range(len(sv) - m + 1)
-    st = sample_stats(template) if m >= 2 else None
-    if st is None or st.variance == 0.0:
+    if m < 2:
         return [0.0] * len(lags), list(lags)
+    st = sample_stats(template)
     tdev = tuple(a - st.mean for a in tv)
     scores = []
     flagged = []
@@ -228,10 +232,9 @@ def _pearson_windows(template: Signal, signal: Signal):
             db = b - mw
             sww += db * db
             stw += da * db
-        var = sww / (m - 1)
-        if var == 0.0:
+        try:
+            scores.append(_pearson(stw, st.std, math.sqrt(sww / (m - 1)), m))
+        except ValueError:
             scores.append(0.0)
             flagged.append(k)
-        else:
-            scores.append(_pearson(stw, st.std, math.sqrt(var), m))
     return scores, flagged

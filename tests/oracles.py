@@ -167,7 +167,8 @@ def osplit_inner(fv, gv, dx=1.0):
 
 def _window_degenerate(index, wv, dx):
     if index == "pearson":
-        return len(wv) < 2 or ovariance(wv) == 0.0
+        # pearson raises for a zero variance and for one that overflows
+        return len(wv) < 2 or not 0.0 < ovariance(wv) < math.inf
     if index == "cosine":
         return onorm(wv, dx) == 0.0
     return False

@@ -12,10 +12,13 @@ import struct
 from dataclasses import astuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msetsim.fields import FieldExpr, GridSpec, field
 from msetsim.indices import (
     coincidence,
+    cosine,
     interiority,
     jaccard,
     report,
@@ -327,6 +330,77 @@ def test_cosine_flags_window_whose_norm_underflows_with_spacing():
         assert all_bits(profile.scores) == all_bits(scores), where
         assert (profile.best_lag, bits(profile.best_score)) == (best_lag, bits(best_score)), where
         assert profile.degenerate_lags == tuple(oflagged), where
+
+
+PAIR_FUNCTIONS = {SlideIndex.COSINE: cosine, SlideIndex.PEARSON: pearson}
+
+
+def check_flags_match_pair_functions(tv, sv, dx) -> list[str]:
+    """Check that slide flags lag k for cosine and pearson exactly when the
+    pair function raises on (template, window k), that a flagged score has
+    the bits of +0.0 and any other score the bits of the pair function, and
+    that the other indices flag nothing; return the error message of each
+    flagged lag."""
+    template, signal, m = Signal(tv, dx), Signal(sv, dx), len(tv)
+    messages = []
+    for index in SlideIndex:
+        profile = slide(template, signal, index)
+        pair = PAIR_FUNCTIONS.get(index)
+        if pair is None:
+            assert profile.degenerate_lags == (), (index, tv, sv, dx)
+            continue
+        for k in profile.lags:
+            where = (index, tv, sv, dx, k)
+            try:
+                want = pair(template, Signal(sv[k:k + m], dx))
+            except ValueError as exc:
+                assert k in profile.degenerate_lags, where
+                assert bits(profile.scores[k]) == bits(0.0), where
+                messages.append(str(exc))
+            else:
+                assert k not in profile.degenerate_lags, where
+                assert bits(profile.scores[k]) == bits(want), where
+    return messages
+
+
+def test_slide_flags_exactly_where_pair_function_raises():
+    messages = set()
+    for case in slide_cases():
+        messages.update(check_flags_match_pair_functions(*case))
+    # guards the cases: every rule that makes a window undefined is met
+    assert messages == {
+        "variance needs at least 2 samples",
+        "pearson correlation is undefined for a zero-variance operand",
+        "cannot compute this pearson correlation: the variance overflows",
+        "cosine similarity is undefined for a zero-norm operand",
+    }
+
+
+edge_samples = st.one_of(
+    st.floats(-5.0, 5.0),
+    st.sampled_from(EDGE + (-HUGE / 2, 3e-162, -2.2e-162)),
+)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5), st.lists(edge_samples, min_size=1, max_size=10),
+       st.sampled_from([1.0, 0.5, 1e-300]), st.data())
+def test_slide_flags_exactly_where_pair_function_raises_on_edge_values(m, sv, dx, data):
+    tv = data.draw(st.lists(edge_samples, min_size=min(m, len(sv)), max_size=min(m, len(sv))))
+    check_flags_match_pair_functions(tv, sv, dx)
+
+
+def test_pearson_flags_windows_whose_variance_overflows():
+    # each window's variance overflows to inf, so pearson raises on every
+    # window and slide flags every lag; the true coefficient at lag 0 is
+    # 0.5, and the finite ratio of the overflowed sums would be +-0.0
+    sv = (0.0, 1e308, 5e307, -3e307, 1e307, 0.5)
+    assert all(ovariance(sv[k:k + 3]) == math.inf for k in range(4))
+    profile = slide(Signal((1.0, 2.0, 3.0)), Signal(sv), SlideIndex.PEARSON)
+    assert profile.degenerate_lags == profile.lags == (0, 1, 2, 3)
+    assert all_bits(profile.scores) == all_bits((0.0,) * 4)
+    with pytest.raises(ValueError, match="the variance overflows"):
+        pearson(Signal((1.0, 2.0, 3.0)), Signal(sv[:3]))
 
 
 # Per-cell reference surfaces built from the public pointwise definitions.

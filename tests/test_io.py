@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import msetsim.io
 from msetsim.fields import FieldExpr, GridSpec, ScalarField, field
 from msetsim.io import HeatmapRange, fmt, read_csv, write_field_csv, write_pgm
 
@@ -61,6 +62,30 @@ class TestReadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_csv(tmp_path / "nope.csv", [0])
+
+    @pytest.mark.parametrize("dx", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_spacing_raises_before_opening_the_file(self, tmp_path, monkeypatch, dx):
+        # the spacing is checked before any read; checked after, a good file
+        # is read twice (in bulk, then row by row) before the error
+        p = tmp_path / "data.csv"
+        p.write_text("1,4\n2,5\n")
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(msetsim.io, "open", counting_open, raising=False)
+        with pytest.raises(ValueError, match="sample spacing must be a positive finite real"):
+            read_csv(p, [0, 1], dx=dx)
+        assert opened == []
+        # so the spacing is reported ahead of a missing file
+        with pytest.raises(ValueError, match="sample spacing"):
+            read_csv(tmp_path / "nope.csv", [0], dx=dx)
+        assert opened == []
+        # guards the wrapper: a good dx opens the file once
+        assert [s.values for s in read_csv(p, [0, 1])] == [(1.0, 2.0), (4.0, 5.0)]
+        assert opened == [p]
 
     def test_unknown_name(self, tmp_path):
         p = tmp_path / "data.csv"
