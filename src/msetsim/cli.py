@@ -169,17 +169,21 @@ def _cmd_compute(args) -> None:
 
 def _cmd_field(args) -> None:
     spec = GridSpec(args.xmin, args.xmax, args.ymin, args.ymax, args.nx, args.ny)
+    # the heatmap flags are checked before the field is computed, so a bad
+    # pair writes no CSV; None leaves the range to the field's values
+    rng = None
+    if args.pgm is not None:
+        if (args.lo is None) != (args.hi is None):
+            raise ValueError("--lo and --hi must be given together")
+        if args.lo is not None:
+            rng = HeatmapRange(args.lo, args.hi)
+        elif args.expr in BOUNDED_EXPRS:
+            rng = HeatmapRange(-1.0, 1.0)
     fld = fields.field(FieldExpr(args.expr), spec, d=args.power, threads=args.threads)
     io.write_field_csv(fld, args.out)
     if args.pgm is None:
         return
-    if (args.lo is None) != (args.hi is None):
-        raise ValueError("--lo and --hi must be given together")
-    if args.lo is not None:
-        rng = HeatmapRange(args.lo, args.hi)
-    elif args.expr in BOUNDED_EXPRS:
-        rng = HeatmapRange(-1.0, 1.0)
-    else:
+    if rng is None:
         rng = HeatmapRange(min(fld.values), max(fld.values))
     io.write_pgm(fld, rng, args.pgm)
 

@@ -8,7 +8,11 @@ identically zero signals is 0 for the Jaccard family and 1 for interiority
 The sums an index needs are taken in fused left-to-right passes over the
 validated sample tuples, several accumulators to a loop, with each
 accumulator adding the same terms in the same order as the single-sum
-definition, so the fused results are bit-identical to it.  The ``_*_windows``
+definition, so the fused results are bit-identical to it.  Each
+Jaccard-family loop returns its index value, not its sums: ``_jaccard``
+the Jaccard index, ``_jaccard_interiority`` Jaccard and interiority
+together.  The pair functions, :func:`report` and the window scorers all
+call these, so each ratio is written once per loop.  The ``_*_windows``
 functions score a template against every valid window of a signal for
 :func:`msetsim.sliding.slide`, doing the template's share of the work once
 per call.
@@ -39,13 +43,14 @@ class SimilarityReport:
     euclidean: float
 
 
-# Fused sum loops.  The min/max loops take each operand as a stream of
-# "is positive" flags and a stream of magnitudes: same-sign pairs are those
-# with equal flags, and a pair with a zero operand has a zero minimum, so
-# its signed-intersection term is zero whichever side it lands on.
+# Fused sum loops, each returning its index value.  The min/max loops take
+# each operand as a stream of "is positive" flags and a stream of
+# magnitudes: same-sign pairs are those with equal flags, and a pair with a
+# zero operand has a zero minimum, so its signed-intersection term is zero
+# whichever side it lands on.
 
-def _jaccard_sums(fp, fa, gp, ga) -> tuple[float, float]:
-    """Signed-intersection and absolute-union sums."""
+def _jaccard(dx: float, fp, fa, gp, ga) -> float:
+    """The real-valued Jaccard index of two operands' gate streams."""
     scap = acup = 0.0
     for xp, ax, yp, ay in zip(fp, fa, gp, ga):
         if ay > ax:
@@ -60,12 +65,13 @@ def _jaccard_sums(fp, fa, gp, ga) -> tuple[float, float]:
                 scap += ay
             else:
                 scap -= ay
-    return scap, acup
+    return _ratio(dx * scap, dx * acup, 0.0)
 
 
-def _overlap_sums(fp, fa, gp, ga) -> tuple[float, float, float, float]:
-    """Signed-intersection, absolute-union and absolute-intersection sums,
-    and the absolute mass of the second operand."""
+def _jaccard_interiority(dx: float, fmass: float, fp, fa, gp, ga) -> tuple[float, float]:
+    """Jaccard and interiority of two operands' gate streams, given the
+    first operand's :func:`abs_mass`; the loop also sums the second
+    operand's mass."""
     scap = acup = acap = gmass = 0.0
     for xp, ax, yp, ay in zip(fp, fa, gp, ga):
         gmass += ay
@@ -83,7 +89,8 @@ def _overlap_sums(fp, fa, gp, ga) -> tuple[float, float, float, float]:
                 scap += ay
             else:
                 scap -= ay
-    return scap, acup, acap, gmass
+    j = _ratio(dx * scap, dx * acup, 0.0)
+    return j, _ratio(dx * acap, min(fmass, dx * gmass), 1.0)
 
 
 def _gates(values):
@@ -159,8 +166,7 @@ def jaccard(f: Signal, g: Signal) -> float:
     sum-of-max multiset ratio.
     """
     require_compatible(f, g)
-    scap, acup = _jaccard_sums(*_gates(f.values), *_gates(g.values))
-    return _ratio(f.dx * scap, f.dx * acup, 0.0)
+    return _jaccard(f.dx, *_gates(f.values), *_gates(g.values))
 
 
 def jaccard_alt(f: Signal, g: Signal) -> float:
@@ -181,18 +187,9 @@ def jaccard_alt(f: Signal, g: Signal) -> float:
     return inner(f, g) / den_sq
 
 
-def _jaccard_interiority(dx: float, fmass: float, sums) -> tuple[float, float]:
-    """Jaccard and interiority from the first operand's :func:`abs_mass`
-    and the pair's overlap sums."""
-    scap, acup, acap, gmass = sums
-    j = _ratio(dx * scap, dx * acup, 0.0)
-    return j, _ratio(dx * acap, min(fmass, dx * gmass), 1.0)
-
-
 def _pair_jaccard_interiority(f: Signal, g: Signal) -> tuple[float, float]:
     require_compatible(f, g)
-    sums = _overlap_sums(*_gates(f.values), *_gates(g.values))
-    return _jaccard_interiority(f.dx, abs_mass(f), sums)
+    return _jaccard_interiority(f.dx, abs_mass(f), *_gates(f.values), *_gates(g.values))
 
 
 def interiority(f: Signal, g: Signal) -> float:
@@ -246,7 +243,7 @@ def report(f: Signal, g: Signal) -> SimilarityReport:
     """Compute every index for one operand pair."""
     require_compatible(f, g)
     fv, gv, dx = f.values, g.values, f.dx
-    j, i = _jaccard_interiority(dx, abs_mass(f), _overlap_sums(*_gates(fv), *_gates(gv)))
+    j, i = _jaccard_interiority(dx, abs_mass(f), *_gates(fv), *_gates(gv))
     ff, gg, fg, ee = _products(fv, gv)
     norm_f = math.sqrt(dx * ff)
     norm_g = math.sqrt(dx * gg)
@@ -282,11 +279,8 @@ def _jaccard_windows(template: Signal, signal: Signal):
     m, dx = len(template.values), signal.dx
     tp, ta = _window_gates(template.values)
     sp, sa = _window_gates(signal.values)
-    scores = []
-    for k in range(len(sa) - m + 1):
-        scap, acup = _jaccard_sums(tp, ta, sp[k:k + m], sa[k:k + m])
-        scores.append(_ratio(dx * scap, dx * acup, 0.0))
-    return scores, []
+    return [_jaccard(dx, tp, ta, sp[k:k + m], sa[k:k + m])
+            for k in range(len(sa) - m + 1)], []
 
 
 def _coincidence_windows(template: Signal, signal: Signal):
@@ -296,7 +290,7 @@ def _coincidence_windows(template: Signal, signal: Signal):
     tmass = abs_mass(template)
     scores = []
     for k in range(len(sa) - m + 1):
-        j, i = _jaccard_interiority(dx, tmass, _overlap_sums(tp, ta, sp[k:k + m], sa[k:k + m]))
+        j, i = _jaccard_interiority(dx, tmass, tp, ta, sp[k:k + m], sa[k:k + m])
         scores.append(j * i)
     return scores, []
 

@@ -33,9 +33,9 @@ def _parses_as_number(cell: str) -> bool:
 
 
 def _resolve(selector: ColumnSelector, header: list[str] | None, path) -> int:
+    # header is None only for index selectors: _data_records raises
+    # first when a name selector has no header row
     if isinstance(selector, str):
-        if header is None:
-            raise ValueError(f"{path}: column name {selector!r} needs a header row")
         matches = [i for i, h in enumerate(header) if h.strip() == selector]
         if not matches:
             raise ValueError(f"{path}: column {selector!r} not found in header {header}")

@@ -1,4 +1,9 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -386,3 +391,102 @@ class TestExitCodes:
         assert cli(["field", "--expr", "jr", "--out", str(tmp_path / "f.csv"),
                     "--threads", "0"]) == 2
         capsys.readouterr()
+
+
+class TestHeatmapFlags:
+    """A bad --lo/--hi pair is a data error raised before the field is
+    computed, so no CSV (and no PGM) is left behind."""
+
+    def run(self, tmp_path, *extra):
+        return cli(["field", "--expr", "jr", "--nx", "9", "--ny", "7",
+                    "--out", str(tmp_path / "f.csv"), *extra])
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--lo", "0"], "error: --lo and --hi must be given together\n"),
+        (["--hi", "0"], "error: --lo and --hi must be given together\n"),
+        (["--lo", "1", "--hi", "1"], "error: need finite lo < hi, got 1.0, 1.0\n"),
+        (["--lo", "2", "--hi", "-1"], "error: need finite lo < hi, got 2.0, -1.0\n"),
+    ])
+    def test_bad_pair_writes_nothing(self, tmp_path, capsys, flags, message):
+        assert self.run(tmp_path, "--pgm", str(tmp_path / "f.pgm"), *flags) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert not (tmp_path / "f.csv").exists()
+        assert not (tmp_path / "f.pgm").exists()
+
+    def test_bad_pair_is_reported_before_an_overflowing_lattice(self, tmp_path, capsys):
+        assert self.run(tmp_path, "--xmin=-1e308", "--xmax=1e308", "--pgm",
+                        str(tmp_path / "f.pgm"), "--lo", "0") == 1
+        assert capsys.readouterr().err == "error: --lo and --hi must be given together\n"
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--lo", "0"], ["--lo", "1", "--hi", "1"]])
+    def test_pair_is_ignored_without_pgm(self, tmp_path, flags):
+        assert self.run(tmp_path, *flags) == 0
+        assert (tmp_path / "f.csv").exists()
+
+    def test_pgm_bytes_follow_the_documented_formula(self, tmp_path):
+        # pixel = round(255 * clamp((v - lo)/(hi - lo), 0, 1)), halves away
+        # from zero, top image row = y_max row; v read back from the field
+        # CSV, whose 17 digits round-trip exactly.  The expression inside
+        # round() is evaluated in binary64 as written and its result rounded
+        # exactly: v = 0.375 gives t = 0.7 (just below 7/10) and 255 * t =
+        # 178.5, so pixel 179, where exact rational arithmetic would give 178
+        lo, hi = -0.5, 0.75
+        assert self.run(tmp_path, "--pgm", str(tmp_path / "f.pgm"),
+                        "--lo", str(lo), "--hi", str(hi)) == 0
+        rows = [line.split(",") for line in (tmp_path / "f.csv").read_text().splitlines()[1:]]
+        values = [float(v) for _, _, v in rows]
+        pixels = []
+        for v in values:
+            t = min(max((v - lo) / (hi - lo), 0.0), 1.0)
+            pixels.append(math.floor(Fraction(255 * t) + Fraction(1, 2)))
+        image_rows = [pixels[j * 9:(j + 1) * 9] for j in range(7)]
+        payload = bytes(p for row in reversed(image_rows) for p in row)
+        assert (tmp_path / "f.pgm").read_bytes() == b"P5\n9 7\n255\n" + payload
+        assert 0 in payload and 255 in payload and 179 in payload
+
+
+class TestColumnSelectors:
+    @pytest.mark.parametrize("cols", ["a", "a,b,a", "0", "0,1,1"])
+    def test_not_two_columns_is_usage_error(self, tmp_path, capsys, cols):
+        p = tmp_path / "d.csv"
+        write_two_cols(p, [1, 2], [3, 4])
+        assert cli(["compute", "--input", str(p), "--cols", cols]) == 2
+        err = capsys.readouterr().err
+        assert f"argument --cols: need exactly two columns, e.g. x,y: {cols!r}" in err
+
+    @pytest.mark.parametrize("cols", ["x, ", " ,b", ","])
+    def test_empty_selector_is_usage_error(self, tmp_path, capsys, cols):
+        p = tmp_path / "d.csv"
+        write_two_cols(p, [1, 2], [3, 4])
+        assert cli(["compute", "--input", str(p), "--cols", cols]) == 2
+        assert "argument --cols: empty column selector" in capsys.readouterr().err
+
+
+class TestModuleEntry:
+    """``python -m msetsim.cli`` exits with main()'s return code."""
+
+    SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+    def run(self, tmp_path, *args):
+        env = {**os.environ, "PYTHONPATH": str(self.SRC)}
+        return subprocess.run([sys.executable, "-m", "msetsim.cli", *args], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_field_run_exits_zero(self, tmp_path):
+        done = self.run(tmp_path, "field", "--expr", "a3", "--nx", "5", "--ny", "5",
+                        "--out", "a3.csv")
+        assert done.returncode == 0, done.stderr
+        lines = (tmp_path / "a3.csv").read_text().splitlines()
+        assert lines[0] == "x,y,value" and len(lines) == 26
+
+    def test_usage_error_exits_two(self, tmp_path):
+        done = self.run(tmp_path, "field", "--expr", "a3", "--xmin", "inf", "--out", "x.csv")
+        assert done.returncode == 2
+        assert "argument --xmin: must be finite: inf" in done.stderr
+
+    def test_missing_input_exits_one(self, tmp_path):
+        done = self.run(tmp_path, "compute", "--input", "missing.csv", "--cols", "0,1")
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ")
