@@ -180,12 +180,19 @@ def _cmd_field(args) -> None:
         elif args.expr in BOUNDED_EXPRS:
             rng = HeatmapRange(-1.0, 1.0)
     fld = fields.field(FieldExpr(args.expr), spec, d=args.power, threads=args.threads)
+    if args.pgm is not None and rng is None:
+        # the auto-range too is checked before any file is written
+        lo, hi = min(fld.values), max(fld.values)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"cannot scale the heatmap: the field holds a non-finite value "
+                             f"(min {fmt(lo)}, max {fmt(hi)}); set --lo and --hi")
+        if lo == hi:
+            raise ValueError(f"cannot scale the heatmap: the field is constant at {fmt(lo)}; "
+                             f"set --lo and --hi")
+        rng = HeatmapRange(lo, hi)
     io.write_field_csv(fld, args.out)
-    if args.pgm is None:
-        return
-    if rng is None:
-        rng = HeatmapRange(min(fld.values), max(fld.values))
-    io.write_pgm(fld, rng, args.pgm)
+    if rng is not None:
+        io.write_pgm(fld, rng, args.pgm)
 
 
 def _cmd_slide(args) -> None:

@@ -48,10 +48,13 @@ def _resolve(selector: ColumnSelector, header: list[str] | None, path) -> int:
     return idx
 
 
-# records per bulk-converted chunk: large enough to amortise the per-chunk
+# records per csv-parsed chunk: large enough to amortise the per-chunk
 # calls, small enough that a chunk's cell strings stay a small share of the
 # columns read
 _CHUNK = 1024
+# characters of text per line chunk offered to the plain split; 64 KiB is
+# no faster, and a 10^5-row read then peaks above the csv-record loop
+_HINT = 1 << 15
 
 
 def _data_records(reader, path, selectors: list[ColumnSelector], has_header: bool | None):
@@ -75,17 +78,44 @@ def _data_records(reader, path, selectors: list[ColumnSelector], has_header: boo
     return itertools.chain([first], reader), 1, indices
 
 
+def _extend_from_records(columns, indices, records) -> None:
+    """Append the selected cells of csv ``records`` to ``columns``, a chunk
+    of records at a time, blank ones dropped."""
+    pick = operator.itemgetter(*indices)
+    for chunk in iter(lambda: list(itertools.islice(records, _CHUNK)), []):
+        cells = map(pick, filter(None, chunk))
+        for column, part in zip(columns, zip(*cells) if len(columns) > 1 else [cells]):
+            column.extend(map(float, part))
+
+
 def _columns_in_bulk(path, selectors, has_header) -> list[list[float]]:
-    """The selected columns, converted a chunk of records at a time with no
-    Python code per cell; any fault raises whatever exception met it."""
+    """The selected columns, converted a chunk at a time with no Python code
+    per cell, plain chunks by ``str.split`` and the rest by the csv module
+    (see :func:`read_csv`); any fault raises whatever exception met it."""
     with open(path, newline="", encoding="utf-8") as fh:
-        records, _, indices = _data_records(csv.reader(fh), path, selectors, has_header)
-        pick = operator.itemgetter(*indices)
+        records, start, indices = _data_records(csv.reader(fh), path, selectors, has_header)
         columns: list[list[float]] = [[] for _ in indices]
-        for chunk in iter(lambda: list(itertools.islice(records, _CHUNK)), []):
-            cells = map(pick, filter(None, chunk))
-            for column, part in zip(columns, zip(*cells) if len(columns) > 1 else [cells]):
-                column.extend(map(float, part))
+        if start == 1:  # the first record is data
+            _extend_from_records(columns, indices, itertools.islice(records, 1))
+        last, limit = max(indices), csv.field_size_limit()
+        for chunk in iter(lambda: fh.readlines(_HINT), []):
+            lines = list(filter("\n".__ne__, chunk))
+            if not lines:
+                continue
+            text = "".join(lines)
+            commas = set(map(str.count, lines, itertools.repeat(",")))
+            width = max(commas) + 1
+            # plain: the csv module would split every line at every comma and
+            # raise on none, and every record holds every selected index; a
+            # text within the field limit has no line beyond it
+            if ('"' in text or "\r" in text or "\x00" in text or len(commas) > 1
+                    or last >= width or len(text) > limit and max(map(len, lines)) > limit):
+                _extend_from_records(columns, indices, csv.reader(itertools.chain(chunk, fh)))
+                break
+            cells = text.replace("\n", ",").split(",")
+            stop = len(lines) * width  # a final "\n" leaves one more, empty, cell
+            for column, idx in zip(columns, indices):
+                column.extend(map(float, cells[idx:stop:width]))
     return columns
 
 
@@ -138,18 +168,26 @@ def read_csv(path, selectors: Sequence[ColumnSelector],
     ``dx`` is checked before the file is opened, so a bad spacing is
     reported ahead of a missing file or a bad cell.
 
-    Records are read in chunks of 1024, blank ones dropped, and each chunk's
-    selected cells are transposed and converted to float in bulk, so no
-    Python code runs per cell and memory does not grow with the file beyond
-    the columns kept.  ``float`` ignores the surrounding whitespace that
-    ``str.strip`` removes, so the values are those of ``float(cell.strip())``,
-    and :class:`Signal` is the only finiteness check.  Any fault on that
-    path (a short row, a cell ``float`` rejects, a non-finite value, an
-    empty column, a csv error) reruns the whole file through the
-    row-by-row reference loop, which raises the first fault in file order
-    with its row and column.  That loop can also succeed: ``float`` rejects
-    a cell padded with the ASCII separators U+001C..U+001F, which
-    ``str.strip`` removes, so such a file is read by the fallback.
+    The first record is parsed by the csv module, and the rest of the file
+    is read in chunks of lines of about 32 KiB.  A chunk is *plain* when,
+    its blank lines dropped, it holds no ``"``, ``\\r`` or NUL, no line
+    longer than ``csv.field_size_limit()``, and the same number of commas
+    on every line, enough for every selected index: the csv module would
+    then split each line at each comma, so the chunk is split by one
+    ``str.split`` and each column taken with a stride.  From the first chunk
+    that is not plain, the rest of the file goes to the csv module, 1024
+    records at a time, each selected cell picked by one
+    ``operator.itemgetter``.  Either way no Python code runs per cell and
+    memory does not grow with the file beyond the columns kept.  ``float``
+    ignores the surrounding whitespace that ``str.strip`` removes, so the
+    values are those of ``float(cell.strip())``, and :class:`Signal` is the
+    only finiteness check.  Any fault on that path (a short row, a cell
+    ``float`` rejects, a non-finite value, an empty column, a csv error)
+    reruns the whole file through the row-by-row reference loop, which
+    raises the first fault in file order with its row and column.  That
+    loop can also succeed: ``float`` rejects a cell padded with the ASCII
+    separators U+001C..U+001F, which ``str.strip`` removes, so such a file
+    is read by the fallback.
     """
     selectors = list(selectors)
     if not selectors:

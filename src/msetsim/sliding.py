@@ -40,14 +40,15 @@ class MatchProfile:
     """Scores of one index over every valid window placement.
 
     ``lags`` runs 0 .. len(signal) - len(template) inclusive; ``best_lag``
-    is the smallest lag attaining the maximum score.  ``degenerate_lags``
-    lists the windows where pearson or cosine is undefined, scored +0.0 to
-    keep the profile total: a lag is listed exactly when :func:`pearson
-    <msetsim.stats.pearson>` or :func:`cosine <msetsim.indices.cosine>`
-    would raise on (template, window), because the window scorer calls the
-    same rule.  For pearson that includes a template or window variance
-    that overflows to inf; for cosine, a zero norm.  The other indices are
-    total and list none.
+    is the smallest lag attaining the maximum of the scores that are not
+    NaN, and 0 (with a NaN ``best_score``) only when every score is NaN.
+    ``degenerate_lags`` lists the windows where pearson or cosine is
+    undefined, scored +0.0 to keep the profile total: a lag is listed
+    exactly when :func:`pearson <msetsim.stats.pearson>` or :func:`cosine
+    <msetsim.indices.cosine>` would raise on (template, window), because
+    the window scorer calls the same rule.  For pearson that includes a
+    template or window variance that overflows to inf; for cosine, a zero
+    norm.  The other indices are total and list none.
     """
 
     lags: tuple[int, ...]
@@ -78,7 +79,12 @@ def slide(template: Signal, signal: Signal, index: SlideIndex) -> MatchProfile:
         raise ValueError(f"sample spacings differ: {template.dx!r} vs {signal.dx!r}")
 
     scores, flagged = _SCORERS[index](template, signal)
-    # max replaces its pick only on a strict >, so ties keep the smallest lag
+    # max replaces its pick only on a strict >, so ties keep the smallest lag;
+    # no score is > NaN, so a NaN at lag 0 stays the pick and the argmax is
+    # taken again over the scores that are not NaN
     best_lag = max(range(len(scores)), key=scores.__getitem__)
+    if scores[best_lag] != scores[best_lag]:
+        best_lag = max((k for k, s in enumerate(scores) if s == s),
+                       key=scores.__getitem__, default=0)
     return MatchProfile(tuple(range(len(scores))), tuple(scores), best_lag, scores[best_lag],
                         tuple(flagged))

@@ -195,10 +195,14 @@ def oslide(tv, sv, index, dx=1.0):
             flagged.append(k)
         else:
             scores.append(score(tv, window, dx))
+    # the best lag is the smallest attaining the maximum of the scores that
+    # are not NaN; lag 0, with its NaN, only when every score is NaN
     best_lag = lags[0]
     best_score = scores[0]
-    for k, s in zip(lags[1:], scores[1:]):
-        if s > best_score:
+    for k, s in zip(lags, scores):
+        if math.isnan(s):
+            continue
+        if math.isnan(best_score) or s > best_score:
             best_lag = k
             best_score = s
     return lags, scores, best_lag, best_score, flagged

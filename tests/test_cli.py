@@ -395,7 +395,9 @@ class TestExitCodes:
 
 class TestHeatmapFlags:
     """A bad --lo/--hi pair is a data error raised before the field is
-    computed, so no CSV (and no PGM) is left behind."""
+    computed; an auto-range that gives no finite lo < hi is one raised
+    after it, before any file is written.  Either way no CSV (and no PGM)
+    is left behind."""
 
     def run(self, tmp_path, *extra):
         return cli(["field", "--expr", "jr", "--nx", "9", "--ny", "7",
@@ -419,6 +421,29 @@ class TestHeatmapFlags:
                         str(tmp_path / "f.pgm"), "--lo", "0") == 1
         assert capsys.readouterr().err == "error: --lo and --hi must be given together\n"
         assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        # a2 = max(|x|, |y|) is 1 at all four corners of this grid
+        (["--expr", "a2", "--nx", "2", "--ny", "2", "--xmin", "-1", "--xmax", "1",
+          "--ymin", "-1", "--ymax", "1"],
+         "error: cannot scale the heatmap: the field is constant at 1; set --lo and --hi\n"),
+        (["--expr", "a3", "--nx", "3", "--ny", "3", "--xmin=-1e200", "--xmax", "1e200",
+          "--ymin=-1e200", "--ymax", "1e200"],
+         "error: cannot scale the heatmap: the field holds a non-finite value "
+         "(min -inf, max inf); set --lo and --hi\n"),
+    ], ids=["constant", "non_finite"])
+    def test_unusable_auto_range_writes_nothing(self, tmp_path, capsys, args, message):
+        out, pgm = tmp_path / "k.csv", tmp_path / "k.pgm"
+        assert cli(["field", *args, "--out", str(out), "--pgm", str(pgm)]) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists() and not pgm.exists()
+        # an explicit pair renders the same field; without --pgm it exports
+        assert cli(["field", *args, "--out", str(out), "--pgm", str(pgm),
+                    "--lo", "-1", "--hi", "2"]) == 0
+        assert pgm.read_bytes().startswith(b"P5\n")
+        pgm.unlink()
+        assert cli(["field", *args, "--out", str(out)]) == 0
+        assert not pgm.exists()
 
     @pytest.mark.parametrize("flags", [["--lo", "0"], ["--lo", "1", "--hi", "1"]])
     def test_pair_is_ignored_without_pgm(self, tmp_path, flags):

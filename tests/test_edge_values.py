@@ -268,27 +268,31 @@ def test_slide_bits_match_oracle(index):
 ARGMAX_CASES = [
     # Jaccard scores (0.0, -0.0) and (-0.0, 0.0): a signed-zero tie keeps
     # the smaller lag
-    ((2.0,), (0.0, -TINY), SlideIndex.JACCARD),
-    ((2.0,), (-TINY, 0.0), SlideIndex.JACCARD),
-    # cosine scores (nan, 0.0, 0.9999999999999998): no score is greater
-    # than the NaN at lag 0, so it stays the pick
-    ((1.0, 1.0), (HUGE, HUGE, 1.0, 1.0), SlideIndex.COSINE),
+    ((2.0,), (0.0, -TINY), SlideIndex.JACCARD, 0),
+    ((2.0,), (-TINY, 0.0), SlideIndex.JACCARD, 0),
+    # cosine scores (nan, 0.0, 0.9999999999999998): the NaN at lag 0 is
+    # passed over for the largest score that is not NaN
+    ((1.0, 1.0), (HUGE, HUGE, 1.0, 1.0), SlideIndex.COSINE, 2),
+    # cosine scores (nan, nan): with no other score, lag 0 and its NaN
+    ((HUGE, HUGE), (HUGE, HUGE, HUGE), SlideIndex.COSINE, 0),
 ]
 
 
 def test_slide_argmax_on_signed_zero_ties_and_nan_matches_oracle():
     profiles = []
-    for tv, sv, index in ARGMAX_CASES:
+    for tv, sv, index, want_lag in ARGMAX_CASES:
         profile = slide(Signal(tv), Signal(sv), index)
         _, scores, best_lag, best_score, _ = oslide(list(tv), list(sv), index.value)
         assert all_bits(profile.scores) == all_bits(scores), (tv, sv)
         assert (profile.best_lag, bits(profile.best_score)) == (best_lag, bits(best_score))
-        assert best_lag == 0, (tv, sv)
+        assert best_lag == want_lag, (tv, sv)
         profiles.append(profile)
     # guards the cases above against becoming vacuous
     assert all_bits(profiles[0].scores) == all_bits((0.0, -0.0))
     assert all_bits(profiles[1].scores) == all_bits((-0.0, 0.0))
-    assert math.isnan(profiles[2].best_score) and profiles[2].scores[2] > 0.0
+    assert math.isnan(profiles[2].scores[0])
+    assert profiles[2].best_score == profiles[2].scores[2] == 0.9999999999999998
+    assert all(math.isnan(s) for s in profiles[3].scores + (profiles[3].best_score,))
 
 
 def test_all_zero_template_flags_every_lag():

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import random
 import re
@@ -233,14 +234,15 @@ def value_bits(values) -> bytes:
     return array("d", values).tobytes()
 
 
-def number_cell(rng) -> str:
-    """The text of one numeric cell: a plain repr, or an awkward form."""
+def number_cell(rng, quoted=0.2) -> str:
+    """The text of one numeric cell: a plain repr, or an awkward form,
+    quoted with probability ``quoted``."""
     cell = rng.choice((repr(rng.gauss(0.0, 1.0)), "-0", "0", "1_000", "-2_5.0_1", "5e-324",
                        "-1e-310", "2.2250738585072014e-308", "1.7976931348623157e308",
                        "1E5", ".5", "5.", "+7", "١٢", repr(rng.uniform(-1e6, 1e6))))
     pad = "".join(rng.choice(PADDING) for _ in range(rng.randint(0, 2)))
     cell = pad + cell + "".join(rng.choice(PADDING) for _ in range(rng.randint(0, 2)))
-    return f'"{cell}"' if rng.random() < 0.2 else cell
+    return f'"{cell}"' if rng.random() < quoted else cell
 
 
 def write_rows(path, rows, header=None, blanks=None):
@@ -259,9 +261,9 @@ def write_rows(path, rows, header=None, blanks=None):
 BLANKS = {1020: 1, 1021: 2, 1500: 3, 2100: 1100}
 
 
-def numeric_rows(seed, n=3000):
+def numeric_rows(seed, n=3000, width=3, quoted=0.2):
     rng = random.Random(seed)
-    return [[number_cell(rng) for _ in range(3)] for _ in range(n)]
+    return [[number_cell(rng, quoted) for _ in range(width)] for _ in range(n)]
 
 
 class TestReadCsvEquivalence:
@@ -349,6 +351,182 @@ class TestReadCsvEquivalence:
                 f"line {huge + 2}: field larger than field limit")
         with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: {want}')}"):
             read_csv(p, [0, 1])
+
+
+# Plain chunks: after its first record, read_csv splits each chunk of about
+# msetsim.io._HINT characters of lines with str.split while the chunk holds
+# no quote, CR or NUL, no line over the csv field limit, and the same comma
+# count on every line, enough for every selector.  The files below are
+# quote-free, so they reach that path, and each fault sits in a later chunk.
+
+def line_chunks(path) -> list[list[str]]:
+    """The chunks of lines the bulk reader reads after the first line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        fh.readline()
+        return list(iter(lambda: fh.readlines(msetsim.io._HINT), []))
+
+
+def chunk_of_line(path, line_no) -> int:
+    """The index of the chunk holding 1-based physical line ``line_no``."""
+    seen = 1
+    for k, chunk in enumerate(line_chunks(path)):
+        seen += len(chunk)
+        if line_no <= seen:
+            return k
+    raise AssertionError(f"{path} has no line {line_no}")
+
+
+def plain_rows(seed, n=8000, width=3):
+    return numeric_rows(seed, n, width, quoted=0.0)
+
+
+@pytest.fixture
+def hand_offs(monkeypatch):
+    """The csv readers read_csv hands the rest of a file to, from the first
+    chunk that is not plain; a headerless file's first record, passed as
+    an islice, is not one.  The row-by-row fallback must not run."""
+    readers = []
+    extend = msetsim.io._extend_from_records
+
+    def spy(columns, indices, records):
+        if not isinstance(records, itertools.islice):
+            readers.append(records)
+        extend(columns, indices, records)
+
+    def no_fallback(*args):
+        raise AssertionError("the row-by-row fallback ran")
+
+    monkeypatch.setattr(msetsim.io, "_extend_from_records", spy)
+    monkeypatch.setattr(msetsim.io, "_columns_by_row", no_fallback)
+    return readers
+
+
+def assert_reads_as_reference(path, selectors, indices, has_header):
+    signals = read_csv(path, selectors)
+    want = reference_columns(path, indices, has_header)
+    assert [value_bits(s.values) for s in signals] == [value_bits(c) for c in want]
+    return signals
+
+
+class TestPlainChunks:
+    @pytest.mark.parametrize("selectors, indices, has_header, width", [
+        ([0, 1], [0, 1], True, 3),
+        ([0, 1], [0, 1], False, 3),
+        ([2, 0, 1], [2, 0, 1], False, 3),
+        (["z", "x", "z"], [2, 0, 2], True, 3),
+        ([1, 1], [1, 1], False, 2),
+        ([0], [0], False, 1),
+        (["x"], [0], True, 1),
+    ])
+    def test_quote_free_files_match_reference(self, tmp_path, hand_offs, selectors,
+                                              indices, has_header, width):
+        # a run of blank lines longer than two chunks: one chunk is only
+        # blank lines, and blank lines end the chunk before it and start the
+        # chunk after it
+        blanks = {7: 1, 1999: 2, 2500: 140_000, 2501: 1}
+        p = tmp_path / "data.csv"
+        write_rows(p, plain_rows(8102, width=width), "x,y,z"[:2 * width - 1] if has_header
+                   else None, blanks)
+        text = p.read_text(encoding="utf-8")
+        assert '"' not in text and all(c in text for c in " \t\u3000\u2028\xa0\x0b")
+        chunks = line_chunks(p)
+        assert len(chunks) >= 4
+        assert any(c[0] == "\n" != c[-1] for c in chunks)
+        assert any(c[-1] == "\n" != c[0] for c in chunks)
+        assert any(set(c) == {"\n"} for c in chunks)
+        signals = assert_reads_as_reference(p, selectors, indices, has_header)
+        assert len(signals[0].values) == 8000
+        assert hand_offs == []
+
+    def test_whole_chunks_of_another_width_match_reference(self, tmp_path, hand_offs):
+        # every row from 3000 on has four cells: those chunks are plain with
+        # a wider stride, and the chunk where the width changes is not
+        rows = plain_rows(8103) + [r + ["9"] for r in plain_rows(8104, 3000)]
+        p = tmp_path / "data.csv"
+        write_rows(p, rows, "x,y,z")
+        assert_reads_as_reference(p, ["z", "x"], [2, 0], True)
+        assert len(hand_offs) == 1
+
+    @pytest.mark.parametrize("fault, selectors", [
+        ("quoted", [2, 0]),
+        ("quoted_commas", [1]),
+        ("wider_row", [1, 0]),
+        ("nul", [1, 0]),
+    ])
+    def test_later_chunk_handed_to_the_csv_module(self, tmp_path, request, fault, selectors):
+        rows = plain_rows(8105)
+        if fault == "quoted_commas":
+            # every line from row 3000 on has the same comma count, and a
+            # split at each comma would take csv column 1 from column 0
+            for row in rows[3000:]:
+                row[0] = '"1,2,3"'
+        else:
+            rows[3500][2] = {"quoted": '"' + rows[3500][2] + '"', "wider_row": "1,2,3",
+                             "nul": "a\x00b"}[fault]
+        p = tmp_path / "data.csv"
+        write_rows(p, rows, "x,y,z")
+        assert chunk_of_line(p, 3002) > 0
+        if fault == "nul" and sys.version_info < (3, 11):
+            # the csv module rejects a NUL before Python 3.11
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: line 3502: .*NUL"):
+                read_csv(p, selectors)
+            return
+        hand_offs = request.getfixturevalue("hand_offs")
+        assert_reads_as_reference(p, selectors, selectors, True)
+        assert len(hand_offs) == 1
+
+    def test_quoted_newlines_across_a_chunk_boundary(self, tmp_path, hand_offs):
+        # float and str.strip both drop the 70000 newlines, more than one
+        # chunk holds, so the record opens in one chunk and closes in another
+        rows = plain_rows(8106)
+        rows[2000][1] = '"1.5' + "\n" * 70_000 + '"'
+        p = tmp_path / "data.csv"
+        write_rows(p, rows, "x,y,z")
+        assert chunk_of_line(p, 2002) < chunk_of_line(p, 2002 + 70_000)
+        (f, g) = assert_reads_as_reference(p, ["x", "y"], [0, 1], True)
+        assert g.values[2000] == 1.5 and len(g.values) == 8000
+        assert len(hand_offs) == 1
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_cr_line_ends_in_a_later_chunk(self, tmp_path, hand_offs, newline):
+        rows = [",".join(r) for r in plain_rows(8107)]
+        p = tmp_path / "data.csv"
+        p.write_text("x,y,z\n" + "\n".join(rows[:3000]) + "\n"
+                     + newline.join(rows[3000:]) + newline, encoding="utf-8", newline="")
+        assert chunk_of_line(p, 3002) > 0
+        assert_reads_as_reference(p, ["y", "z"], [1, 2], True)
+        assert len(hand_offs) == 1
+
+    def test_short_row_in_a_plain_file_names_its_row(self, tmp_path):
+        rows = plain_rows(8108)
+        rows[3500] = ["7"]
+        p = tmp_path / "data.csv"
+        write_rows(p, rows, "x,y,z", blanks={3000: 1})
+        assert chunk_of_line(p, 3503) > 0
+        want = f"{p}: row 3503 has 1 cell(s), column 'y' needs index 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            read_csv(p, ["x", "y"])
+
+    @pytest.mark.parametrize("limit", [None, 200])
+    def test_line_over_the_field_limit_is_a_csv_error(self, tmp_path, limit):
+        # the cell holds a finite number, which float would parse, but the
+        # csv module rejects the field; at a lowered limit the line is
+        # shorter than the chunk, so it is the line length that is checked
+        old = csv.field_size_limit()
+        length = (limit or old) + 10
+        rows = plain_rows(8109)
+        rows[3500][1] = "0" * (length - 3) + "2.5"
+        p = tmp_path / "data.csv"
+        write_rows(p, rows, "x,y,z")
+        assert float(rows[3500][1]) == 2.5 and chunk_of_line(p, 3502) > 0
+        want = f"{p}: line 3502: field larger than field limit ({limit or old})"
+        try:
+            if limit is not None:
+                csv.field_size_limit(limit)
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                read_csv(p, ["x", "y"])
+        finally:
+            csv.field_size_limit(old)
 
 
 class TestFieldCsv:
