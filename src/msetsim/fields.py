@@ -34,6 +34,10 @@ class GridSpec:
     from x_min, so grids symmetric about zero negate exactly (x at index i
     is bitwise -x at index nx-1-i); the naive stepping form does not have
     that property.
+
+    The four bounds are stored as floats, so ``GridSpec(-1, 3, 0, 2)``
+    equals ``GridSpec(-1.0, 3.0, 0.0, 2.0)``: int endpoints would stay ints
+    in the lattice, and an int 0 times a negative is 0, not -0.0.
     """
 
     x_min: float = -2.0
@@ -45,8 +49,10 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("x_min", "x_max", "y_min", "y_max"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, float(value))
         if not self.x_min < self.x_max:
             raise ValueError(f"need x_min < x_max, got {self.x_min!r} >= {self.x_max!r}")
         if not self.y_min < self.y_max:

@@ -9,6 +9,7 @@ import csv
 import itertools
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -211,22 +212,75 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[float]]) -> N
             fh.write(",".join(map(fmt, row)) + "\n")
 
 
+def _memo_cap(xs: tuple[float, ...]) -> int:
+    """The memo's cap before its first row; each row offered to it raises
+    the cap by 2.  A row of a min/max surface holds only 0, +-|x| for the
+    grid's x and +-|y| for its own y, so k such rows hold at most this
+    plus 2*k distinct values, and a whole field at most 2*(nx + ny) + 1."""
+    return 2 * len(set(map(abs, xs))) + 1
+
+
+def _from_memo(memo: dict, row: tuple, cap: int, render) -> tuple | None:
+    """Each value of ``row`` rendered from ``memo``.  The row's new values
+    are first rendered together by one ``render`` call on a tuple of them
+    and added; when that would take ``memo`` past ``cap`` entries, return
+    None and add nothing."""
+    try:
+        return tuple(map(memo.__getitem__, row))
+    except KeyError:
+        new = tuple(set(row).difference(memo))
+        if len(memo) + len(new) > cap:
+            return None
+        memo.update(zip(new, render(new)))
+        return tuple(map(memo.__getitem__, row))
+
+
+def _texts(new: tuple) -> list[str]:
+    """The :func:`fmt` text of each value, all formatted by one ``%``."""
+    return ("\n".join(["%.17g"] * len(new)) % new).split("\n")
+
+
 def write_field_csv(fld: ScalarField, path) -> None:
     """Write "x,y,value" lines, one per cell, in row-major order (y from
-    y_min upward, x from x_min upward within each row).
+    y_min upward, x from x_min upward within each row), every number as
+    :func:`fmt` prints it (signed zeros as ``-0``).
 
-    The x coordinates are formatted once per file into a ``%`` template
-    (``\\x00`` marks the y slot; no :func:`fmt` output contains it or ``%``),
-    and each row's values are formatted by one ``%``: ``"%.17g" % v`` gives
-    the bytes of :func:`fmt` (signed zeros print as ``-0``).
+    Lines come from per-file ``%`` templates split at the y slot
+    (``\\x00``; no :func:`fmt` output contains it or ``%``).  While a
+    memo holds no more distinct values than a min/max surface can have
+    (2*(nx + ny) + 1 at most; see :func:`_memo_cap`), each value is
+    formatted once and a row is written by a ``%s`` template from the memo.
+    From the first row that would pass that cap, every row is formatted by
+    the ``%.17g`` template, one ``%`` a row.  A float key cannot tell -0.0
+    from 0.0, so a row holding -0.0 is always formatted by ``%.17g``; the
+    test, on each value's sign-and-exponent byte, also sends rows holding a
+    negative above -2**-1007 that way.
     """
     nx = fld.spec.nx
-    tmpl = "".join([f"{fmt(x)},\x00,%.17g\n" for x in fld.spec.xs()])
+    xs = fld.spec.xs()
+    tmpl = "".join([f"{fmt(x)},\x00,%.17g\n" for x in xs])
+    direct = tmpl.split("\x00")
+    memoised = tmpl.replace("%.17g", "%s").split("\x00")
+    # little-endian doubles: byte 7 of each holds the sign and the top of the
+    # exponent, 0x80 for -0.0 and for negatives above -2**-1007
+    pack = struct.Struct(f"<{nx}d").pack
+    memo: dict | None = {}
+    cap = _memo_cap(xs)
     values = fld.values  # a tuple, as ``%`` needs
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("x,y,value\n")
         for base, y in zip(range(0, len(values), nx), fld.spec.ys()):
-            fh.write(tmpl.replace("\x00", fmt(y)) % values[base:base + nx])
+            row = values[base:base + nx]
+            texts = None
+            if memo is not None and 0x80 not in pack(*row)[7::8]:
+                cap += 2
+                texts = _from_memo(memo, row, cap, _texts)
+                if texts is None:
+                    memo = None
+            if texts is None:
+                fh.write(fmt(y).join(direct) % row)
+            else:
+                fh.write(fmt(y).join(memoised) % texts)
 
 
 @dataclass(frozen=True)
@@ -246,17 +300,35 @@ def write_pgm(fld: ScalarField, rng: HeatmapRange, path) -> None:
     y_max row.
 
     pixel = round(255 * clamp((v - lo)/(hi - lo), 0, 1)), with halves
-    rounded away from zero (so the midpoint value maps to 128).
+    rounded away from zero (so the midpoint value maps to 128).  A NaN
+    raises ValueError and writes no file.  As in :func:`write_field_csv`,
+    each distinct value is rendered once while a memo holds no more of
+    them than a min/max surface can have, rows holding -0.0 included (a
+    pixel does not depend on the sign of a zero), and every row cell by
+    cell from the first row that would pass that cap.
     """
     nx = fld.spec.nx
     ny = fld.spec.ny
     lo = rng.lo
     span = rng.hi - lo
+    floor = math.floor
+
+    def pixels(row):
+        return [0 if t < 0.0 else 255 if t > 1.0 else floor(255.0 * t + 0.5)
+                for v in row for t in [(v - lo) / span]]
+
+    memo: dict | None = {}
+    cap = _memo_cap(fld.spec.xs())
     values = fld.values
     payload = bytearray()
     for base in range((ny - 1) * nx, -1, -nx):
-        payload += bytes([0 if t < 0.0 else 255 if t > 1.0 else int(255.0 * t + 0.5)
-                          for v in values[base:base + nx] for t in [(v - lo) / span]])
+        row = values[base:base + nx]
+        cap += 2
+        shades = None if memo is None else _from_memo(memo, row, cap, pixels)
+        if shades is None:
+            memo = None
+            shades = pixels(row)
+        payload += bytes(shades)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{nx} {ny}\n255\n".encode("ascii"))
         fh.write(payload)

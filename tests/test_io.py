@@ -698,3 +698,169 @@ class TestPgm:
             HeatmapRange(2.0, -2.0)
         with pytest.raises(ValueError):
             HeatmapRange(math.nan, 1.0)
+
+
+def reference_csv(fld) -> bytes:
+    """Per-cell writer: every number formatted on its own by format(v, ".17g")."""
+    lines = ["x,y,value\n"]
+    cells = iter(fld.values)
+    for y in fld.spec.ys():
+        for x in fld.spec.xs():
+            lines.append(",".join(format(v, ".17g") for v in (x, y, next(cells))) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+@pytest.fixture
+def memo_calls(monkeypatch):
+    """(memo size after the call, whether the row came from the memo) for
+    each row the field writers offer to their memo."""
+    calls = []
+    from_memo = msetsim.io._from_memo
+
+    def spy(memo, row, cap, render):
+        got = from_memo(memo, row, cap, render)
+        calls.append((len(memo), got is not None))
+        return got
+
+    monkeypatch.setattr(msetsim.io, "_from_memo", spy)
+    return calls
+
+
+def assert_writes_reference(tmp_path, fld, ranges=()):
+    out = tmp_path / "f.csv"
+    write_field_csv(fld, out)
+    assert out.read_bytes() == reference_csv(fld)
+    for lo, hi in ranges:
+        pgm = tmp_path / "f.pgm"
+        write_pgm(fld, HeatmapRange(lo, hi), pgm)
+        assert pgm.read_bytes() == reference_pgm(fld, lo, hi), (lo, hi)
+
+
+class TestDistinctValueMemo:
+    """The field writers render each distinct value once while the rows
+    offered to the memo hold no more than a min/max surface can: 0, +-|x|
+    for each distinct |x| and +-|y| for each row; every expected byte here
+    is the per-cell writer's."""
+
+    def test_negative_zero_beside_memoised_values(self, tmp_path, memo_calls):
+        # +0.0 and 1.5 are memoised in row 0; row 1 holds -0.0 beside them
+        # and must print "-0"; row 2 holds +0.0 again and must print "0"
+        spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 3, 4)
+        fld = ScalarField(spec, [0.0, 1.5, 1.5,
+                                 1.5, -0.0, 0.0,
+                                 0.0, 1.5, 0.0,
+                                 -0.0, -0.0, -0.0])
+        assert_writes_reference(tmp_path, fld, [(-1.0, 2.0)])
+        lines = (tmp_path / "f.csv").read_text().splitlines()
+        assert [ln.rsplit(",", 1)[1] for ln in lines[1:]] == [
+            "0", "1.5", "1.5", "1.5", "-0", "0", "0", "1.5", "0", "-0", "-0", "-0"]
+        # the CSV offers rows 0 and 2 to its memo, the PGM all four
+        assert [hit for _, hit in memo_calls] == [True] * 6
+
+    def test_negative_zero_row_test_skips_only_speed(self, tmp_path, memo_calls):
+        # negatives above -2**-1007 share -0.0's sign-and-exponent byte, so
+        # their rows skip the CSV memo; the bytes are the per-cell writer's
+        # either way
+        spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 4, 3)
+        fld = ScalarField(spec, [-5e-324, 0.0, 2.0, -1e-310,
+                                 0.0, 2.0, 0.0, 2.0,
+                                 -7e-305, 2.0, 1e-300, 0.0])
+        assert_writes_reference(tmp_path, fld, [(-1.0, 1.0)])
+        # the CSV offers row 1 only, the PGM all three
+        assert [hit for _, hit in memo_calls] == [True] * 4
+
+    def test_nan_inf_and_subnormals_in_memoised_rows(self, tmp_path, memo_calls):
+        # no value here has -0.0's sign-and-exponent byte, so every CSV row
+        # is offered to the memo (negative subnormals have it: see above)
+        row = [math.inf, -math.inf, 5e-324, 1e-310, 2.2250738585072009e-308,
+               -1e-300, 0.1, 1e22]
+        # a distinct NaN object in every row, and one shared by two cells
+        shared = float("nan")
+        values = []
+        for j in range(6):
+            values += row + [float("nan"), shared, shared, -shared]
+        fld = ScalarField(GridSpec(-1.0, 1.0, -1.0, 1.0, 12, 6), values)
+        out = tmp_path / "f.csv"
+        write_field_csv(fld, out)
+        assert out.read_bytes() == reference_csv(fld)
+        assert [hit for _, hit in memo_calls] == [True] * 6
+
+    def test_cap_crossed_mid_file(self, tmp_path, memo_calls):
+        # 20 x 6 over [-1, 1]: 10 distinct |x|, so after k rows the cap is
+        # 2 * 10 + 1 + 2 * k.  Rows 0-1 hold three values, rows 2 and 3
+        # twenty new ones each, rows 4-5 the three again.  Row 3 would take
+        # the CSV's memo to 43 > 29 values, so it and rows 4-5, which would
+        # fit, are formatted directly.  The PGM renders the top image row
+        # (row 5) first and leaves at row 2.
+        spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 20, 6)
+        few = [0.0, 0.25, -0.75] * 6 + [0.0, 0.25]
+        many = [i / 7 for i in range(1, 41)]
+        fld = ScalarField(spec, few + few + many + few + few)
+        assert_writes_reference(tmp_path, fld, [(-1.0, 1.0), (-0.75, 40 / 7)])
+        csv_calls, pgm_calls = memo_calls[:4], memo_calls[4:]
+        assert [hit for _, hit in csv_calls] == [True, True, True, False]
+        assert [hit for _, hit in pgm_calls] == [True, True, True, False] * 2  # two ranges
+        assert max(size for size, _ in memo_calls) == 23
+
+    def test_values_at_the_cap_stay_in_the_memo(self, tmp_path, memo_calls):
+        # 5 x 5 over [-1, 1]: 3 distinct |x|, so the cap after k rows is
+        # 7 + 2 * k; rows 2, 3 and 4 bring the memo to exactly 13, 15, 17
+        v = [i / 3 for i in range(17)]
+        rows = [v[0:5], v[5:10], v[10:13] + v[0:2], v[13:15] + v[2:5], v[15:17] + v[5:8]]
+        fld = ScalarField(GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 5), [x for r in rows for x in r])
+        assert_writes_reference(tmp_path, fld)
+        assert memo_calls == [(5, True), (10, True), (13, True), (15, True), (17, True)]
+
+    @pytest.mark.parametrize("expr, spec", [
+        (FieldExpr.KRON, GridSpec(nx=401, ny=401)),
+        (FieldExpr.A3, GridSpec(-1.3, 2.9, -0.7, 3.1, 401, 401)),
+    ])
+    def test_large_grids_match_reference(self, tmp_path, memo_calls, expr, spec):
+        fld = field(expr, spec)
+        assert_writes_reference(tmp_path, fld, [(-1.0, 1.0), (min(fld.values), max(fld.values))])
+        cap = 2 * (401 + 401) + 1
+        assert max(size for size, _ in memo_calls) <= cap
+
+    @pytest.mark.parametrize("spec", [
+        GridSpec(-1.3, 2.9, -0.7, 3.1, 61, 41),
+        GridSpec(-2.0, 2.0, -2.0, 2.0, 61, 61),
+        GridSpec(-0.0, 1.0, -1.0, 0.0, 6, 9),
+        GridSpec(-2e154, 2e154, -2e154, 2e154, 5, 5),  # inf rim for a4
+    ])
+    @pytest.mark.parametrize("expr", [
+        FieldExpr.A1, FieldExpr.A2, FieldExpr.A4, FieldExpr.A5, FieldExpr.KRON])
+    def test_min_max_surfaces_stay_in_the_memo(self, tmp_path, memo_calls, expr, spec):
+        fld = field(expr, spec)
+        assert_writes_reference(tmp_path, fld, [(-1.0, 1.0)])
+        assert memo_calls and all(hit for _, hit in memo_calls)
+        assert max(size for size, _ in memo_calls) == len(set(fld.values))
+
+    def test_mostly_distinct_grid_stops_at_the_cap(self, tmp_path, memo_calls):
+        # 201 distinct |x|: the cap is 405 on the first row, 407 on the
+        # second, and each row of jr holds about 400 new values
+        fld = field(FieldExpr.JR, GridSpec(nx=401, ny=401))
+        assert_writes_reference(tmp_path, fld, [(-1.0, 1.0)])
+        assert [hit for _, hit in memo_calls] == [True, False, True, False]
+        assert max(size for size, _ in memo_calls) <= 405
+
+    def test_pgm_nan_raises_the_direct_error_and_writes_nothing(self, tmp_path):
+        values = [0.5] * 12
+        values[7] = math.nan
+        fld = ScalarField(GridSpec(-1.0, 1.0, -1.0, 1.0, 4, 3), values)
+        with pytest.raises(ValueError) as direct:
+            int(255.0 * math.nan + 0.5)
+        out = tmp_path / "f.pgm"
+        with pytest.raises(ValueError) as got:
+            write_pgm(fld, HeatmapRange(0.0, 1.0), out)
+        assert str(got.value) == str(direct.value) == "cannot convert float NaN to integer"
+        assert not out.exists()
+
+    def test_int_bounds_write_the_float_grid_bytes(self, tmp_path):
+        as_ints = GridSpec(-1, 3, 0, 2, 7, 4)
+        as_floats = GridSpec(-1.0, 3.0, 0.0, 2.0, 7, 4)
+        assert as_ints == as_floats
+        a, b = tmp_path / "ints.csv", tmp_path / "floats.csv"
+        write_field_csv(field(FieldExpr.A3, as_ints), a)
+        write_field_csv(field(FieldExpr.A3, as_floats), b)
+        assert a.read_bytes() == b.read_bytes()
+        assert "-1,0,-0" in a.read_text().splitlines()
