@@ -7,6 +7,10 @@ Every numeric flag is checked while parsing, so a non-finite grid bound or
 heatmap level is a usage error; a non-finite ``compute`` or ``split``
 output is a data error that names it and prints nothing.  Files are read
 and written by :mod:`msetsim.io`.
+
+``field`` evaluates each row of the surface once and writes it as it comes
+(an auto-ranged heatmap first takes the min and max in a pass of its own),
+so an export holds O(nx) values plus nx*ny bytes of image, not the field.
 """
 
 import argparse
@@ -179,10 +183,16 @@ def _cmd_field(args) -> None:
             rng = HeatmapRange(args.lo, args.hi)
         elif args.expr in BOUNDED_EXPRS:
             rng = HeatmapRange(-1.0, 1.0)
-    fld = fields.field(FieldExpr(args.expr), spec, d=args.power, threads=args.threads)
+    expr = FieldExpr(args.expr)
     if args.pgm is not None and rng is None:
-        # the auto-range too is checked before any file is written
-        lo, hi = min(fld.values), max(fld.values)
+        # the auto-range is taken before any file is opened, in a pass of
+        # its own over the rows.  No surface is NaN on a finite lattice, so
+        # folding min and max over the values in row-major order from
+        # +-inf gives the range, signed zeros and messages of min(values)
+        # and max(values) over the whole field
+        lo, hi = math.inf, -math.inf
+        for row in fields.field_rows(expr, spec, d=args.power):
+            lo, hi = min(lo, *row), max(hi, *row)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"cannot scale the heatmap: the field holds a non-finite value "
                              f"(min {fmt(lo)}, max {fmt(hi)}); set --lo and --hi")
@@ -190,9 +200,7 @@ def _cmd_field(args) -> None:
             raise ValueError(f"cannot scale the heatmap: the field is constant at {fmt(lo)}; "
                              f"set --lo and --hi")
         rng = HeatmapRange(lo, hi)
-    io.write_field_csv(fld, args.out)
-    if rng is not None:
-        io.write_pgm(fld, rng, args.pgm)
+    io.export_field(spec, fields.field_rows(expr, spec, d=args.power), args.out, args.pgm, rng)
 
 
 def _cmd_slide(args) -> None:

@@ -4,12 +4,17 @@ of the similarity indices and the signed-delta reference surface.
 The lattice is endpoint-inclusive and, for ranges symmetric about zero,
 exactly negation-symmetric, so the crests x = +-y land on representable
 lattice points and surface symmetries hold bit for bit.
+
+:func:`field_rows` evaluates a surface one row at a time, so a caller that
+writes rows as they come (the CLI's export) holds one row, not the field;
+:func:`field` collects the same rows into a :class:`ScalarField`.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .msetops import MsetOpKind, kernel
 
@@ -216,29 +221,38 @@ def _finite_axis(axis: str, lo: float, hi: float, pts: tuple[float, ...]) -> tup
     return pts
 
 
-def field(expr: FieldExpr, spec: GridSpec, d: int | None = None,
-          threads: int = 1) -> ScalarField:
-    """Evaluate one surface over the lattice.
+def field_rows(expr: FieldExpr, spec: GridSpec, d: int | None = None) -> Iterator[list[float]]:
+    """The surface's rows over the lattice, one list of nx values at a
+    time, y from y_min upward: the rows of ``field(expr, spec, d).values``.
 
-    ``d`` is the power for FieldExpr.JR_POW and ignored otherwise.
-    ``threads`` must be >= 1; it is accepted for compatibility and changes
-    nothing: rows are evaluated one after another in this thread, and the
-    result was always identical for every thread count.  Lattices with a
-    non-finite point (ranges so wide that the endpoint blend overflows)
-    raise ValueError naming the axis.
+    ``d`` is the power for FieldExpr.JR_POW and ignored otherwise.  The
+    arguments are checked when this is called, before the first row:
+    lattices with a non-finite point (ranges so wide that the endpoint
+    blend overflows) raise ValueError naming the axis.  Each row is
+    evaluated when it is asked for, so a caller that writes rows as they
+    come holds one row, not the field.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads!r}")
     if expr is FieldExpr.JR_POW and (not isinstance(d, int) or d < 1):
         raise ValueError(f"JR_POW needs a positive integer power, got {d!r}")
     row = _ROWS[expr]
     xs = _finite_axis("x", spec.x_min, spec.x_max, spec.xs())
     ys = _finite_axis("y", spec.y_min, spec.y_max, spec.ys())
     c = _columns(xs)
-    values: list[float] = []
-    for y in ys:
-        values += row(c, y, d)
-    return ScalarField(spec, values)
+    return (row(c, y, d) for y in ys)
+
+
+def field(expr: FieldExpr, spec: GridSpec, d: int | None = None,
+          threads: int = 1) -> ScalarField:
+    """Evaluate one surface over the lattice: the rows of
+    :func:`field_rows`, checked as it checks them, in one ScalarField.
+
+    ``threads`` must be >= 1; it is accepted for compatibility and changes
+    nothing: rows are evaluated one after another in this thread, and the
+    result was always identical for every thread count.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads!r}")
+    return ScalarField(spec, tuple(itertools.chain.from_iterable(field_rows(expr, spec, d))))
 
 
 def probe(p: PolarProbe) -> float:

@@ -3,17 +3,25 @@ binary PGM heatmaps out.
 
 Every number is printed with 17 significant digits, the shortest length
 guaranteed to parse back to the same binary64 value.
+
+A field's CSV lines and PGM pixels are rendered a row at a time, by one
+row writer and one row renderer shared by :func:`write_field_csv`,
+:func:`write_pgm` and :func:`export_field`.  The last writes both files in
+one pass over rows as they are evaluated, holding one row, the nx*ny-byte
+image and the writers' memos, never the field.
 """
 
+import contextlib
 import csv
 import itertools
 import math
 import operator
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .fields import ScalarField
+from .fields import GridSpec, ScalarField
 from .msetops import Signal, _spacing
 
 # a column is picked either by 0-based index or by header name
@@ -240,10 +248,9 @@ def _texts(new: tuple) -> list[str]:
     return ("\n".join(["%.17g"] * len(new)) % new).split("\n")
 
 
-def write_field_csv(fld: ScalarField, path) -> None:
-    """Write "x,y,value" lines, one per cell, in row-major order (y from
-    y_min upward, x from x_min upward within each row), every number as
-    :func:`fmt` prints it (signed zeros as ``-0``).
+def _csv_row_writer(fh, spec: GridSpec):
+    """Write the "x,y,value" header to ``fh`` and return ``write(y, row)``,
+    which writes one row's lines, the rows given in row-major order.
 
     Lines come from per-file ``%`` templates split at the y slot
     (``\\x00``; no :func:`fmt` output contains it or ``%``).  While a
@@ -256,31 +263,41 @@ def write_field_csv(fld: ScalarField, path) -> None:
     test, on each value's sign-and-exponent byte, also sends rows holding a
     negative above -2**-1007 that way.
     """
-    nx = fld.spec.nx
-    xs = fld.spec.xs()
+    xs = spec.xs()
     tmpl = "".join([f"{fmt(x)},\x00,%.17g\n" for x in xs])
     direct = tmpl.split("\x00")
     memoised = tmpl.replace("%.17g", "%s").split("\x00")
     # little-endian doubles: byte 7 of each holds the sign and the top of the
     # exponent, 0x80 for -0.0 and for negatives above -2**-1007
-    pack = struct.Struct(f"<{nx}d").pack
+    pack = struct.Struct(f"<{spec.nx}d").pack
     memo: dict | None = {}
     cap = _memo_cap(xs)
-    values = fld.values  # a tuple, as ``%`` needs
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("x,y,value\n")
-        for base, y in zip(range(0, len(values), nx), fld.spec.ys()):
-            row = values[base:base + nx]
-            texts = None
-            if memo is not None and 0x80 not in pack(*row)[7::8]:
-                cap += 2
-                texts = _from_memo(memo, row, cap, _texts)
-                if texts is None:
-                    memo = None
+
+    def write(y: float, row: Sequence[float]) -> None:
+        nonlocal memo, cap
+        texts = None
+        if memo is not None and 0x80 not in pack(*row)[7::8]:
+            cap += 2
+            texts = _from_memo(memo, row, cap, _texts)
             if texts is None:
-                fh.write(fmt(y).join(direct) % row)
-            else:
-                fh.write(fmt(y).join(memoised) % texts)
+                memo = None
+        if texts is None:
+            fh.write(fmt(y).join(direct) % tuple(row))  # ``%`` needs a tuple
+        else:
+            fh.write(fmt(y).join(memoised) % texts)
+
+    fh.write("x,y,value\n")
+    return write
+
+
+def write_field_csv(fld: ScalarField, path) -> None:
+    """Write "x,y,value" lines, one per cell, in row-major order (y from
+    y_min upward, x from x_min upward within each row), every number as
+    :func:`fmt` prints it (signed zeros as ``-0``): :func:`export_field`
+    without a heatmap.
+    """
+    nx, values = fld.spec.nx, fld.values
+    export_field(fld.spec, (values[i:i + nx] for i in range(0, len(values), nx)), path)
 
 
 @dataclass(frozen=True)
@@ -295,20 +312,17 @@ class HeatmapRange:
             raise ValueError(f"need finite lo < hi, got {self.lo!r}, {self.hi!r}")
 
 
-def write_pgm(fld: ScalarField, rng: HeatmapRange, path) -> None:
-    """Render the field as a binary 8-bit PGM (P5); the top image row is the
-    y_max row.
+def _pgm_row_renderer(spec: GridSpec, rng: HeatmapRange):
+    """Return ``render(row)``, the bytes of one row's pixels.
 
     pixel = round(255 * clamp((v - lo)/(hi - lo), 0, 1)), with halves
-    rounded away from zero (so the midpoint value maps to 128).  A NaN
-    raises ValueError and writes no file.  As in :func:`write_field_csv`,
-    each distinct value is rendered once while a memo holds no more of
-    them than a min/max surface can have, rows holding -0.0 included (a
-    pixel does not depend on the sign of a zero), and every row cell by
-    cell from the first row that would pass that cap.
+    rounded away from zero (so the midpoint value maps to 128), as
+    ``math.floor(255.0 * t + 0.5)``; a NaN raises ValueError.  As in
+    :func:`_csv_row_writer`, each distinct value is rendered once while a
+    memo holds no more of them than a min/max surface can have, rows
+    holding -0.0 included (a pixel does not depend on the sign of a zero),
+    and every row cell by cell from the first row that would pass that cap.
     """
-    nx = fld.spec.nx
-    ny = fld.spec.ny
     lo = rng.lo
     span = rng.hi - lo
     floor = math.floor
@@ -318,17 +332,68 @@ def write_pgm(fld: ScalarField, rng: HeatmapRange, path) -> None:
                 for v in row for t in [(v - lo) / span]]
 
     memo: dict | None = {}
-    cap = _memo_cap(fld.spec.xs())
-    values = fld.values
-    payload = bytearray()
-    for base in range((ny - 1) * nx, -1, -nx):
-        row = values[base:base + nx]
+    cap = _memo_cap(spec.xs())
+
+    def render(row: Sequence[float]) -> bytes:
+        nonlocal memo, cap
         cap += 2
         shades = None if memo is None else _from_memo(memo, row, cap, pixels)
         if shades is None:
             memo = None
             shades = pixels(row)
-        payload += bytes(shades)
+        return bytes(shades)
+
+    return render
+
+
+def _pgm_header(spec: GridSpec) -> bytes:
+    return f"P5\n{spec.nx} {spec.ny}\n255\n".encode("ascii")
+
+
+def write_pgm(fld: ScalarField, rng: HeatmapRange, path) -> None:
+    """Render the field as a binary 8-bit PGM (P5); the top image row is the
+    y_max row, each row rendered by :func:`_pgm_row_renderer`.  A NaN
+    raises ValueError and writes no file.
+    """
+    nx, values = fld.spec.nx, fld.values
+    render = _pgm_row_renderer(fld.spec, rng)
+    shades = [render(values[i:i + nx]) for i in range(len(values) - nx, -1, -nx)]
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{nx} {ny}\n255\n".encode("ascii"))
-        fh.write(payload)
+        fh.writelines([_pgm_header(fld.spec), *shades])
+
+
+def export_field(spec: GridSpec, rows: Iterable[Sequence[float]], path,
+                 pgm_path=None, rng: HeatmapRange | None = None) -> None:
+    """Write the field CSV to ``path`` and, when ``pgm_path`` is given, its
+    heatmap scaled by ``rng``, in one pass over ``rows``: the field's rows
+    in row-major order, as :func:`msetsim.fields.field_rows` yields them.
+
+    The bytes are those of :func:`write_field_csv` and :func:`write_pgm`
+    on the same field.  Each row is written to the CSV and rendered to its
+    nx pixels as it comes, and the image is written after the CSV, so
+    memory is one row, the nx*ny-byte image and the writers' memos.  Both
+    files are opened before the first row; when anything fails, the ones
+    this call created are removed.  Two names of one regular file raise
+    ValueError.
+    """
+    created = [p for p in (path, pgm_path) if p is not None and not os.path.lexists(p)]
+    try:
+        with (open(path, "w", newline="", encoding="utf-8") as fh,
+              open(pgm_path, "wb") if pgm_path is not None else contextlib.nullcontext() as pgm):
+            if pgm and os.path.isfile(path) and os.path.samestat(
+                    os.fstat(fh.fileno()), os.fstat(pgm.fileno())):
+                raise ValueError(f"the field CSV and its heatmap are one file: {pgm_path}")
+            write = _csv_row_writer(fh, spec)
+            render = _pgm_row_renderer(spec, rng) if pgm else None
+            shades = []
+            for y, row in zip(spec.ys(), rows):
+                write(y, row)
+                if render:
+                    shades.append(render(row))
+            if render:
+                fh.flush()  # all of the CSV before the heatmap, as on a shared stream
+                pgm.writelines([_pgm_header(spec), *reversed(shades)])  # y_max row on top
+    except BaseException:
+        for p in filter(os.path.lexists, created):
+            os.remove(p)
+        raise

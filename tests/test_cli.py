@@ -3,11 +3,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from msetsim.cli import cli, main
+from msetsim.cli import BOUNDED_EXPRS, cli, main
+from msetsim.fields import FieldExpr, GridSpec, field
+from msetsim.io import HeatmapRange, write_field_csv, write_pgm
 from msetsim.msetops import Signal
 from msetsim.signs import conjoint_signs
 from msetsim.sliding import SlideIndex, slide
@@ -470,6 +473,131 @@ class TestHeatmapFlags:
         payload = bytes(p for row in reversed(image_rows) for p in row)
         assert (tmp_path / "f.pgm").read_bytes() == b"P5\n9 7\n255\n" + payload
         assert 0 in payload and 255 in payload and 179 in payload
+
+
+# (xmin, xmax, ymin, ymax, nx, ny): the 5x5 grid with its zero row and
+# column, tiny and signed-zero bounds, an asymmetric range, and grids longer
+# than they are wide and the other way round
+EXPORT_GRIDS = [
+    (-2.0, 2.0, -2.0, 2.0, 5, 5),
+    (-1e-300, 1e-300, -1e-300, 1e-300, 5, 5),
+    (-0.0, 1.0, -1.0, -0.0, 5, 5),
+    (-1.3, 2.9, -0.7, 3.1, 13, 11),
+    (-2.0, 2.0, -2.0, 2.0, 7, 4),
+    (-2.0, 2.0, -2.0, 2.0, 4, 7),
+]
+
+
+class TestFieldExport:
+    """``field`` writes the bytes of write_field_csv and write_pgm on the
+    library's field, in one pass over its rows, and a failing export
+    leaves no file behind."""
+
+    def export(self, tmp_path, expr, d, grid, *extra):
+        x0, x1, y0, y1, nx, ny = grid
+        out, pgm = tmp_path / "f.csv", tmp_path / "f.pgm"
+        for p in (out, pgm):
+            p.unlink(missing_ok=True)
+        code = cli(["field", "--expr", expr.value, "--D", str(d),
+                    f"--xmin={x0!r}", f"--xmax={x1!r}", f"--ymin={y0!r}", f"--ymax={y1!r}",
+                    "--nx", str(nx), "--ny", str(ny), "--out", str(out), *extra])
+        return code, out, pgm
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("expr", list(FieldExpr), ids=lambda e: e.value)
+    def test_bytes_match_the_library_writers(self, tmp_path, expr, d):
+        want_csv, want_pgm = tmp_path / "want.csv", tmp_path / "want.pgm"
+        for grid in EXPORT_GRIDS:
+            fld = field(expr, GridSpec(*grid), d=d)
+            write_field_csv(fld, want_csv)
+            auto = ((-1.0, 1.0) if expr.value in BOUNDED_EXPRS
+                    else (min(fld.values), max(fld.values)))
+            # --lo/--hi, the default range (fixed or taken from the field),
+            # and no heatmap
+            for flags, rng in [(["--lo", "-0.5", "--hi", "0.75"], (-0.5, 0.75)),
+                               ([], auto), (None, None)]:
+                extra = [] if flags is None else ["--pgm", str(tmp_path / "f.pgm"), *flags]
+                code, out, pgm = self.export(tmp_path, expr, d, grid, *extra)
+                if rng is auto and not auto[0] < auto[1]:
+                    # a3 and a4 underflow to a constant 0 on the 1e-300 grid;
+                    # the messages are pinned in the test below
+                    assert code == 1 and not out.exists() and not pgm.exists()
+                    continue
+                assert code == 0, (grid, flags)
+                assert out.read_bytes() == want_csv.read_bytes(), (grid, flags)
+                if rng is None:
+                    assert not pgm.exists()
+                else:
+                    write_pgm(fld, HeatmapRange(*rng), want_pgm)
+                    assert pgm.read_bytes() == want_pgm.read_bytes(), (grid, flags)
+
+    @pytest.mark.parametrize("expr, grid, extra, message", [
+        (expr, (-1.0, 1.0, -1.0, 1.0, 2, 2), [],
+         "cannot scale the heatmap: the field is constant at 1; set --lo and --hi")
+        for expr in (FieldExpr.A2, FieldExpr.A4, FieldExpr.A5)
+    ] + [
+        (FieldExpr.A3, (-1e200, 1e200, -1e200, 1e200, 3, 3), [],
+         "cannot scale the heatmap: the field holds a non-finite value "
+         "(min -inf, max inf); set --lo and --hi"),
+        (FieldExpr.A4, (-2e154, 2e154, -2e154, 2e154, 5, 5), [],
+         "cannot scale the heatmap: the field holds a non-finite value "
+         "(min 0, max inf); set --lo and --hi"),
+        # x*y underflows: -0.0 in the first cell, then +-0.0
+        (FieldExpr.A3, (-1e-300, 1e-300, 1e-300, 2e-300, 3, 3), [],
+         "cannot scale the heatmap: the field is constant at -0; set --lo and --hi"),
+        (FieldExpr.A4, (-1e-300, 1e-300, -1e-300, 1e-300, 5, 5), [],
+         "cannot scale the heatmap: the field is constant at 0; set --lo and --hi"),
+        (FieldExpr.A3, (-2.0, 2.0, -2.0, 2.0, 5, 5), ["--lo", "-1"],
+         "--lo and --hi must be given together"),
+        (FieldExpr.JR, (-2.0, 2.0, -2.0, 2.0, 5, 5), ["--hi", "1"],
+         "--lo and --hi must be given together"),
+    ], ids=["a2_constant", "a4_constant", "a5_constant", "a3_non_finite", "a4_non_finite",
+            "a3_underflow", "a4_underflow", "lone_lo", "lone_hi"])
+    def test_unusable_range_writes_nothing(self, tmp_path, capsys, expr, grid, extra,
+                                           message):
+        code, out, pgm = self.export(tmp_path, expr, 1, grid, "--pgm",
+                                     str(tmp_path / "f.pgm"), *extra)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() and not pgm.exists()
+
+    @pytest.mark.parametrize("bad", ["out", "pgm", "both"])
+    def test_unopenable_output_leaves_no_file(self, tmp_path, capsys, bad):
+        missing = tmp_path / "missing"
+        out = (missing if bad != "pgm" else tmp_path) / "s.csv"
+        pgm = (missing if bad != "out" else tmp_path) / "s.pgm"
+        # the message open() gives for the first output that cannot be opened
+        with pytest.raises(OSError) as direct:
+            open(out if bad != "pgm" else pgm, "wb")
+        assert cli(["field", "--expr", "jr", "--nx", "5", "--ny", "5",
+                    "--out", str(out), "--pgm", str(pgm)]) == 1
+        assert capsys.readouterr().err == f"error: {direct.value}\n"
+        assert not out.exists() and not pgm.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_file_for_both_outputs_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "f.out"
+        assert cli(["field", "--expr", "jr", "--nx", "5", "--ny", "5",
+                    "--out", str(path), "--pgm", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: the field CSV and its heatmap are one file: {path}\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("expr", ["jr", "a3"])
+    def test_export_memory_does_not_hold_the_field(self, tmp_path, expr):
+        # a 401x401 field as a tuple holds 8 bytes a cell in its pointer
+        # array alone; the export holds one row, the image and the memos
+        # (a3's PGM range comes from a pass of its own over the rows)
+        n = 401
+        tracemalloc.start()
+        try:
+            code = cli(["field", "--expr", expr, "--nx", str(n), "--ny", str(n),
+                        "--out", str(tmp_path / "f.csv"), "--pgm", str(tmp_path / "f.pgm")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < n * n * 8, peak
 
 
 class TestColumnSelectors:
