@@ -8,14 +8,19 @@ identically zero signals is 0 for the Jaccard family and 1 for interiority
 The sums an index needs are taken in fused left-to-right passes over the
 validated sample tuples, several accumulators to a loop, with each
 accumulator adding the same terms in the same order as the single-sum
-definition, so the fused results are bit-identical to it.  Each
-Jaccard-family loop returns its index value, not its sums: ``_jaccard``
-the Jaccard index, ``_jaccard_interiority`` Jaccard and interiority
-together.  The pair functions, :func:`report` and the window scorers all
-call these, so each ratio is written once per loop.  The ``_*_windows``
+definition, so the fused results are bit-identical to it.  The Jaccard
+family has two loop shapes.  The pair functions and :func:`report` walk
+the raw samples and branch once on each sample's sign, which gives both
+magnitudes and the sign of the intersection term; the loop behind
+interiority and coincidence also sums both operands' absolute masses, so
+:func:`report` takes every sum in two passes.  The ``_*_windows``
 functions score a template against every valid window of a signal for
-:func:`msetsim.sliding.slide`, doing the template's share of the work once
-per call.
+:func:`msetsim.sliding.slide`: they build each operand's sign-flag and
+magnitude tuples once per call, because each sample's gates are shared by
+the m windows that hold it, and slice them per window.  Both shapes turn
+their sums into an index through the same rule, ``_jaccard_value`` or
+``_interiority_value``, so each ratio and its zero-denominator convention
+are written once.
 """
 
 import math
@@ -43,14 +48,135 @@ class SimilarityReport:
     euclidean: float
 
 
-# Fused sum loops, each returning its index value.  The min/max loops take
-# each operand as a stream of "is positive" flags and a stream of
-# magnitudes: same-sign pairs are those with equal flags, and a pair with a
-# zero operand has a zero minimum, so its signed-intersection term is zero
-# whichever side it lands on.
+# Each Jaccard-family index has one rule that turns the loop's sums into its
+# value, and two loop shapes that call it.  The pair loops walk the raw
+# sample tuples and branch once on each sample's sign (x > 0.0, then
+# y > 0.0): the branch gives both magnitudes and the sign of the
+# intersection term, so no sign flag or abs() is computed per sample.  A
+# zero sample falls in the "not positive" branch and its magnitude is -x,
+# which may be -0.0; a sum that starts at +0.0 never changes when +-0 is
+# added, so the sums are those of |x|.  The window loops take each operand
+# as a tuple of "is positive" flags and a tuple of magnitudes instead,
+# because slide shares each sample's gates among the m windows that hold
+# it.  In both shapes a pair with a zero operand has a zero minimum, so its
+# signed-intersection term is zero whichever side it lands on, and each
+# accumulator adds the same terms in the same order.
 
-def _jaccard(dx: float, fp, fa, gp, ga) -> float:
-    """The real-valued Jaccard index of two operands' gate streams."""
+def _jaccard_value(dx: float, scap: float, acup: float) -> float:
+    """The Jaccard index from its signed-intersection and union sums: 0
+    when the union is 0, that is, for two identically zero operands."""
+    den = dx * acup
+    return 0.0 if den == 0.0 else dx * scap / den
+
+
+def _interiority_value(dx: float, acap: float, fmass: float, gmass: float) -> float:
+    """Interiority from the sign-blind intersection sum and the operands'
+    absolute masses (dx included): 1 when the smaller mass is 0."""
+    den = min(fmass, gmass)
+    return 1.0 if den == 0.0 else dx * acap / den
+
+
+def _jaccard_samples(dx: float, fv, gv) -> float:
+    """The real-valued Jaccard index of two sample tuples."""
+    scap = acup = 0.0
+    for x, y in zip(fv, gv):
+        # x and y become the magnitudes; same signs add the smaller one
+        # to scap, opposite signs subtract it
+        if x > 0.0:
+            if y > 0.0:
+                if y > x:
+                    acup += y
+                    scap += x
+                else:
+                    acup += x
+                    scap += y
+            else:
+                y = -y
+                if y > x:
+                    acup += y
+                    scap -= x
+                else:
+                    acup += x
+                    scap -= y
+        else:
+            x = -x
+            if y > 0.0:
+                if y > x:
+                    acup += y
+                    scap -= x
+                else:
+                    acup += x
+                    scap -= y
+            else:
+                y = -y
+                if y > x:
+                    acup += y
+                    scap += x
+                else:
+                    acup += x
+                    scap += y
+    return _jaccard_value(dx, scap, acup)
+
+
+def _jaccard_interiority_samples(dx: float, fv, gv) -> tuple[float, float]:
+    """Jaccard and interiority of two sample tuples; the loop also sums
+    both operands' absolute masses, adding the terms of :func:`abs_mass`
+    in its order."""
+    scap = acup = acap = fmass = gmass = 0.0
+    for x, y in zip(fv, gv):
+        if x > 0.0:
+            fmass += x
+            if y > 0.0:
+                gmass += y
+                if y > x:
+                    acup += y
+                    acap += x
+                    scap += x
+                else:
+                    acup += x
+                    acap += y
+                    scap += y
+            else:
+                y = -y
+                gmass += y
+                if y > x:
+                    acup += y
+                    acap += x
+                    scap -= x
+                else:
+                    acup += x
+                    acap += y
+                    scap -= y
+        else:
+            x = -x
+            fmass += x
+            if y > 0.0:
+                gmass += y
+                if y > x:
+                    acup += y
+                    acap += x
+                    scap -= x
+                else:
+                    acup += x
+                    acap += y
+                    scap -= y
+            else:
+                y = -y
+                gmass += y
+                if y > x:
+                    acup += y
+                    acap += x
+                    scap += x
+                else:
+                    acup += x
+                    acap += y
+                    scap += y
+    return (_jaccard_value(dx, scap, acup),
+            _interiority_value(dx, acap, dx * fmass, dx * gmass))
+
+
+def _jaccard_gates(dx: float, fp, fa, gp, ga) -> float:
+    """The real-valued Jaccard index of two operands' gate tuples."""
     scap = acup = 0.0
     for xp, ax, yp, ay in zip(fp, fa, gp, ga):
         if ay > ax:
@@ -65,11 +191,11 @@ def _jaccard(dx: float, fp, fa, gp, ga) -> float:
                 scap += ay
             else:
                 scap -= ay
-    return _ratio(dx * scap, dx * acup, 0.0)
+    return _jaccard_value(dx, scap, acup)
 
 
-def _jaccard_interiority(dx: float, fmass: float, fp, fa, gp, ga) -> tuple[float, float]:
-    """Jaccard and interiority of two operands' gate streams, given the
+def _jaccard_interiority_gates(dx: float, fmass: float, fp, fa, gp, ga) -> tuple[float, float]:
+    """Jaccard and interiority of two operands' gate tuples, given the
     first operand's :func:`abs_mass`; the loop also sums the second
     operand's mass."""
     scap = acup = acap = gmass = 0.0
@@ -89,13 +215,7 @@ def _jaccard_interiority(dx: float, fmass: float, fp, fa, gp, ga) -> tuple[float
                 scap += ay
             else:
                 scap -= ay
-    j = _ratio(dx * scap, dx * acup, 0.0)
-    return j, _ratio(dx * acap, min(fmass, dx * gmass), 1.0)
-
-
-def _gates(values):
-    """The sign-flag and magnitude streams of a sample sequence."""
-    return map(_positive, values), map(abs, values)
+    return _jaccard_value(dx, scap, acup), _interiority_value(dx, acap, fmass, dx * gmass)
 
 
 def _dot(fv, gv) -> float:
@@ -115,10 +235,6 @@ def _products(fv, gv) -> tuple[float, float, float, float]:
         d = a - b
         ee += d * d
     return ff, gg, fg, ee
-
-
-def _ratio(num: float, den: float, empty: float) -> float:
-    return empty if den == 0.0 else num / den
 
 
 def inner(f: Signal, g: Signal) -> float:
@@ -151,7 +267,12 @@ def _cosine(dx: float, fg: float, nf: float, ng: float) -> float:
 
 
 def cosine(f: Signal, g: Signal) -> float:
-    """Cosine similarity; undefined (raises) for a zero-norm operand."""
+    """Cosine similarity; undefined (raises) for a zero-norm operand.
+
+    The ratio is not clamped, so rounding can take it past +-1 by an ulp:
+    ``cosine((2, 4, -2), (1, 2, -1))`` is 1.0000000000000002.  (Pearson
+    clamps to [-1, 1].)
+    """
     require_compatible(f, g)
     ff, gg, fg, _ = _products(f.values, g.values)
     return _cosine(f.dx, fg, math.sqrt(f.dx * ff), math.sqrt(f.dx * gg))
@@ -166,7 +287,7 @@ def jaccard(f: Signal, g: Signal) -> float:
     sum-of-max multiset ratio.
     """
     require_compatible(f, g)
-    return _jaccard(f.dx, *_gates(f.values), *_gates(g.values))
+    return _jaccard_samples(f.dx, f.values, g.values)
 
 
 def jaccard_alt(f: Signal, g: Signal) -> float:
@@ -189,7 +310,7 @@ def jaccard_alt(f: Signal, g: Signal) -> float:
 
 def _pair_jaccard_interiority(f: Signal, g: Signal) -> tuple[float, float]:
     require_compatible(f, g)
-    return _jaccard_interiority(f.dx, abs_mass(f), *_gates(f.values), *_gates(g.values))
+    return _jaccard_interiority_samples(f.dx, f.values, g.values)
 
 
 def interiority(f: Signal, g: Signal) -> float:
@@ -243,7 +364,7 @@ def report(f: Signal, g: Signal) -> SimilarityReport:
     """Compute every index for one operand pair."""
     require_compatible(f, g)
     fv, gv, dx = f.values, g.values, f.dx
-    j, i = _jaccard_interiority(dx, abs_mass(f), *_gates(fv), *_gates(gv))
+    j, i = _jaccard_interiority_samples(dx, fv, gv)
     ff, gg, fg, ee = _products(fv, gv)
     norm_f = math.sqrt(dx * ff)
     norm_g = math.sqrt(dx * gg)
@@ -279,7 +400,7 @@ def _jaccard_windows(template: Signal, signal: Signal):
     m, dx = len(template.values), signal.dx
     tp, ta = _window_gates(template.values)
     sp, sa = _window_gates(signal.values)
-    return [_jaccard(dx, tp, ta, sp[k:k + m], sa[k:k + m])
+    return [_jaccard_gates(dx, tp, ta, sp[k:k + m], sa[k:k + m])
             for k in range(len(sa) - m + 1)], []
 
 
@@ -290,7 +411,7 @@ def _coincidence_windows(template: Signal, signal: Signal):
     tmass = abs_mass(template)
     scores = []
     for k in range(len(sa) - m + 1):
-        j, i = _jaccard_interiority(dx, tmass, tp, ta, sp[k:k + m], sa[k:k + m])
+        j, i = _jaccard_interiority_gates(dx, tmass, tp, ta, sp[k:k + m], sa[k:k + m])
         scores.append(j * i)
     return scores, []
 

@@ -17,7 +17,9 @@ import itertools
 import math
 import operator
 import os
+import stat
 import struct
+import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -362,6 +364,50 @@ def write_pgm(fld: ScalarField, rng: HeatmapRange, path) -> None:
         fh.writelines([_pgm_header(fld.spec), *shades])
 
 
+def _lstat(path):
+    """``os.lstat(path)``, or None for a name that does not exist."""
+    try:
+        return os.lstat(path)
+    except FileNotFoundError:
+        return None
+
+
+def _open_output(path, st, mode: str, created: list, staged: list, **kwargs):
+    """Open one output of :func:`export_field`, given its :func:`_lstat`
+    from before either output was opened.
+
+    A name that was itself a regular file (not a symlink) is written under
+    a temporary name in its directory, with the file's permission bits, and
+    recorded in ``staged`` as (temporary name, path), to be renamed over it
+    on success.  Any other name is opened as given: a new one, recorded in
+    ``created``, or a device, FIFO or symlink such as ``/dev/stdout``,
+    which is never renamed over.
+    """
+    if st is None:
+        created.append(path)
+    elif stat.S_ISREG(st.st_mode):
+        fd, tmp = tempfile.mkstemp(prefix=".msetsim-", suffix=".tmp",
+                                   dir=os.path.dirname(path) or ".")
+        staged.append((tmp, path))
+        os.fchmod(fd, stat.S_IMODE(st.st_mode))
+        return open(fd, mode, **kwargs)
+    return open(path, mode, **kwargs)
+
+
+def _require_two_files(path, pgm_path) -> None:
+    """Raise ValueError when the CSV's name is a regular file that
+    ``pgm_path`` also names."""
+    if pgm_path is None:
+        return
+    try:
+        st = os.stat(path)
+        same = stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.stat(pgm_path))
+    except (OSError, ValueError):  # a name that does not exist, as os.path.isfile
+        return
+    if same:
+        raise ValueError(f"the field CSV and its heatmap are one file: {pgm_path}")
+
+
 def export_field(spec: GridSpec, rows: Iterable[Sequence[float]], path,
                  pgm_path=None, rng: HeatmapRange | None = None) -> None:
     """Write the field CSV to ``path`` and, when ``pgm_path`` is given, its
@@ -372,17 +418,25 @@ def export_field(spec: GridSpec, rows: Iterable[Sequence[float]], path,
     on the same field.  Each row is written to the CSV and rendered to its
     nx pixels as it comes, and the image is written after the CSV, so
     memory is one row, the nx*ny-byte image and the writers' memos.  Both
-    files are opened before the first row; when anything fails, the ones
-    this call created are removed.  Two names of one regular file raise
-    ValueError.
+    files are opened before the first row.  An output that already exists
+    as a regular file is written under a temporary name beside it and
+    renamed over it only when the whole export succeeds, so it gets a new
+    inode, and a failed export leaves its old bytes in place; when anything
+    fails, the outputs this call created and its temporary files are
+    removed.  Two names of one regular file raise ValueError, before any
+    output is opened when both exist, and otherwise once both are open.
     """
-    created = [p for p in (path, pgm_path) if p is not None and not os.path.lexists(p)]
+    _require_two_files(path, pgm_path)
+    found = _lstat(path), None if pgm_path is None else _lstat(pgm_path)
+    created: list = []
+    staged: list[tuple[str, object]] = []
     try:
-        with (open(path, "w", newline="", encoding="utf-8") as fh,
-              open(pgm_path, "wb") if pgm_path is not None else contextlib.nullcontext() as pgm):
-            if pgm and os.path.isfile(path) and os.path.samestat(
-                    os.fstat(fh.fileno()), os.fstat(pgm.fileno())):
-                raise ValueError(f"the field CSV and its heatmap are one file: {pgm_path}")
+        with contextlib.ExitStack() as stack:
+            fh = stack.enter_context(_open_output(path, found[0], "w", created, staged,
+                                                  newline="", encoding="utf-8"))
+            pgm = None if pgm_path is None else stack.enter_context(
+                _open_output(pgm_path, found[1], "wb", created, staged))
+            _require_two_files(path, pgm_path)
             write = _csv_row_writer(fh, spec)
             render = _pgm_row_renderer(spec, rng) if pgm else None
             shades = []
@@ -393,7 +447,9 @@ def export_field(spec: GridSpec, rows: Iterable[Sequence[float]], path,
             if render:
                 fh.flush()  # all of the CSV before the heatmap, as on a shared stream
                 pgm.writelines([_pgm_header(spec), *reversed(shades)])  # y_max row on top
+        for tmp, target in staged:
+            os.replace(tmp, target)
     except BaseException:
-        for p in filter(os.path.lexists, created):
+        for p in filter(os.path.lexists, created + [tmp for tmp, _ in staged]):
             os.remove(p)
         raise

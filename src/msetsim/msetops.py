@@ -10,13 +10,13 @@ tuples, so results are bit-identical across runs and platforms with the
 same float semantics.  The builtin ``sum()`` is not used: from CPython 3.12
 it sums floats with compensation, so its result would depend on the
 interpreter version.  There is one gate loop: every kind but CAP and CUP
-goes through the same gated sum, with the sign gate taken from comparisons
-of the operands, and :func:`kernel` is that sum over the single pair
-(x, y); ``indices.split_intersection`` sums its alpha-weighted gates through
-it too.  A zero term leaves a left-to-right sum unchanged (the running
-total starts at +0.0 and can never become -0.0), so the loop skips the
-pairs whose term is zero.  The sign-split mixes take their alpha weights
-from one rule, :func:`_alpha_weights`.
+goes through the same gated sum, whose branches on the operands' signs
+give the gate and both magnitudes, and :func:`kernel` is that sum over the
+single pair (x, y); ``indices.split_intersection`` sums its
+alpha-weighted gates through it too.  A zero term leaves a left-to-right
+sum unchanged (the running total starts at +0.0 and can never become
+-0.0), so the loop skips the pairs whose term is zero.  The sign-split
+mixes take their alpha weights from one rule, :func:`_alpha_weights`.
 """
 
 import math
@@ -115,19 +115,42 @@ def _gated_sum(weights, xs, ys) -> float:
     """Left-to-right sum over paired operands of a gate weight times the min
     or max of the magnitudes, for a weight row ``(same, opposite, zero,
     use_max)`` as in :data:`_GATED`; a pair of weight 0 is skipped, which
-    leaves the sum as 0.0 * magnitude would."""
+    leaves the sum as 0.0 * magnitude would.
+
+    The sign branches give the gate and both magnitudes, with no ``abs()``
+    call.  A zero operand's magnitude may come out as -0.0; its term is
+    then +-0, which leaves a sum that starts at +0.0 unchanged, as the
+    +0.0 term of ``abs()`` would."""
     same, opposite, zero, use_max = weights
     total = 0.0
     for x, y in zip(xs, ys):
-        if x == 0 or y == 0:
-            w = zero
-        elif (x > 0) is (y > 0):
-            w = same
+        if x > 0.0:
+            ax = x
+            if y > 0.0:
+                w = same
+                ay = y
+            elif y < 0.0:
+                w = opposite
+                ay = -y
+            else:
+                w = zero
+                ay = y
+        elif x < 0.0:
+            ax = -x
+            if y < 0.0:
+                w = same
+                ay = -y
+            elif y > 0.0:
+                w = opposite
+                ay = y
+            else:
+                w = zero
+                ay = y
         else:
-            w = opposite
+            w = zero
+            ax = x
+            ay = y if y > 0.0 else -y
         if w:
-            ax = abs(x)
-            ay = abs(y)
             if use_max:
                 total += w * (ay if ay > ax else ax)
             else:

@@ -5,10 +5,14 @@ Variance and covariance use the unbiased 1/(N-1) normalization throughout,
 so the double Pearson parts recombine to the plain coefficient at
 alpha = 0.5.  Each mean and variance is computed once per operand, with
 explicit left-to-right sums, and sums that share a pass share one loop:
-covariance and pearson take their centred sums from the same pass.
+covariance and pearson take their centred sums from the same pass.  The
+sign splits sum one stream of products: ``split_inner`` the products of
+the samples, ``double_pearson`` those of the standardized samples, taken
+as they stream.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,20 +52,20 @@ def sample_stats(v: Signal) -> SampleStats:
     return SampleStats(m, var, math.sqrt(var), n)
 
 
-def _standardized(v: Signal):
-    """The lazy stream of standardized samples (x - mean) / std.
+def _location_scale(v: Signal) -> tuple[float, float]:
+    """The mean and standard deviation that standardize ``v``.
 
-    A standardized sample is non-finite only when the standard deviation
-    overflows to inf, and then every sample would be 0 or NaN, so that case
-    raises here, as does a zero variance; every value streamed is finite.
+    A standardized sample (x - mean) / std is non-finite only when the
+    standard deviation overflows to inf, and then every sample would be 0
+    or NaN, so that case raises here, as does a zero variance; with the
+    pair returned, every standardized sample is finite.
     """
     st = sample_stats(v)
     if st.std == 0.0:
         raise ValueError("cannot standardize a zero-variance signal")
     if st.std == math.inf:
         raise ValueError("cannot standardize this signal: the variance overflows")
-    m, s = st.mean, st.std  # locals: no attribute lookup per sample
-    return ((x - m) / s for x in v.values)
+    return st.mean, st.std
 
 
 def standardize(v: Signal) -> Signal:
@@ -71,7 +75,8 @@ def standardize(v: Signal) -> Signal:
     inf (samples near the float limit), where no standardized value would
     be correct.
     """
-    return Signal(_standardized(v), v.dx)
+    m, s = _location_scale(v)
+    return Signal(((x - m) / s for x in v.values), v.dx)
 
 
 def _pair_length(x: Signal, y: Signal) -> int:
@@ -146,8 +151,9 @@ class SplitProduct:
         return wp * self.same_sign + wm * self.opposite_sign
 
 
-def _split_sums(fv, gv) -> tuple[float, float]:
-    """Sums of the same-sign and opposite-sign products f*g.
+def _split_sums(products) -> tuple[float, float]:
+    """Sums of the positive and the negative terms of a stream of
+    products f*g: the same-sign and opposite-sign parts.
 
     Only a same-signed pair has a positive product and only an
     opposite-signed pair a negative one; a zero product (a zero sample, or
@@ -156,8 +162,7 @@ def _split_sums(fv, gv) -> tuple[float, float]:
     gate * product does.
     """
     plus = minus = 0.0
-    for a, b in zip(fv, gv):
-        p = a * b
+    for p in products:
         if p > 0.0:
             plus += p
             if p == math.inf:
@@ -177,7 +182,7 @@ def split_inner(f: Signal, g: Signal) -> SplitProduct:
     gate) but contribute zero to both parts since their product is zero.
     """
     require_compatible(f, g)
-    plus, minus = _split_sums(f.values, g.values)
+    plus, minus = _split_sums(map(operator.mul, f.values, g.values))
     return SplitProduct(f.dx * plus, f.dx * minus)
 
 
@@ -198,14 +203,18 @@ def double_pearson(x: Signal, y: Signal, alpha: float) -> DoublePearson:
     Pearson near 0 but a strongly negative p_minus, while a single branch
     has p_minus = 0.
 
-    The standardized samples stream straight into the split sums, with no
-    new :class:`Signal`; like :func:`standardize`, this raises ValueError
-    when either variance is zero or overflows to inf.
+    The products of the standardized samples stream straight into the
+    split sums, with no new :class:`Signal`; like :func:`standardize`, this
+    raises ValueError when either variance is zero or overflows to inf,
+    checking x before y.
     """
     wp, wm = _alpha_weights(alpha)
     n = _pair_length(x, y)
+    mx, sx = _location_scale(x)
+    my, sy = _location_scale(y)
     # unit spacing: the split is a vector statistic like the coefficient itself
-    plus, minus = _split_sums(_standardized(x), _standardized(y))
+    plus, minus = _split_sums(((a - mx) / sx) * ((b - my) / sy)
+                              for a, b in zip(x.values, y.values))
     p_plus = plus / (n - 1)
     p_minus = minus / (n - 1)
     return DoublePearson(p_plus, p_minus, wp * p_plus + wm * p_minus)

@@ -1,6 +1,8 @@
 import math
 import os
+import itertools
 import pathlib
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -9,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 from msetsim.cli import BOUNDED_EXPRS, cli, main
-from msetsim.fields import FieldExpr, GridSpec, field
-from msetsim.io import HeatmapRange, write_field_csv, write_pgm
+from msetsim.fields import FieldExpr, GridSpec, field, field_rows
+from msetsim.io import HeatmapRange, export_field, write_field_csv, write_pgm
 from msetsim.msetops import Signal
 from msetsim.signs import conjoint_signs
 from msetsim.sliding import SlideIndex, slide
@@ -598,6 +600,125 @@ class TestFieldExport:
             tracemalloc.stop()
         assert code == 0
         assert peak < n * n * 8, peak
+
+
+JR5 = ["field", "--expr", "jr", "--nx", "5", "--ny", "5"]
+
+
+class TestExportReplacesOutputs:
+    """An output that exists as a regular file is replaced only by a whole
+    export: a failing export leaves its old bytes, and no temporary file
+    stays behind.  Devices, FIFOs and symlinks such as ``/dev/stdout`` are
+    opened as given and never renamed over or removed."""
+
+    OLD = b"old bytes\n"
+
+    @staticmethod
+    def reference(tmp_path):
+        """The CSV and PGM bytes of the 5x5 jr export."""
+        want = tmp_path / "want"
+        want.mkdir()
+        assert cli([*JR5, "--out", str(want / "f.csv"), "--pgm", str(want / "f.pgm")]) == 0
+        return (want / "f.csv").read_bytes(), (want / "f.pgm").read_bytes()
+
+    @staticmethod
+    def names(path):
+        return sorted(p.name for p in path.iterdir())
+
+    def test_missing_pgm_directory_keeps_existing_csv(self, tmp_path, capsys):
+        out = tmp_path / "pre.csv"
+        out.write_bytes(self.OLD)
+        missing = tmp_path / "missing" / "x.pgm"
+        with pytest.raises(OSError) as direct:
+            open(missing, "wb")
+        assert cli([*JR5, "--out", str(out), "--pgm", str(missing)]) == 1
+        assert capsys.readouterr().err == f"error: {direct.value}\n"
+        assert out.read_bytes() == self.OLD
+        assert self.names(tmp_path) == ["pre.csv"]
+
+    @pytest.mark.parametrize("out_name, pgm_name", [
+        ("f", "f"), ("f", "./f"), ("f", "link"), ("link", "f"), ("f", "hard")])
+    def test_one_existing_file_keeps_its_bytes(self, tmp_path, capsys, out_name, pgm_name):
+        (tmp_path / "f").write_bytes(self.OLD)
+        (tmp_path / "link").symlink_to(tmp_path / "f")
+        os.link(tmp_path / "f", tmp_path / "hard")
+        pgm = str(tmp_path / pgm_name)
+        assert cli([*JR5, "--out", str(tmp_path / out_name), "--pgm", pgm]) == 1
+        assert capsys.readouterr().err == (
+            f"error: the field CSV and its heatmap are one file: {pgm}\n")
+        assert (tmp_path / "f").read_bytes() == self.OLD
+        assert self.names(tmp_path) == ["f", "hard", "link"]
+
+    def test_new_file_named_twice_is_removed(self, tmp_path, capsys):
+        # the CSV, written through a dangling symlink, creates the heatmap's
+        # name: both names are looked up before either output is opened, so
+        # the new file is one this call created, and removed
+        (tmp_path / "link").symlink_to(tmp_path / "f")
+        pgm = str(tmp_path / "f")
+        assert cli([*JR5, "--out", str(tmp_path / "link"), "--pgm", pgm]) == 1
+        assert capsys.readouterr().err == (
+            f"error: the field CSV and its heatmap are one file: {pgm}\n")
+        assert self.names(tmp_path) == ["link"]
+
+    def test_existing_outputs_are_replaced_whole(self, tmp_path):
+        want_csv, want_pgm = self.reference(tmp_path)
+        out, pgm = tmp_path / "f.csv", tmp_path / "f.pgm"
+        for path, mode in [(out, 0o640), (pgm, 0o604)]:
+            path.write_bytes(self.OLD * 100)
+            path.chmod(mode)
+        assert cli([*JR5, "--out", str(out), "--pgm", str(pgm)]) == 0
+        assert out.read_bytes() == want_csv and pgm.read_bytes() == want_pgm
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert stat.S_IMODE(pgm.stat().st_mode) == 0o604
+        assert self.names(tmp_path) == ["f.csv", "f.pgm", "want"]
+
+    @pytest.mark.parametrize("error", [ValueError("row 3"), KeyboardInterrupt()],
+                             ids=["ValueError", "KeyboardInterrupt"])
+    def test_failure_mid_export_keeps_old_bytes(self, tmp_path, error):
+        spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 5)
+
+        def rows():
+            yield from itertools.islice(field_rows(FieldExpr.JR, spec), 2)
+            raise error
+
+        out = tmp_path / "f.csv"
+        out.write_bytes(self.OLD)
+        with pytest.raises(type(error)):
+            export_field(spec, rows(), out, tmp_path / "new.pgm", HeatmapRange(-1.0, 1.0))
+        assert out.read_bytes() == self.OLD
+        assert self.names(tmp_path) == ["f.csv"]
+
+    def test_fifo_is_written_as_given(self, tmp_path):
+        want_csv, _ = self.reference(tmp_path)
+        fifo = tmp_path / "f.fifo"
+        os.mkfifo(fifo)
+        # an open reader lets the export open the FIFO without blocking
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert cli([*JR5, "--out", str(fifo)]) == 0
+            assert os.read(reader, 1 << 16) == want_csv
+            # a failing export does not remove a name it did not create
+            assert cli([*JR5, "--out", str(fifo),
+                        "--pgm", str(tmp_path / "missing" / "x.pgm")]) == 1
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert self.names(tmp_path) == ["f.fifo", "want"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_dev_stdout_on_a_regular_file_is_not_renamed_over(self, tmp_path):
+        want_csv, _ = self.reference(tmp_path)
+        captured = tmp_path / "stdout.txt"
+        env = {**os.environ, "PYTHONPATH": str(TestModuleEntry.SRC)}
+        with open(captured, "wb") as fh:
+            inode = os.fstat(fh.fileno()).st_ino
+            done = subprocess.run([sys.executable, "-m", "msetsim.cli", *JR5,
+                                   "--out", "/dev/stdout", "--pgm", "/dev/null"],
+                                  stdout=fh, env=env, timeout=120)
+        assert done.returncode == 0
+        assert captured.stat().st_ino == inode
+        assert captured.read_bytes() == want_csv
+        assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
 
 
 class TestColumnSelectors:

@@ -1,0 +1,140 @@
+"""The two loop shapes of the Jaccard family, tied to each other and to the
+naive oracles, bit for bit.
+
+The pair functions (``jaccard``, ``interiority``, ``coincidence``,
+``report``) walk the raw samples and branch on their signs; ``slide``'s
+Jaccard and coincidence scorers walk per-sample gate tuples.  For
+equal-length operands ``slide`` scores exactly one window, so its score
+must be the pair function's value.  The gate loop behind ``aggregate``,
+``kernel`` and ``split_intersection`` is checked against the oracles of
+every kind.  Inputs reach every binade, from the subnormals to the largest
+float, with signed zeros, over three spacings; where a sum overflows and
+makes a result NaN, two NaN results match."""
+
+import math
+import random
+import struct
+import sys
+
+import pytest
+
+from msetsim.indices import (
+    coincidence,
+    cosine,
+    euclidean,
+    inner,
+    interiority,
+    jaccard,
+    jaccard_power,
+    norm,
+    report,
+    split_intersection,
+)
+from msetsim.msetops import MsetOpKind, Signal, aggregate, kernel
+from msetsim.sliding import SlideIndex, slide
+
+from oracles import (
+    OP_NAMES,
+    oaggregate,
+    ocoincidence,
+    ointeriority,
+    ojaccard,
+    ojaccard_power,
+    okernel,
+    osplit_intersection,
+)
+
+MAX = sys.float_info.max
+EDGE = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+        1e-310, -1e-310, 1e308, -1e308, MAX, -MAX, 1.0, -1.0, 2.5, -3.0)
+CASES_PER_SPACING = 7000
+
+
+def key(v: float) -> bytes:
+    """The bit pattern of v, with every NaN mapped to one key."""
+    return b"nan" if math.isnan(v) else struct.pack("<d", v)
+
+
+def sample(rng: random.Random) -> float:
+    """An edge value, a subnormal, or a random value of any exponent."""
+    r = rng.random()
+    if r < 0.4:
+        return rng.choice(EDGE)
+    if r < 0.5:
+        return rng.choice((1.0, -1.0)) * rng.randint(1, 2**52 - 1) * 5e-324
+    v = math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1074, 1024))
+    return rng.choice((1.0, -1.0)) * min(v, MAX)
+
+
+def cases(dx: float, seed: int):
+    rng = random.Random(seed)
+    for _ in range(CASES_PER_SPACING):
+        n = rng.randint(1, 9)
+        fv = [sample(rng) for _ in range(n)]
+        if rng.random() < 0.3:  # equal magnitudes: ties and exact +-1 ratios
+            gv = [rng.choice((1.0, -1.0)) * v for v in fv]
+        else:
+            gv = [sample(rng) for _ in range(n)]
+        yield fv, gv, Signal(fv, dx), Signal(gv, dx), rng.random()
+
+
+def outcome(call):
+    """The call's result, or the type and message of its ValueError."""
+    try:
+        return call()
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+def same(a, b) -> bool:
+    if isinstance(a, float) and isinstance(b, float):
+        return key(a) == key(b)
+    return a == b
+
+
+@pytest.mark.parametrize("dx, seed", [(1.0, 1401), (0.5, 1402), (1e-300, 1403)])
+def test_loop_shapes_agree_bit_for_bit(dx, seed):
+    nan_results = 0
+    for fv, gv, f, g, alpha in cases(dx, seed):
+        where = (fv, gv, dx)
+        j, i, c = jaccard(f, g), interiority(f, g), coincidence(f, g)
+        nan_results += math.isnan(j) + math.isnan(i)
+        # the window loops score the one window of equal-length operands
+        assert same(slide(f, g, SlideIndex.JACCARD).scores[0], j), where
+        assert same(slide(f, g, SlideIndex.COINCIDENCE).scores[0], c), where
+        # the pair loops against the oracles
+        assert same(j, ojaccard(fv, gv, dx)), where
+        assert same(i, ointeriority(fv, gv, dx)), where
+        assert same(c, ocoincidence(fv, gv, dx)), where
+        # equal values: on a Jaccard ratio of -0.0 the library's copysign
+        # keeps the sign of the zero, and the oracle's "j < 0" test does not
+        jp, ojp = jaccard_power(f, g, 3), ojaccard_power(fv, gv, 3, dx)
+        assert jp == ojp or math.isnan(jp) and math.isnan(ojp), where
+        # every report field is its pair function's value; report raises
+        # exactly when cosine does, with its message
+        want = dict(jaccard=j, interiority=i, coincidence=c, inner=inner(f, g),
+                    norm_f=norm(f), norm_g=norm(g), euclidean=euclidean(f, g))
+        cos = outcome(lambda: cosine(f, g))
+        rep = outcome(lambda: report(f, g))
+        if isinstance(cos, tuple):
+            assert rep == cos, where
+        else:
+            for name, value in dict(want, cosine=cos).items():
+                assert same(getattr(rep, name), value), (name, where)
+        # the gate loop: every kind, and the alpha-split intersection
+        for op in OP_NAMES:
+            kind = MsetOpKind(op)
+            assert same(aggregate(kind, f, g), oaggregate(op, fv, gv, dx)), (op, where)
+            for x, y in zip(fv, gv):
+                got, oracle = kernel(kind, x, y), okernel(op, x, y)
+                # the oracle's s*x magnitudes can make a zero -0.0; the
+                # gated kernels give +0.0 (see the kernel docstring)
+                if got == 0.0 and kind not in (MsetOpKind.CAP, MsetOpKind.CUP):
+                    assert key(got) == key(0.0) and oracle == 0.0, (op, x, y)
+                else:
+                    assert same(got, oracle), (op, x, y)
+        for a in (0.0, 0.5, 1.0, alpha):
+            assert same(split_intersection(f, g, a),
+                        osplit_intersection(fv, gv, a, dx)), (a, where)
+    # guards the inputs: some sums must overflow, as in the near-MAX cases
+    assert nan_results > 0

@@ -311,3 +311,51 @@ class TestDoublePearson:
             double_pearson(f, f, 0.5)
         with pytest.raises(ValueError, match="overflow"):
             double_pearson(Signal(range(len(values))), f, 0.5)
+
+
+ZERO_VAR = "cannot standardize a zero-variance signal"
+OVERFLOWS = "cannot standardize this signal: the variance overflows"
+PEARSON_ZERO = "pearson correlation is undefined for a zero-variance operand"
+PEARSON_OVERFLOWS = "cannot compute this pearson correlation: the variance overflows"
+TOO_SHORT = "variance needs at least 2 samples"
+CONSTANT, VARIED, HUGE3 = (3.0, 3.0, 3.0), (1.0, 2.0, 4.0), (1e308, 5e307, -3e307)
+
+
+class TestRefusalOrder:
+    """The exact message each refusal raises, where several apply at once.
+
+    double_pearson checks alpha, then the lengths, then x (too short, zero
+    variance, overflowing variance), then y; pearson checks that both have
+    2 samples, then the lengths, then a zero variance on either side, then
+    an overflowing one; standardize checks its one operand."""
+
+    @pytest.mark.parametrize("x, y, dp, pr, sx, sy", [
+        (CONSTANT, VARIED, ZERO_VAR, PEARSON_ZERO, ZERO_VAR, None),
+        (VARIED, CONSTANT, ZERO_VAR, PEARSON_ZERO, None, ZERO_VAR),
+        (HUGE3, VARIED, OVERFLOWS, PEARSON_OVERFLOWS, OVERFLOWS, None),
+        (VARIED, HUGE3, OVERFLOWS, PEARSON_OVERFLOWS, None, OVERFLOWS),
+        (CONSTANT, HUGE3, ZERO_VAR, PEARSON_ZERO, ZERO_VAR, OVERFLOWS),
+        (HUGE3, CONSTANT, OVERFLOWS, PEARSON_ZERO, OVERFLOWS, ZERO_VAR),
+        ((1.0,), (2.0,), TOO_SHORT, TOO_SHORT, TOO_SHORT, TOO_SHORT),
+        ((1.0,), (1.0, 2.0), "signal lengths differ: 1 vs 2", TOO_SHORT, TOO_SHORT, None),
+        ((1.0, 2.0), (1.0,), "signal lengths differ: 2 vs 1", TOO_SHORT, None, TOO_SHORT),
+        (CONSTANT, (1.0, 2.0), "signal lengths differ: 3 vs 2",
+         "signal lengths differ: 3 vs 2", ZERO_VAR, None),
+    ], ids=["zero_x", "zero_y", "overflow_x", "overflow_y", "zero_x_overflow_y",
+            "overflow_x_zero_y", "one_sample", "one_vs_two", "two_vs_one", "lengths_first"])
+    def test_first_refusal_wins(self, x, y, dp, pr, sx, sy):
+        x, y = Signal(x), Signal(y)
+        for call, message in [(lambda: double_pearson(x, y, 0.5), dp),
+                              (lambda: pearson(x, y), pr),
+                              (lambda: standardize(x), sx), (lambda: standardize(y), sy)]:
+            if message is None:
+                call()
+                continue
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+
+    def test_alpha_is_checked_first(self):
+        with pytest.raises(ValueError) as err:
+            double_pearson(Signal((1.0,)), Signal(CONSTANT), 1.5)
+        assert str(err.value) == "alpha must lie in [0, 1], got 1.5"
