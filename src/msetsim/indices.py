@@ -330,7 +330,12 @@ def coincidence(f: Signal, g: Signal) -> float:
 
 
 def signed_power(value: float, exponent: int) -> float:
-    """|value| ** exponent, keeping the sign of value for odd exponents."""
+    """|value| ** exponent, keeping the sign of value for odd exponents.
+
+    For an odd exponent a zero keeps its sign too, as IEEE 754 ``pow``
+    does: ``signed_power(-0.0, 3)`` is ``-0.0``, like ``(-0.0) ** 3``.  An
+    even exponent gives ``+0.0``.
+    """
     if not isinstance(exponent, int) or exponent < 1:
         raise ValueError(f"exponent must be a positive integer, got {exponent!r}")
     p = abs(value) ** exponent

@@ -9,6 +9,12 @@ row writer and one row renderer shared by :func:`write_field_csv`,
 :func:`write_pgm` and :func:`export_field`.  The last writes both files in
 one pass over rows as they are evaluated, holding one row, the nx*ny-byte
 image and the writers' memos, never the field.
+
+On a lattice symmetric about zero, a CSV row whose right half mirrors its
+left half in the bits, equal (even) or negated (odd), formats one half and
+the centre and writes the other half from the same texts, a literal ``-``
+before each for an odd row.  A NaN's text has no sign, so a row with a NaN
+among the values it would format is formatted whole.
 """
 
 import contextlib
@@ -250,6 +256,17 @@ def _texts(new: tuple) -> list[str]:
     return ("\n".join(["%.17g"] * len(new)) % new).split("\n")
 
 
+# byte b with its top bit flipped: in byte 7 of a little-endian double, the sign
+_FLIP_SIGN = bytes(b ^ 0x80 for b in range(256))
+
+
+def _negated(packed: bytes) -> bytearray:
+    """Little-endian doubles packed by ``struct``, each with its sign flipped."""
+    out = bytearray(packed)
+    out[7::8] = packed[7::8].translate(_FLIP_SIGN)
+    return out
+
+
 def _csv_row_writer(fh, spec: GridSpec):
     """Write the "x,y,value" header to ``fh`` and return ``write(y, row)``,
     which writes one row's lines, the rows given in row-major order.
@@ -259,21 +276,67 @@ def _csv_row_writer(fh, spec: GridSpec):
     memo holds no more distinct values than a min/max surface can have
     (2*(nx + ny) + 1 at most; see :func:`_memo_cap`), each value is
     formatted once and a row is written by a ``%s`` template from the memo.
-    From the first row that would pass that cap, every row is formatted by
-    the ``%.17g`` template, one ``%`` a row.  A float key cannot tell -0.0
-    from 0.0, so a row holding -0.0 is always formatted by ``%.17g``; the
-    test, on each value's sign-and-exponent byte, also sends rows holding a
-    negative above -2**-1007 that way.
+    A float key cannot tell -0.0 from 0.0, so a row holding -0.0 never
+    goes to the memo; the test, on each value's sign-and-exponent byte,
+    also keeps rows holding a negative above -2**-1007 from it.
+
+    Any other row is written from half its values when the x lattice
+    mirrors in the bits (x at index nx-1-i is -x at index i, as for every
+    range symmetric about zero): with h = nx // 2 and i < h,
+    - an even row, whose value at nx-1-i has the bits of the value at i,
+      formats its right half and centre, and its left half takes the same
+      texts, reversed;
+    - an odd row, whose value at nx-1-i is the negated value at i, formats
+      the half whose sign bits are all clear and the centre, and the other
+      half takes the same texts, reversed, through cells that print a
+      literal ``-`` first.  ``fmt(-v) == "-" + fmt(v)`` holds for every v
+      with a clear sign bit (0.0, inf and subnormals included) but NaN,
+      whose text has no sign.
+    A row with a NaN among its formatted values, every other row, and every
+    row of a lattice that does not mirror, is formatted by the ``%.17g``
+    template, one ``%`` a row.
     """
     xs = spec.xs()
-    tmpl = "".join([f"{fmt(x)},\x00,%.17g\n" for x in xs])
-    direct = tmpl.split("\x00")
-    memoised = tmpl.replace("%.17g", "%s").split("\x00")
-    # little-endian doubles: byte 7 of each holds the sign and the top of the
-    # exponent, 0x80 for -0.0 and for negatives above -2**-1007
-    pack = struct.Struct(f"<{spec.nx}d").pack
+    lines = [f"{fmt(x)},\x00,%.17g\n" for x in xs]
+
+    def template(cut: int, before: str, after: str) -> list[str]:
+        """The lines, their cells printed by ``before`` up to line ``cut``
+        and by ``after`` from there, split at the y slot."""
+        return ("".join(lines[:cut]).replace("%.17g", before)
+                + "".join(lines[cut:]).replace("%.17g", after)).split("\x00")
+
+    nx = spec.nx
+    h = nx // 2
+    k = nx - h  # the values formatted in a mirrored row: one half, the centre
+    direct = template(0, "", "%.17g")
+    memoised = template(0, "", "%s")
+    # little-endian doubles: byte 7 of each holds the sign (its top bit) and
+    # the top of the exponent, 0x80 for -0.0 and for negatives above -2**-1007
+    pack = struct.Struct(f"<{nx}d").pack
+    half = struct.Struct(f"<{h}d").pack
+    mirrors = half(*xs[:h]) == _negated(half(*xs[:k - 1:-1]))
+    if mirrors:
+        neg_left = template(h, "-%s", "%s")
+        neg_right = template(k, "%s", "-%s")
     memo: dict | None = {}
     cap = _memo_cap(xs)
+
+    def mirrored(row: Sequence[float]) -> tuple | None:
+        """The texts of a mirrored row and the template they fill, or None."""
+        left, right = half(*row[:h]), half(*row[:k - 1:-1])
+        if left == right:
+            tmpl = memoised
+        elif left != _negated(right):
+            return None
+        elif max(right[7::8]) < 0x80:
+            tmpl = neg_left
+        elif max(left[7::8]) < 0x80:
+            done = _texts(tuple(row[:k]))
+            return None if "nan" in done else (done + done[h - 1::-1], neg_right)
+        else:
+            return None
+        done = _texts(tuple(row[h:]))
+        return None if "nan" in done else (done[:-h - 1:-1] + done, tmpl)
 
     def write(y: float, row: Sequence[float]) -> None:
         nonlocal memo, cap
@@ -283,10 +346,13 @@ def _csv_row_writer(fh, spec: GridSpec):
             texts = _from_memo(memo, row, cap, _texts)
             if texts is None:
                 memo = None
-        if texts is None:
-            fh.write(fmt(y).join(direct) % tuple(row))  # ``%`` needs a tuple
-        else:
+        if texts is not None:
             fh.write(fmt(y).join(memoised) % texts)
+        elif mirrors and (got := mirrored(row)):
+            texts, tmpl = got
+            fh.write(fmt(y).join(tmpl) % tuple(texts))
+        else:
+            fh.write(fmt(y).join(direct) % tuple(row))  # ``%`` needs a tuple
 
     fh.write("x,y,value\n")
     return write
@@ -372,23 +438,57 @@ def _lstat(path):
         return None
 
 
+def _located(path) -> str:
+    """``path`` with its directory resolved and its last name kept, so a
+    symlink is named where it lies but not followed."""
+    head, tail = os.path.split(path)
+    return os.path.join(os.path.realpath(head), tail)
+
+
+def _regular_target(path, st):
+    """The regular file an output named ``path`` (``st`` its lstat) writes
+    to, and its stat: ``path`` itself when it is one, or the end of its
+    chain of symlinks, followed hop by hop with ``os.readlink``, when that
+    is a regular file and neither a link of the chain nor its end lies under
+    ``/proc/``.  Otherwise None.  ``/dev/stdout`` leads through
+    ``/proc/self/fd/1`` to whatever stdout is, and renaming over a file
+    stdout was redirected to would lose the process's other output.
+    """
+    if stat.S_ISLNK(st.st_mode):
+        try:
+            path = _located(path)
+            for _ in range(40):  # Linux's own limit on links in one lookup
+                if path.startswith("/proc/"):
+                    return None
+                st = _lstat(path)
+                if st is None or not stat.S_ISLNK(st.st_mode):
+                    break
+                path = _located(os.path.join(os.path.dirname(path), os.readlink(path)))
+        except OSError:  # a chain that open() fails on, with its own message
+            return None
+    return (path, st) if st is not None and stat.S_ISREG(st.st_mode) else None
+
+
 def _open_output(path, st, mode: str, created: list, staged: list, **kwargs):
     """Open one output of :func:`export_field`, given its :func:`_lstat`
     from before either output was opened.
 
-    A name that was itself a regular file (not a symlink) is written under
-    a temporary name in its directory, with the file's permission bits, and
-    recorded in ``staged`` as (temporary name, path), to be renamed over it
-    on success.  Any other name is opened as given: a new one, recorded in
-    ``created``, or a device, FIFO or symlink such as ``/dev/stdout``,
-    which is never renamed over.
+    When the name leads to a regular file (see :func:`_regular_target`),
+    the output is written under a temporary name in that file's directory,
+    with the file's permission bits, and recorded in ``staged`` as
+    (temporary name, file), to be renamed over the file on success; a
+    symlink stays a symlink.  Any other name is opened as given: a new one,
+    recorded in ``created``, or a device, a FIFO, or a symlink to one of
+    them or into ``/proc/`` such as ``/dev/stdout``, which is never renamed
+    over.
     """
     if st is None:
         created.append(path)
-    elif stat.S_ISREG(st.st_mode):
+    elif (target := _regular_target(path, st)) is not None:
+        target, st = target
         fd, tmp = tempfile.mkstemp(prefix=".msetsim-", suffix=".tmp",
-                                   dir=os.path.dirname(path) or ".")
-        staged.append((tmp, path))
+                                   dir=os.path.dirname(target) or ".")
+        staged.append((tmp, target))
         os.fchmod(fd, stat.S_IMODE(st.st_mode))
         return open(fd, mode, **kwargs)
     return open(path, mode, **kwargs)
@@ -419,11 +519,12 @@ def export_field(spec: GridSpec, rows: Iterable[Sequence[float]], path,
     nx pixels as it comes, and the image is written after the CSV, so
     memory is one row, the nx*ny-byte image and the writers' memos.  Both
     files are opened before the first row.  An output that already exists
-    as a regular file is written under a temporary name beside it and
-    renamed over it only when the whole export succeeds, so it gets a new
-    inode, and a failed export leaves its old bytes in place; when anything
-    fails, the outputs this call created and its temporary files are
-    removed.  Two names of one regular file raise ValueError, before any
+    as a regular file, or as a symlink to one outside ``/proc/``, is
+    written under a temporary name beside that file and renamed over it
+    only when the whole export succeeds, so the file gets a new inode, a
+    symlink stays a symlink, and a failed export leaves the old bytes in
+    place; when anything fails, the outputs this call created and its
+    temporary files are removed.  Two names of one regular file raise ValueError, before any
     output is opened when both exist, and otherwise once both are open.
     """
     _require_two_files(path, pgm_path)

@@ -111,7 +111,8 @@ def ocoincidence(fv, gv, dx=1.0):
 def ojaccard_power(fv, gv, d, dx=1.0):
     j = ojaccard(fv, gv, dx)
     p = abs(j) ** d
-    if j < 0 and d % 2 == 1:
+    # for odd d a zero keeps its sign, as IEEE 754 pow: (-0.0) ** 3 is -0.0
+    if math.copysign(1.0, j) < 0 and d % 2 == 1:
         return -p
     return p
 

@@ -720,6 +720,57 @@ class TestExportReplacesOutputs:
         assert captured.read_bytes() == want_csv
         assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_dev_fd_link_on_a_regular_file_is_not_renamed_over(self, tmp_path):
+        # /dev/fd/1 is a name in a /proc directory: realpath would name the
+        # file stdout was redirected to, but the link is opened as given
+        want_csv, _ = self.reference(tmp_path)
+        captured = tmp_path / "stdout.txt"
+        env = {**os.environ, "PYTHONPATH": str(TestModuleEntry.SRC)}
+        with open(captured, "wb") as fh:
+            inode = os.fstat(fh.fileno()).st_ino
+            done = subprocess.run([sys.executable, "-m", "msetsim.cli", *JR5,
+                                   "--out", "/dev/fd/1"],
+                                  stdout=fh, env=env, timeout=120)
+        assert done.returncode == 0
+        assert captured.stat().st_ino == inode
+        assert captured.read_bytes() == want_csv
+
+    def test_failing_export_keeps_a_symlinked_files_bytes(self, tmp_path, capsys):
+        (tmp_path / "pre.csv").write_bytes(self.OLD)
+        (tmp_path / "link.csv").symlink_to("pre.csv")
+        missing = tmp_path / "missing" / "x.pgm"
+        assert cli([*JR5, "--out", str(tmp_path / "link.csv"), "--pgm", str(missing)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert (tmp_path / "pre.csv").read_bytes() == self.OLD
+        assert os.readlink(tmp_path / "link.csv") == "pre.csv"
+        assert self.names(tmp_path) == ["link.csv", "pre.csv"]
+
+    def test_symlinked_outputs_are_replaced_through_their_links(self, tmp_path):
+        # link.csv -> pre.csv, and a chain of relative links across two
+        # directories: out/img.pgm -> ../data/hop.pgm -> real.pgm
+        want_csv, want_pgm = self.reference(tmp_path)
+        (tmp_path / "pre.csv").write_bytes(self.OLD)
+        (tmp_path / "pre.csv").chmod(0o640)
+        (tmp_path / "link.csv").symlink_to("pre.csv")
+        data, out = tmp_path / "data", tmp_path / "out"
+        data.mkdir()
+        out.mkdir()
+        (data / "real.pgm").write_bytes(self.OLD)
+        (data / "hop.pgm").symlink_to("real.pgm")
+        (out / "img.pgm").symlink_to(os.path.join("..", "data", "hop.pgm"))
+        assert cli([*JR5, "--out", str(tmp_path / "link.csv"),
+                    "--pgm", str(out / "img.pgm")]) == 0
+        assert os.readlink(tmp_path / "link.csv") == "pre.csv"
+        assert os.readlink(out / "img.pgm") == os.path.join("..", "data", "hop.pgm")
+        assert os.readlink(data / "hop.pgm") == "real.pgm"
+        assert (tmp_path / "pre.csv").read_bytes() == want_csv
+        assert (data / "real.pgm").read_bytes() == want_pgm
+        assert stat.S_IMODE((tmp_path / "pre.csv").stat().st_mode) == 0o640
+        assert self.names(tmp_path) == ["data", "link.csv", "out", "pre.csv", "want"]
+        assert self.names(data) == ["hop.pgm", "real.pgm"]
+        assert self.names(out) == ["img.pgm"]
+
 
 class TestColumnSelectors:
     @pytest.mark.parametrize("cols", ["a", "a,b,a", "0", "0,1,1"])

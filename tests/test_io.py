@@ -864,3 +864,115 @@ class TestDistinctValueMemo:
         write_field_csv(field(FieldExpr.A3, as_floats), b)
         assert a.read_bytes() == b.read_bytes()
         assert "-1,0,-0" in a.read_text().splitlines()
+
+
+@pytest.fixture
+def formatted(monkeypatch):
+    """The number of values in each call of ``io._texts``: a memo's new
+    values, or the half and centre of a mirrored row."""
+    sizes = []
+    texts = msetsim.io._texts
+
+    def spy(values):
+        sizes.append(len(values))
+        return texts(values)
+
+    monkeypatch.setattr(msetsim.io, "_texts", spy)
+    return sizes
+
+
+SURFACES = [(e, None) for e in FieldExpr if e is not FieldExpr.JR_POW] + [
+    (FieldExpr.JR_POW, d) for d in (1, 2, 3, 4)]
+
+
+class TestMirroredRows:
+    """On a lattice symmetric about zero, a CSV row whose halves mirror in
+    the bits is written from one formatted half and the centre; every
+    expected byte here is the per-cell writer's (:func:`reference_csv`)."""
+
+    @pytest.mark.parametrize("spec", [
+        *(GridSpec(-2.0, 2.0, -2.0, 2.0, nx, 7) for nx in (2, 3, 4, 5)),
+        GridSpec(-2.0, 2.0, -2.0, 2.0, 401, 9),
+        # symmetric but for one ulp: no row is mirrored
+        GridSpec(-2.0, math.nextafter(2.0, 3.0), -2.0, 2.0, 41, 9),
+        GridSpec(-1e200, 1e200, -1e200, 1e200, 5, 5),  # a4 overflows to inf
+        GridSpec(-1e200, 1e200, -1e200, 1e200, 41, 6),
+        GridSpec(-1e-310, 1e-310, -1e-310, 1e-310, 41, 6),
+        GridSpec(-1e-310, 1e-310, -1e-310, 1e-310, 4, 5),
+    ], ids=repr)
+    @pytest.mark.parametrize("expr, d", SURFACES, ids=str)
+    def test_every_surface_matches_per_cell_rendering(self, tmp_path, expr, d, spec):
+        assert_writes_reference(tmp_path, field(expr, spec, d))
+
+    def test_jr_formats_half_of_each_row(self, tmp_path, formatted):
+        # the guard that the mirrored path is taken: row 0 goes to the memo
+        # (401 new values, under its cap of 405), which row 1 would pass, so
+        # from row 1 on each row formats its right half and centre
+        assert_writes_reference(tmp_path, field(FieldExpr.JR, GridSpec(nx=401, ny=401)))
+        assert formatted == [401] + [201] * 400
+
+    def test_asymmetric_lattice_formats_rows_directly(self, tmp_path, formatted):
+        spec = GridSpec(-2.0, math.nextafter(2.0, 3.0), -2.0, 2.0, 401, 5)
+        assert_writes_reference(tmp_path, field(FieldExpr.JR, spec))
+        # the memo serves the first rows and then every row is formatted
+        # directly: no call formats a half row
+        assert formatted[0] == 401 and 201 not in formatted
+
+    def test_a3_rows_holding_signed_zeros(self, tmp_path, formatted):
+        # y < 0: the left half is positive and the centre is -0.0; y = 0:
+        # -0.0 left of the centre and +0.0 from it; rows holding -0.0 never
+        # go to the memo.  y = 1 goes to the memo, and y = 2 would pass it
+        fld = field(FieldExpr.A3, GridSpec(-2.0, 2.0, -2.0, 2.0, 401, 5))
+        assert_writes_reference(tmp_path, fld)
+        assert formatted == [201, 201, 201, 401, 201]
+        lines = (tmp_path / "f.csv").read_text().splitlines()
+        assert lines[1:4] == ["-2,-2,4", "-1.99,-2,3.98", "-1.98,-2,3.96"]
+        assert lines[201] == "0,-2,-0" and lines[401] == "2,-2,-4"
+        zero_row = lines[1 + 2 * 401:1 + 3 * 401]
+        assert zero_row[:200] == [f"{fmt(x)},0,-0" for x in fld.spec.xs()[:200]]
+        assert zero_row[200:] == [f"{fmt(x)},0,0" for x in fld.spec.xs()[200:]]
+
+    NAN = float("nan")
+    # after three rows of fresh values the memo is gone, so each of these
+    # rows is mirrored or formatted directly: (row, values formatted from
+    # it before that).  A row whose formatted half holds a NaN is then
+    # formatted whole: a NaN prints no sign, so "-" + "nan" would be wrong
+    ROWS = [
+        ([NAN, 1.0, 0.5, -1.0, -NAN], 3),       # odd, NaN in the clear half
+        ([-NAN, -1.0, 0.5, 1.0, NAN], 3),       # the same, mirrored
+        ([NAN, 2.0, 5.0, 2.0, NAN], 3),         # even, NaN's bits in both halves
+        ([-NAN, 2.0, NAN, 2.0, -NAN], 3),
+        ([1.0, -2.0, 0.5, 2.0, -1.0], None),    # odd, mixed signs in both halves
+        ([-0.0, 3.0, 1.0, 3.0, -0.0], 3),       # even, -0.0 in both halves
+        ([-0.0, -3.0, 0.0, 3.0, 0.0], 3),       # odd, the right half clear
+        ([0.0, 3.0, -0.0, -3.0, -0.0], 3),      # odd, the left half clear
+        ([-math.inf, -5e-324, 7.0, 5e-324, math.inf], 3),
+        ([math.inf, 1e-310, -2.0, -1e-310, -math.inf], 3),
+        ([1.0, 2.0, 3.0, 2.0000000000000004, 1.0], None),  # one ulp off
+        ([-0.0, -0.0, -0.0, -0.0, -0.0], 3),
+    ]
+
+    @pytest.mark.parametrize("row, sizes", ROWS, ids=repr)
+    def test_hand_built_rows(self, tmp_path, formatted, row, sizes):
+        fresh = [i / 7 for i in range(1, 16)]
+        fld = ScalarField(GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 5), fresh + row + row)
+        assert_writes_reference(tmp_path, fld)
+        # rows 0 and 1 fill the memo; row 2 would pass its cap
+        assert formatted == [5, 5] + ([sizes] * 2 if sizes else [])
+        # no NaN prints a sign
+        text = (tmp_path / "f.csv").read_text()
+        assert "-nan" not in text and text.count("nan") == 2 * str(row).count("nan")
+
+    @pytest.mark.parametrize("nx", [2, 3, 4, 5])
+    def test_small_rows_of_each_shape(self, tmp_path, formatted, nx):
+        # even, odd with either half clear, and not mirrored, on each width;
+        # rows hold -0.0, so none goes to the memo
+        spec = GridSpec(-1.0, 1.0, -1.0, 1.0, nx, 4)
+        h = nx // 2
+        neg = [-0.0, -2.5][:h]
+        pos = [-v for v in neg]
+        centre = [1.5] * (nx % 2)
+        values = (neg + centre + neg[::-1] + neg + centre + pos[::-1]
+                  + pos + centre + neg[::-1] + [-0.0] + [3.0] * (nx - 1))
+        assert_writes_reference(tmp_path, ScalarField(spec, values))
+        assert formatted == [nx - h] * 3
