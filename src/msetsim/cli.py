@@ -199,6 +199,9 @@ def _cmd_field(args) -> None:
         if lo == hi:
             raise ValueError(f"cannot scale the heatmap: the field is constant at {fmt(lo)}; "
                              f"set --lo and --hi")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"cannot scale the heatmap: the field's range overflows "
+                             f"(min {fmt(lo)}, max {fmt(hi)}); set --lo and --hi")
         rng = HeatmapRange(lo, hi)
     io.export_field(spec, fields.field_rows(expr, spec, d=args.power), args.out, args.pgm, rng)
 

@@ -241,17 +241,9 @@ def field_rows(expr: FieldExpr, spec: GridSpec, d: int | None = None) -> Iterato
     return (row(c, y, d) for y in ys)
 
 
-def field(expr: FieldExpr, spec: GridSpec, d: int | None = None,
-          threads: int = 1) -> ScalarField:
+def field(expr: FieldExpr, spec: GridSpec, d: int | None = None) -> ScalarField:
     """Evaluate one surface over the lattice: the rows of
-    :func:`field_rows`, checked as it checks them, in one ScalarField.
-
-    ``threads`` must be >= 1; it is accepted for compatibility and changes
-    nothing: rows are evaluated one after another in this thread, and the
-    result was always identical for every thread count.
-    """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads!r}")
+    :func:`field_rows`, checked as it checks them, in one ScalarField."""
     return ScalarField(spec, tuple(itertools.chain.from_iterable(field_rows(expr, spec, d))))
 
 

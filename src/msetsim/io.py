@@ -4,11 +4,13 @@ binary PGM heatmaps out.
 Every number is printed with 17 significant digits, the shortest length
 guaranteed to parse back to the same binary64 value.
 
-A field's CSV lines and PGM pixels are rendered a row at a time, by one
-row writer and one row renderer shared by :func:`write_field_csv`,
-:func:`write_pgm` and :func:`export_field`.  The last writes both files in
-one pass over rows as they are evaluated, holding one row, the nx*ny-byte
-image and the writers' memos, never the field.
+Every file is opened for writing by :func:`_outputs`, one rule for all
+outputs: an existing file is replaced only by a whole write.  A field's
+CSV lines and PGM pixels are written by one loop, :func:`export_field`,
+which :func:`write_field_csv` and :func:`write_pgm` call on a field's
+rows; it writes both files in one pass over rows as they are evaluated,
+holding one row, the nx*ny-byte image and the CSV writer's memo, never
+the field.
 
 On a lattice symmetric about zero, a CSV row whose right half mirrors its
 left half in the bits, equal (even) or negated (odd), formats one half and
@@ -221,8 +223,9 @@ def read_csv(path, selectors: Sequence[ColumnSelector],
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
     """Write a header line of column names, then one line per row with each
-    number formatted by :func:`fmt`."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    number formatted by :func:`fmt`, under the output rule of
+    :func:`_outputs`."""
+    with _outputs((path, "w")) as (fh,):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(map(fmt, row)) + "\n")
@@ -358,19 +361,26 @@ def _csv_row_writer(fh, spec: GridSpec):
     return write
 
 
+def _rows(fld: ScalarField):
+    """The field's rows, y from y_min upward, as slices of its values."""
+    nx, values = fld.spec.nx, fld.values
+    return (values[i:i + nx] for i in range(0, len(values), nx))
+
+
 def write_field_csv(fld: ScalarField, path) -> None:
     """Write "x,y,value" lines, one per cell, in row-major order (y from
     y_min upward, x from x_min upward within each row), every number as
     :func:`fmt` prints it (signed zeros as ``-0``): :func:`export_field`
     without a heatmap.
     """
-    nx, values = fld.spec.nx, fld.values
-    export_field(fld.spec, (values[i:i + nx] for i in range(0, len(values), nx)), path)
+    export_field(fld.spec, _rows(fld), path)
 
 
 @dataclass(frozen=True)
 class HeatmapRange:
-    """Grayscale mapping range: lo renders black, hi renders white."""
+    """Grayscale mapping range: lo renders black, hi renders white.  Both
+    levels and the width ``hi - lo`` must be finite, so that every pixel
+    is a finite fraction of the width."""
 
     lo: float
     hi: float
@@ -378,56 +388,34 @@ class HeatmapRange:
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise ValueError(f"need finite lo < hi, got {self.lo!r}, {self.hi!r}")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"need a finite width hi - lo, got {self.lo!r}, {self.hi!r}")
 
 
-def _pgm_row_renderer(spec: GridSpec, rng: HeatmapRange):
+def _pgm_row_renderer(rng: HeatmapRange):
     """Return ``render(row)``, the bytes of one row's pixels.
 
     pixel = round(255 * clamp((v - lo)/(hi - lo), 0, 1)), with halves
     rounded away from zero (so the midpoint value maps to 128), as
-    ``math.floor(255.0 * t + 0.5)``; a NaN raises ValueError.  As in
-    :func:`_csv_row_writer`, each distinct value is rendered once while a
-    memo holds no more of them than a min/max surface can have, rows
-    holding -0.0 included (a pixel does not depend on the sign of a zero),
-    and every row cell by cell from the first row that would pass that cap.
+    ``math.floor(255.0 * t + 0.5)``; a NaN raises ValueError.
     """
     lo = rng.lo
     span = rng.hi - lo
     floor = math.floor
 
-    def pixels(row):
-        return [0 if t < 0.0 else 255 if t > 1.0 else floor(255.0 * t + 0.5)
-                for v in row for t in [(v - lo) / span]]
-
-    memo: dict | None = {}
-    cap = _memo_cap(spec.xs())
-
     def render(row: Sequence[float]) -> bytes:
-        nonlocal memo, cap
-        cap += 2
-        shades = None if memo is None else _from_memo(memo, row, cap, pixels)
-        if shades is None:
-            memo = None
-            shades = pixels(row)
-        return bytes(shades)
+        return bytes([0 if t < 0.0 else 255 if t > 1.0 else floor(255.0 * t + 0.5)
+                      for v in row for t in [(v - lo) / span]])
 
     return render
 
 
-def _pgm_header(spec: GridSpec) -> bytes:
-    return f"P5\n{spec.nx} {spec.ny}\n255\n".encode("ascii")
-
-
 def write_pgm(fld: ScalarField, rng: HeatmapRange, path) -> None:
-    """Render the field as a binary 8-bit PGM (P5); the top image row is the
-    y_max row, each row rendered by :func:`_pgm_row_renderer`.  A NaN
-    raises ValueError and writes no file.
+    """Render the field as a binary 8-bit PGM (P5), the top image row the
+    y_max row: :func:`export_field` without a CSV.  A NaN raises
+    ValueError and leaves no new file.
     """
-    nx, values = fld.spec.nx, fld.values
-    render = _pgm_row_renderer(fld.spec, rng)
-    shades = [render(values[i:i + nx]) for i in range(len(values) - nx, -1, -nx)]
-    with open(path, "wb") as fh:
-        fh.writelines([_pgm_header(fld.spec), *shades])
+    export_field(fld.spec, _rows(fld), None, path, rng)
 
 
 def _lstat(path):
@@ -469,88 +457,97 @@ def _regular_target(path, st):
     return (path, st) if st is not None and stat.S_ISREG(st.st_mode) else None
 
 
-def _open_output(path, st, mode: str, created: list, staged: list, **kwargs):
-    """Open one output of :func:`export_field`, given its :func:`_lstat`
-    from before either output was opened.
+@contextlib.contextmanager
+def _outputs(*outputs):
+    """Open each output, given as ``(path, mode)`` with a mode that writes
+    a whole file (``"w"`` or ``"wb"``; text is UTF-8 with ``"\\n"`` line
+    ends), and yield the list of their file objects, None for a None path.
+    This is the only code in msetsim that opens a file for writing.
 
-    When the name leads to a regular file (see :func:`_regular_target`),
-    the output is written under a temporary name in that file's directory,
-    with the file's permission bits, and recorded in ``staged`` as
-    (temporary name, file), to be renamed over the file on success; a
-    symlink stays a symlink.  Any other name is opened as given: a new one,
-    recorded in ``created``, or a device, a FIFO, or a symlink to one of
-    them or into ``/proc/`` such as ``/dev/stdout``, which is never renamed
-    over.
+    Every name is looked up before any is opened.  A name that leads to a
+    regular file (see :func:`_regular_target`) is written under a temporary
+    name in that file's directory, with the file's permission bits, and
+    renamed over it once the ``with`` body has finished and every output is
+    closed: the file gets a new inode, a symlink stays a symlink, and a
+    failure keeps the old bytes.  Any other name is opened as given: a new
+    one, or a device, a FIFO, or a symlink to one of them or into
+    ``/proc/`` such as ``/dev/stdout``, which is never renamed over or
+    removed.  Two names of one regular file raise ValueError, before any
+    output is opened when both exist, and otherwise once all are open.  On
+    any exception, the outputs this call created and its temporary files
+    are removed.
     """
-    if st is None:
-        created.append(path)
-    elif (target := _regular_target(path, st)) is not None:
-        target, st = target
-        fd, tmp = tempfile.mkstemp(prefix=".msetsim-", suffix=".tmp",
-                                   dir=os.path.dirname(target) or ".")
-        staged.append((tmp, target))
-        os.fchmod(fd, stat.S_IMODE(st.st_mode))
-        return open(fd, mode, **kwargs)
-    return open(path, mode, **kwargs)
-
-
-def _require_two_files(path, pgm_path) -> None:
-    """Raise ValueError when the CSV's name is a regular file that
-    ``pgm_path`` also names."""
-    if pgm_path is None:
-        return
-    try:
-        st = os.stat(path)
-        same = stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.stat(pgm_path))
-    except (OSError, ValueError):  # a name that does not exist, as os.path.isfile
-        return
-    if same:
-        raise ValueError(f"the field CSV and its heatmap are one file: {pgm_path}")
-
-
-def export_field(spec: GridSpec, rows: Iterable[Sequence[float]], path,
-                 pgm_path=None, rng: HeatmapRange | None = None) -> None:
-    """Write the field CSV to ``path`` and, when ``pgm_path`` is given, its
-    heatmap scaled by ``rng``, in one pass over ``rows``: the field's rows
-    in row-major order, as :func:`msetsim.fields.field_rows` yields them.
-
-    The bytes are those of :func:`write_field_csv` and :func:`write_pgm`
-    on the same field.  Each row is written to the CSV and rendered to its
-    nx pixels as it comes, and the image is written after the CSV, so
-    memory is one row, the nx*ny-byte image and the writers' memos.  Both
-    files are opened before the first row.  An output that already exists
-    as a regular file, or as a symlink to one outside ``/proc/``, is
-    written under a temporary name beside that file and renamed over it
-    only when the whole export succeeds, so the file gets a new inode, a
-    symlink stays a symlink, and a failed export leaves the old bytes in
-    place; when anything fails, the outputs this call created and its
-    temporary files are removed.  Two names of one regular file raise ValueError, before any
-    output is opened when both exist, and otherwise once both are open.
-    """
-    _require_two_files(path, pgm_path)
-    found = _lstat(path), None if pgm_path is None else _lstat(pgm_path)
+    names = [path for path, _ in outputs if path is not None]
+    _require_distinct(names)
+    found = [None if path is None else _lstat(path) for path, _ in outputs]
     created: list = []
     staged: list[tuple[str, object]] = []
     try:
         with contextlib.ExitStack() as stack:
-            fh = stack.enter_context(_open_output(path, found[0], "w", created, staged,
-                                                  newline="", encoding="utf-8"))
-            pgm = None if pgm_path is None else stack.enter_context(
-                _open_output(pgm_path, found[1], "wb", created, staged))
-            _require_two_files(path, pgm_path)
-            write = _csv_row_writer(fh, spec)
-            render = _pgm_row_renderer(spec, rng) if pgm else None
-            shades = []
-            for y, row in zip(spec.ys(), rows):
-                write(y, row)
-                if render:
-                    shades.append(render(row))
-            if render:
-                fh.flush()  # all of the CSV before the heatmap, as on a shared stream
-                pgm.writelines([_pgm_header(spec), *reversed(shades)])  # y_max row on top
+            handles = []
+            for (path, mode), st in zip(outputs, found):
+                if path is None:
+                    handles.append(None)
+                    continue
+                kwargs = {} if "b" in mode else {"newline": "", "encoding": "utf-8"}
+                if st is None:
+                    created.append(path)
+                elif (target := _regular_target(path, st)) is not None:
+                    target, st = target
+                    path, tmp = tempfile.mkstemp(prefix=".msetsim-", suffix=".tmp",
+                                                 dir=os.path.dirname(target) or ".")
+                    staged.append((tmp, target))
+                    os.fchmod(path, stat.S_IMODE(st.st_mode))
+                handles.append(stack.enter_context(open(path, mode, **kwargs)))
+            _require_distinct(names)
+            yield handles
         for tmp, target in staged:
             os.replace(tmp, target)
     except BaseException:
         for p in filter(os.path.lexists, created + [tmp for tmp, _ in staged]):
             os.remove(p)
         raise
+
+
+def _require_distinct(names) -> None:
+    """Raise ValueError when two of ``names`` lead to one regular file.
+    Only :func:`export_field` opens two outputs, so the message names its
+    CSV and heatmap."""
+    for first, later in itertools.combinations(names, 2):
+        try:
+            st = os.stat(first)
+            same = stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.stat(later))
+        except (OSError, ValueError):  # a name that does not exist, as os.path.isfile
+            continue
+        if same:
+            raise ValueError(f"the field CSV and its heatmap are one file: {later}")
+
+
+def export_field(spec: GridSpec, rows: Iterable[Sequence[float]], path,
+                 pgm_path=None, rng: HeatmapRange | None = None) -> None:
+    """Write the field CSV to ``path`` (none when it is None) and, when
+    ``pgm_path`` is given, its heatmap scaled by ``rng``, in one pass over
+    ``rows``: the field's rows in row-major order, as
+    :func:`msetsim.fields.field_rows` yields them.
+
+    Each row is written to the CSV by :func:`_csv_row_writer` and rendered
+    to its nx pixels by :func:`_pgm_row_renderer` as it comes, and the
+    image is written after the CSV, so memory is one row, the nx*ny-byte
+    image and the CSV writer's memo.  Both files are opened before the first
+    row, under the output rule of :func:`_outputs`: a failed export leaves
+    an existing output's old bytes and no new file.
+    """
+    with _outputs((path, "w"), (pgm_path, "wb")) as (fh, pgm):
+        write = None if fh is None else _csv_row_writer(fh, spec)
+        render = None if pgm is None else _pgm_row_renderer(rng)
+        shades = []
+        for y, row in zip(spec.ys(), rows):
+            if write:
+                write(y, row)
+            if render:
+                shades.append(render(row))
+        if render:
+            if fh:
+                fh.flush()  # all of the CSV before the heatmap, as on a shared stream
+            header = f"P5\n{spec.nx} {spec.ny}\n255\n".encode("ascii")
+            pgm.writelines([header, *reversed(shades)])  # y_max row on top

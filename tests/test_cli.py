@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import msetsim.io
 from msetsim.cli import BOUNDED_EXPRS, cli, main
 from msetsim.fields import FieldExpr, GridSpec, field, field_rows
 from msetsim.io import HeatmapRange, export_field, write_field_csv, write_pgm
@@ -549,12 +550,19 @@ class TestFieldExport:
          "cannot scale the heatmap: the field is constant at -0; set --lo and --hi"),
         (FieldExpr.A4, (-1e-300, 1e-300, -1e-300, 1e-300, 5, 5), [],
          "cannot scale the heatmap: the field is constant at 0; set --lo and --hi"),
+        # x*y reaches +-1e308, so max - min overflows
+        (FieldExpr.A3, (-1e154, 1e154, -1e154, 1e154, 5, 5), [],
+         "cannot scale the heatmap: the field's range overflows "
+         "(min -1e+308, max 1e+308); set --lo and --hi"),
+        (FieldExpr.A3, (-2.0, 2.0, -2.0, 2.0, 5, 5), ["--lo=-1.7e308", "--hi=1.7e308"],
+         "need a finite width hi - lo, got -1.7e+308, 1.7e+308"),
         (FieldExpr.A3, (-2.0, 2.0, -2.0, 2.0, 5, 5), ["--lo", "-1"],
          "--lo and --hi must be given together"),
         (FieldExpr.JR, (-2.0, 2.0, -2.0, 2.0, 5, 5), ["--hi", "1"],
          "--lo and --hi must be given together"),
     ], ids=["a2_constant", "a4_constant", "a5_constant", "a3_non_finite", "a4_non_finite",
-            "a3_underflow", "a4_underflow", "lone_lo", "lone_hi"])
+            "a3_underflow", "a4_underflow", "a3_wide", "wide_lo_hi", "lone_lo",
+            "lone_hi"])
     def test_unusable_range_writes_nothing(self, tmp_path, capsys, expr, grid, extra,
                                            message):
         code, out, pgm = self.export(tmp_path, expr, 1, grid, "--pgm",
@@ -588,7 +596,7 @@ class TestFieldExport:
     @pytest.mark.parametrize("expr", ["jr", "a3"])
     def test_export_memory_does_not_hold_the_field(self, tmp_path, expr):
         # a 401x401 field as a tuple holds 8 bytes a cell in its pointer
-        # array alone; the export holds one row, the image and the memos
+        # array alone; the export holds one row, the image and the CSV memo
         # (a3's PGM range comes from a pass of its own over the rows)
         n = 401
         tracemalloc.start()
@@ -771,6 +779,129 @@ class TestExportReplacesOutputs:
         assert self.names(data) == ["hop.pgm", "real.pgm"]
         assert self.names(out) == ["img.pgm"]
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    @pytest.mark.parametrize("swap", [False, True], ids=["stdout_first", "stdout_second"])
+    def test_dev_stdout_on_the_other_output_is_refused_before_opening(self, tmp_path, swap):
+        # stdout is appended to f, so /dev/stdout names f: opening either
+        # output before the check would truncate f
+        f = tmp_path / "f"
+        f.write_bytes(self.OLD)
+        out, pgm = (str(f), "/dev/stdout") if swap else ("/dev/stdout", str(f))
+        env = {**os.environ, "PYTHONPATH": str(TestModuleEntry.SRC)}
+        with open(f, "ab") as fh:
+            done = subprocess.run([sys.executable, "-m", "msetsim.cli", *JR5,
+                                   "--out", out, "--pgm", pgm],
+                                  stdout=fh, stderr=subprocess.PIPE, text=True, env=env,
+                                  timeout=120)
+        assert done.returncode == 1
+        assert done.stderr == f"error: the field CSV and its heatmap are one file: {pgm}\n"
+        assert f.read_bytes() == self.OLD
+        assert self.names(tmp_path) == ["f"]
+
+
+# every command that writes a file, as its arguments but --out, given the
+# directory holding its inputs
+WRITING_COMMANDS = {
+    "field": lambda src: JR5,
+    "slide": lambda src: ["slide", "--template", str(src / "t.csv"),
+                          "--signal", str(src / "d.csv"), "--index", "jaccard"],
+    "standardize": lambda src: ["standardize", "--input", str(src / "d.csv"), "--col", "a"],
+    "signs": lambda src: ["signs", "--input", str(src / "d.csv"), "--cols", "a,b"],
+}
+
+
+@pytest.mark.parametrize("name", WRITING_COMMANDS)
+class TestOutputRule:
+    """Every command writes its output under one rule: an existing regular
+    file is replaced whole, keeping its mode, and only by a run that
+    succeeds; a symlink stays a symlink; ``/dev/stdout`` is opened as
+    given."""
+
+    OLD = b"old bytes\n"
+
+    @staticmethod
+    def command(tmp_path, capsys, name):
+        """The command's arguments but --out, its output bytes and what it
+        prints, with an empty ``out`` directory for the test's outputs."""
+        src = tmp_path / "in"
+        src.mkdir()
+        (src / "t.csv").write_text("v\n1\n-2\n0.5\n")
+        write_two_cols(src / "d.csv", ZERO_XS, ZERO_YS)
+        args = WRITING_COMMANDS[name](src)
+        want = tmp_path / "want.csv"
+        assert cli([*args, "--out", str(want)]) == 0
+        (tmp_path / "out").mkdir()
+        return args, want.read_bytes(), capsys.readouterr().out
+
+    @staticmethod
+    def names(path):
+        return sorted(p.name for p in path.iterdir())
+
+    def test_existing_output_is_replaced_whole(self, tmp_path, capsys, name):
+        args, want, _ = self.command(tmp_path, capsys, name)
+        out = tmp_path / "out" / "f.csv"
+        out.write_bytes(self.OLD * 100)
+        out.chmod(0o640)
+        inode = out.stat().st_ino
+        assert cli([*args, "--out", str(out)]) == 0
+        assert out.read_bytes() == want
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert out.stat().st_ino != inode
+        assert self.names(out.parent) == ["f.csv"]
+
+    @pytest.mark.parametrize("error", [ValueError("cell 8"), KeyboardInterrupt()],
+                             ids=["ValueError", "KeyboardInterrupt"])
+    def test_failure_mid_write_keeps_old_bytes(self, tmp_path, capsys, monkeypatch, name,
+                                               error):
+        args, _, _ = self.command(tmp_path, capsys, name)
+        out = tmp_path / "out" / "f.csv"
+        out.write_bytes(self.OLD)
+        # the library writers format through io.fmt: its eighth call comes
+        # after the header and the first lines
+        calls = itertools.count()
+        fmt = msetsim.io.fmt
+
+        def failing(v):
+            if next(calls) == 7:
+                raise error
+            return fmt(v)
+
+        monkeypatch.setattr(msetsim.io, "fmt", failing)
+        if isinstance(error, ValueError):
+            assert cli([*args, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == "error: cell 8\n"
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                cli([*args, "--out", str(out)])
+        assert next(calls) == 8
+        assert out.read_bytes() == self.OLD
+        assert self.names(out.parent) == ["f.csv"]
+
+    def test_symlink_stays_a_symlink(self, tmp_path, capsys, name):
+        args, want, _ = self.command(tmp_path, capsys, name)
+        out = tmp_path / "out"
+        (out / "pre.csv").write_bytes(self.OLD)
+        (out / "link.csv").symlink_to("pre.csv")
+        assert cli([*args, "--out", str(out / "link.csv")]) == 0
+        assert os.readlink(out / "link.csv") == "pre.csv"
+        assert (out / "pre.csv").read_bytes() == want
+        assert self.names(out) == ["link.csv", "pre.csv"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_dev_stdout_is_opened_as_given(self, tmp_path, capsys, name):
+        args, want, printed = self.command(tmp_path, capsys, name)
+        captured = tmp_path / "out" / "stdout.txt"
+        env = {**os.environ, "PYTHONPATH": str(TestModuleEntry.SRC)}
+        # appended to, so what the command prints lands after its output
+        with open(captured, "ab") as fh:
+            inode = os.fstat(fh.fileno()).st_ino
+            done = subprocess.run([sys.executable, "-m", "msetsim.cli", *args,
+                                   "--out", "/dev/stdout"],
+                                  stdout=fh, env=env, timeout=120)
+        assert done.returncode == 0
+        assert captured.stat().st_ino == inode
+        assert captured.read_bytes() == want + printed.encode()
+        assert self.names(captured.parent) == ["stdout.txt"]
 
 class TestColumnSelectors:
     @pytest.mark.parametrize("cols", ["a", "a,b,a", "0", "0,1,1"])

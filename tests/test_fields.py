@@ -118,11 +118,6 @@ class TestField:
                 assert fld.at(i, j) == fld.at(n - 1 - i, n - 1 - j)
                 assert fld.at(i, n - 1 - j) == -fld.at(i, j)
 
-    def test_thread_count_does_not_change_values(self):
-        base = field(FieldExpr.JR, SMALL, threads=1)
-        for threads in (2, 4):
-            assert field(FieldExpr.JR, SMALL, threads=threads).values == base.values
-
     def test_regeneration_is_pure(self):
         spec = GridSpec(nx=31, ny=17)
         assert field(FieldExpr.A1, spec).values == field(FieldExpr.A1, spec).values
@@ -159,10 +154,6 @@ class TestField:
         for bad in (None, 0, -2, 1.5):
             with pytest.raises(ValueError):
                 field(FieldExpr.JR_POW, SMALL, d=bad)
-
-    def test_threads_must_be_positive(self):
-        with pytest.raises(ValueError, match="threads"):
-            field(FieldExpr.JR, SMALL, threads=0)
 
     def test_matches_pointwise_kron(self):
         spec = GridSpec(nx=21, ny=21)

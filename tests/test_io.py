@@ -699,6 +699,17 @@ class TestPgm:
         with pytest.raises(ValueError):
             HeatmapRange(math.nan, 1.0)
 
+    @pytest.mark.parametrize("lo, hi", [(-1.7e308, 1.7e308), (-1e308, 1e308),
+                                        (-1e300, 1.7976931348623157e308)])
+    def test_range_whose_width_overflows_is_refused(self, lo, hi):
+        # by the documented formula v = 0 would be pixel 128, but (v - lo)/(hi - lo)
+        # divides by inf, so every pixel came out 0 (or NaN raised)
+        with pytest.raises(ValueError) as got:
+            HeatmapRange(lo, hi)
+        assert str(got.value) == f"need a finite width hi - lo, got {lo!r}, {hi!r}"
+        # a width that rounds to the largest float is finite
+        assert HeatmapRange(-5e-324, 1.7976931348623157e308).hi == 1.7976931348623157e308
+
 
 def reference_csv(fld) -> bytes:
     """Per-cell writer: every number formatted on its own by format(v, ".17g")."""
@@ -713,7 +724,7 @@ def reference_csv(fld) -> bytes:
 @pytest.fixture
 def memo_calls(monkeypatch):
     """(memo size after the call, whether the row came from the memo) for
-    each row the field writers offer to their memo."""
+    each row the field CSV writer offers to its memo."""
     calls = []
     from_memo = msetsim.io._from_memo
 
@@ -737,10 +748,10 @@ def assert_writes_reference(tmp_path, fld, ranges=()):
 
 
 class TestDistinctValueMemo:
-    """The field writers render each distinct value once while the rows
-    offered to the memo hold no more than a min/max surface can: 0, +-|x|
-    for each distinct |x| and +-|y| for each row; every expected byte here
-    is the per-cell writer's."""
+    """The field CSV writer formats each distinct value once while the
+    rows offered to the memo hold no more than a min/max surface can: 0,
+    +-|x| for each distinct |x| and +-|y| for each row; every expected byte
+    here, CSV and PGM, is the per-cell writer's."""
 
     def test_negative_zero_beside_memoised_values(self, tmp_path, memo_calls):
         # +0.0 and 1.5 are memoised in row 0; row 1 holds -0.0 beside them
@@ -754,8 +765,8 @@ class TestDistinctValueMemo:
         lines = (tmp_path / "f.csv").read_text().splitlines()
         assert [ln.rsplit(",", 1)[1] for ln in lines[1:]] == [
             "0", "1.5", "1.5", "1.5", "-0", "0", "0", "1.5", "0", "-0", "-0", "-0"]
-        # the CSV offers rows 0 and 2 to its memo, the PGM all four
-        assert [hit for _, hit in memo_calls] == [True] * 6
+        # the CSV offers rows 0 and 2 to its memo
+        assert [hit for _, hit in memo_calls] == [True] * 2
 
     def test_negative_zero_row_test_skips_only_speed(self, tmp_path, memo_calls):
         # negatives above -2**-1007 share -0.0's sign-and-exponent byte, so
@@ -766,8 +777,8 @@ class TestDistinctValueMemo:
                                  0.0, 2.0, 0.0, 2.0,
                                  -7e-305, 2.0, 1e-300, 0.0])
         assert_writes_reference(tmp_path, fld, [(-1.0, 1.0)])
-        # the CSV offers row 1 only, the PGM all three
-        assert [hit for _, hit in memo_calls] == [True] * 4
+        # the CSV offers row 1 only
+        assert [hit for _, hit in memo_calls] == [True]
 
     def test_nan_inf_and_subnormals_in_memoised_rows(self, tmp_path, memo_calls):
         # no value here has -0.0's sign-and-exponent byte, so every CSV row
@@ -790,16 +801,13 @@ class TestDistinctValueMemo:
         # 2 * 10 + 1 + 2 * k.  Rows 0-1 hold three values, rows 2 and 3
         # twenty new ones each, rows 4-5 the three again.  Row 3 would take
         # the CSV's memo to 43 > 29 values, so it and rows 4-5, which would
-        # fit, are formatted directly.  The PGM renders the top image row
-        # (row 5) first and leaves at row 2.
+        # fit, are formatted directly.
         spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 20, 6)
         few = [0.0, 0.25, -0.75] * 6 + [0.0, 0.25]
         many = [i / 7 for i in range(1, 41)]
         fld = ScalarField(spec, few + few + many + few + few)
         assert_writes_reference(tmp_path, fld, [(-1.0, 1.0), (-0.75, 40 / 7)])
-        csv_calls, pgm_calls = memo_calls[:4], memo_calls[4:]
-        assert [hit for _, hit in csv_calls] == [True, True, True, False]
-        assert [hit for _, hit in pgm_calls] == [True, True, True, False] * 2  # two ranges
+        assert [hit for _, hit in memo_calls] == [True, True, True, False]
         assert max(size for size, _ in memo_calls) == 23
 
     def test_values_at_the_cap_stay_in_the_memo(self, tmp_path, memo_calls):
@@ -840,7 +848,7 @@ class TestDistinctValueMemo:
         # second, and each row of jr holds about 400 new values
         fld = field(FieldExpr.JR, GridSpec(nx=401, ny=401))
         assert_writes_reference(tmp_path, fld, [(-1.0, 1.0)])
-        assert [hit for _, hit in memo_calls] == [True, False, True, False]
+        assert [hit for _, hit in memo_calls] == [True, False]
         assert max(size for size, _ in memo_calls) <= 405
 
     def test_pgm_nan_raises_the_direct_error_and_writes_nothing(self, tmp_path):

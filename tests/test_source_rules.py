@@ -10,7 +10,13 @@ Validate once: samples are checked in ``Signal``, so only the functions
 that bring samples in (``io.read_csv``) or produce a standardized signal
 (``stats.standardize`` and the CLI command that writes one) may call
 ``Signal(...)`` or ``standardize(...)``; code below them works on
-validated value tuples."""
+validated value tuples.
+
+One output rule: every file the package writes is opened by
+``io._outputs``, which stages an existing file and removes what a failed
+write created, so no other code may call ``open()`` with a mode that
+writes (one holding ``w``, ``a``, ``x`` or ``+``, or one that is not a
+constant), ``os.open`` or ``tempfile.mkstemp``."""
 
 import ast
 from pathlib import Path
@@ -117,3 +123,71 @@ def test_signal_rule_allows_the_builders(tmp_path):
     p = tmp_path / "stats.py"
     p.write_text("def standardize(v):\n    return Signal(v.values)\n")
     assert signal_builds(p) == []
+
+
+WRITE_OPENER = "io._outputs"
+
+
+def write_opens(path: Path) -> list[str]:
+    """Calls that may open a file for writing outside :data:`WRITE_OPENER`,
+    each as ``scope:line: calls name()``: ``os.open`` and ``mkstemp`` by
+    plain or attribute name, and ``open`` by either, whose mode (the second
+    argument of a plain ``open()``, the first of a method such as
+    ``Path.open``, or ``mode=``) is given and is not a constant string free
+    of ``w``, ``a``, ``x`` and ``+``."""
+    found = []
+
+    def writes(call: ast.Call) -> bool:
+        func = call.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name == "mkstemp" or ast.unparse(func) == "os.open":
+            return True
+        if name != "open":
+            return False
+        at = 0 if isinstance(func, ast.Attribute) else 1
+        modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[at:at + 1]
+        return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str)
+                        and not set(m.value) & set("wax+")) for m in modes)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and scope != WRITE_OPENER and writes(child):
+                found.append(f"{scope}:{child.lineno}: calls {ast.unparse(child.func)}()")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_files_are_written_only_through_the_output_rule(path):
+    assert write_opens(path) == []
+
+
+@pytest.mark.parametrize("name, src, bad", [
+    ("m.py", "def f(p):\n    return open(p, 'w')", "m.f:2: calls open()"),
+    ("m.py", "def f(p):\n    return open(p, mode='ab')", "m.f:2: calls open()"),
+    ("m.py", "def f(p):\n    return open(p, 'r+b')", "m.f:2: calls open()"),
+    ("m.py", "def f(p, mode):\n    return open(p, mode)", "m.f:2: calls open()"),
+    ("m.py", "def f(p):\n    return p.open('x')", "m.f:2: calls p.open()"),
+    ("m.py", "import os\nfd = os.open('f', os.O_RDONLY)", "m:2: calls os.open()"),
+    ("m.py", "import tempfile\nfd, name = tempfile.mkstemp()", "m:2: calls tempfile.mkstemp()"),
+    ("m.py", "from tempfile import mkstemp\nfd, name = mkstemp()", "m:2: calls mkstemp()"),
+    ("io.py", "def write_csv(p):\n    return open(p, 'w')", "io.write_csv:2: calls open()"),
+    ("io.py", "class C:\n    def _outputs(self, p):\n        return open(p, 'w')",
+     "io.C._outputs:3: calls open()"),
+])
+def test_output_rule_catches(tmp_path, name, src, bad):
+    p = tmp_path / name
+    p.write_text(src + "\n")
+    assert write_opens(p) == [bad]
+
+
+def test_output_rule_allows_reads_and_the_opener(tmp_path):
+    p = tmp_path / "io.py"
+    p.write_text("def read(p):\n    return open(p), open(p, 'rb'), open(p, newline=''), p.open()\n"
+                 "def _outputs(p, mode):\n    return open(p, mode), open(p, 'w')\n")
+    assert write_opens(p) == []
