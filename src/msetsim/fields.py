@@ -62,6 +62,10 @@ class GridSpec:
             raise ValueError(f"need x_min < x_max, got {self.x_min!r} >= {self.x_max!r}")
         if not self.y_min < self.y_max:
             raise ValueError(f"need y_min < y_max, got {self.y_min!r} >= {self.y_max!r}")
+        for name in ("nx", "ny"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grids need at least 2 points per axis")
 

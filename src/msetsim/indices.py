@@ -14,13 +14,16 @@ the raw samples and branch once on each sample's sign, which gives both
 magnitudes and the sign of the intersection term; the loop behind
 interiority and coincidence also sums both operands' absolute masses, so
 :func:`report` takes every sum in two passes.  The ``_*_windows``
-functions score a template against every valid window of a signal for
-:func:`msetsim.sliding.slide`: they build each operand's sign-flag and
-magnitude tuples once per call, because each sample's gates are shared by
-the m windows that hold it, and slice them per window.  Both shapes turn
+functions are window preparations for :func:`msetsim.sliding.slide`,
+which alone loops over the lags: each does the template's share of the
+work once and returns the score of the window at a given lag.  The
+Jaccard and coincidence preparations build each operand's sign-flag and
+magnitude tuples once, because each sample's gates are shared by the m
+windows that hold it, and each window slices them.  Both shapes turn
 their sums into an index through the same rule, ``_jaccard_value`` or
 ``_interiority_value``, so each ratio and its zero-denominator convention
-are written once.
+are written once; the cosine windows go through ``_cosine``, so a window
+is undefined exactly when :func:`cosine` would raise on it.
 """
 
 import math
@@ -385,11 +388,10 @@ def report(f: Signal, g: Signal) -> SimilarityReport:
     )
 
 
-# Window scorers for slide: each returns the score of every valid window,
-# lag 0 first, and the lags flagged degenerate (scored +0.0).  The caller
-# has checked that the template fits in the signal and that the spacings
-# agree.  Cosine windows are scored through _cosine, the pair function's own
-# rule, so a window is flagged exactly when cosine() would raise on it.
+# Window preparations for slide (see sliding._SCORERS).  The caller has
+# checked that the template fits in the signal and that the spacings agree.
+# Cosine windows are scored through _cosine, the pair function's own rule,
+# so score(k) raises exactly when cosine() would raise on the window.
 
 def _window_gates(values):
     """The sign-flag and magnitude tuples of a sample sequence, for slicing."""
@@ -398,15 +400,14 @@ def _window_gates(values):
 
 def _inner_windows(template: Signal, signal: Signal):
     tv, sv, dx, m = template.values, signal.values, signal.dx, len(template.values)
-    return [dx * _dot(tv, sv[k:k + m]) for k in range(len(sv) - m + 1)], []
+    return lambda k: dx * _dot(tv, sv[k:k + m])
 
 
 def _jaccard_windows(template: Signal, signal: Signal):
     m, dx = len(template.values), signal.dx
     tp, ta = _window_gates(template.values)
     sp, sa = _window_gates(signal.values)
-    return [_jaccard_gates(dx, tp, ta, sp[k:k + m], sa[k:k + m])
-            for k in range(len(sa) - m + 1)], []
+    return lambda k: _jaccard_gates(dx, tp, ta, sp[k:k + m], sa[k:k + m])
 
 
 def _coincidence_windows(template: Signal, signal: Signal):
@@ -414,26 +415,21 @@ def _coincidence_windows(template: Signal, signal: Signal):
     tp, ta = _window_gates(template.values)
     sp, sa = _window_gates(signal.values)
     tmass = abs_mass(template)
-    scores = []
-    for k in range(len(sa) - m + 1):
+
+    def score(k):
         j, i = _jaccard_interiority_gates(dx, tmass, tp, ta, sp[k:k + m], sa[k:k + m])
-        scores.append(j * i)
-    return scores, []
+        return j * i
+    return score
 
 
 def _cosine_windows(template: Signal, signal: Signal):
     tv, sv, dx, m = template.values, signal.values, signal.dx, len(template.values)
     nt = norm(template)
-    scores = []
-    flagged = []
-    for k in range(len(sv) - m + 1):
+
+    def score(k):
         tw = ww = 0.0
         for a, b in zip(tv, sv[k:k + m]):
             tw += a * b
             ww += b * b
-        try:
-            scores.append(_cosine(dx, tw, nt, math.sqrt(dx * ww)))
-        except ValueError:
-            scores.append(0.0)
-            flagged.append(k)
-    return scores, flagged
+        return _cosine(dx, tw, nt, math.sqrt(dx * ww))
+    return score

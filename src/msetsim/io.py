@@ -111,7 +111,7 @@ def _columns_in_bulk(path, selectors, has_header) -> list[list[float]]:
     """The selected columns, converted a chunk at a time with no Python code
     per cell, plain chunks by ``str.split`` and the rest by the csv module
     (see :func:`read_csv`); any fault raises whatever exception met it."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         records, start, indices = _data_records(csv.reader(fh), path, selectors, has_header)
         columns: list[list[float]] = [[] for _ in indices]
         if start == 1:  # the first record is data
@@ -142,7 +142,7 @@ def _columns_by_row(path, selectors, has_header) -> list[list[float]]:
     """The selected columns, read one record and one cell at a time; the
     first fault in file order raises a ValueError naming its row and
     column, or the reader's line for a record the csv module rejects."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             records, start, indices = _data_records(reader, path, selectors, has_header)
@@ -176,6 +176,8 @@ def read_csv(path, selectors: Sequence[ColumnSelector],
              has_header: bool | None = None, dx: float = 1.0) -> list[Signal]:
     """Read one Signal per selected column, all sharing the spacing ``dx``.
 
+    The file is read as UTF-8; a leading byte order mark is dropped, so it
+    is part of neither the first cell nor the first header name.
     Selectors are 0-based column indices or header names; names require a
     header row.  With has_header=None the header is detected: any name
     selector implies a header, and for pure index selectors the first row

@@ -4,14 +4,17 @@ matching profiles over 1-D signals.
 Valid mode only: every window lies fully inside the signal, no boundary
 padding, so window scores are exactly the index values they claim to be.
 
-Each index has a window scorer that walks the signal's sample tuple
-directly: windows are tuple slices, not new :class:`Signal` objects, and
-the template's share of the work (its norm, statistics and absolute mass,
-and its sign and magnitude tuples) is done once per call.  A window then
-costs O(M) for a template of M samples: one fused pass (two for pearson,
-whose window mean comes first).  Consecutive windows share M - 1
-samples, but each window's sums are taken afresh, left to right, so the
-scores are bit-identical to calling the index on each window.
+One engine, :func:`slide`, scores every index.  Each index supplies only a
+preparation, ``(template, signal) -> score``, which does the template's
+share of the work once (its norm, statistics or absolute mass, and the
+sign and magnitude tuples to slice) and returns ``score(k)``, the value of
+the window at lag k.  Windows are tuple slices, not new :class:`Signal`
+objects, and a window costs O(M) for a template of M samples: one fused
+pass (two for pearson, whose window mean comes first).  Consecutive
+windows share M - 1 samples, but each window's sums are taken afresh,
+left to right, so the scores are bit-identical to calling the index on
+each window.  The engine alone loops over the lags, applies the rule for
+an undefined window and takes the argmax, the same for every index.
 """
 
 from dataclasses import dataclass
@@ -42,13 +45,14 @@ class MatchProfile:
     ``lags`` runs 0 .. len(signal) - len(template) inclusive; ``best_lag``
     is the smallest lag attaining the maximum of the scores that are not
     NaN, and 0 (with a NaN ``best_score``) only when every score is NaN.
-    ``degenerate_lags`` lists the windows where pearson or cosine is
-    undefined, scored +0.0 to keep the profile total: a lag is listed
-    exactly when :func:`pearson <msetsim.stats.pearson>` or :func:`cosine
+    ``degenerate_lags`` lists the windows where the index is undefined,
+    scored +0.0 to keep the profile total.  A window is undefined exactly
+    when :func:`pearson <msetsim.stats.pearson>` or :func:`cosine
     <msetsim.indices.cosine>` would raise on (template, window), because
-    the window scorer calls the same rule.  For pearson that includes a
-    template or window variance that overflows to inf; for cosine, a zero
-    norm.  The other indices are total and list none.
+    each window is scored through the pair function's own rule: for
+    pearson, fewer than 2 samples, or a template or window variance that
+    is zero or overflows to inf; for cosine, a zero norm.  The other
+    indices are total and list none.
     """
 
     lags: tuple[int, ...]
@@ -58,7 +62,10 @@ class MatchProfile:
     degenerate_lags: tuple[int, ...] = ()
 
 
-# Window scorers: (template, signal) -> (score per lag, degenerate lags).
+# Window preparations: (template, signal) -> score, where score(k) is the
+# value of the window at lag k, or raises ValueError where the index is
+# undefined on that window.  A preparation raises ValueError where the index
+# is undefined on the template alone, and so on every window.
 _SCORERS = {
     SlideIndex.INNER: _inner_windows,
     SlideIndex.JACCARD: _jaccard_windows,
@@ -69,7 +76,11 @@ _SCORERS = {
 
 
 def slide(template: Signal, signal: Signal, index: SlideIndex) -> MatchProfile:
-    """Score the template against every valid window of the signal."""
+    """Score the template against every valid window of the signal.
+
+    An undefined window is scored +0.0 and listed in ``degenerate_lags``;
+    when the index is undefined on the template alone, every lag is.
+    """
     m = len(template.values)
     if m > len(signal.values):
         raise ValueError(
@@ -78,13 +89,25 @@ def slide(template: Signal, signal: Signal, index: SlideIndex) -> MatchProfile:
     if template.dx != signal.dx:
         raise ValueError(f"sample spacings differ: {template.dx!r} vs {signal.dx!r}")
 
-    scores, flagged = _SCORERS[index](template, signal)
+    lags = range(len(signal.values) - m + 1)
+    try:
+        score = _SCORERS[index](template, signal)
+    except ValueError:
+        scores, flagged = [0.0] * len(lags), list(lags)
+    else:
+        scores, flagged = [], []
+        for k in lags:
+            try:
+                scores.append(score(k))
+            except ValueError:
+                scores.append(0.0)
+                flagged.append(k)
     # max replaces its pick only on a strict >, so ties keep the smallest lag;
     # no score is > NaN, so a NaN at lag 0 stays the pick and the argmax is
     # taken again over the scores that are not NaN
-    best_lag = max(range(len(scores)), key=scores.__getitem__)
+    best_lag = max(lags, key=scores.__getitem__)
     if scores[best_lag] != scores[best_lag]:
         best_lag = max((k for k, s in enumerate(scores) if s == s),
                        key=scores.__getitem__, default=0)
-    return MatchProfile(tuple(range(len(scores))), tuple(scores), best_lag, scores[best_lag],
+    return MatchProfile(tuple(lags), tuple(scores), best_lag, scores[best_lag],
                         tuple(flagged))

@@ -8,7 +8,11 @@ explicit left-to-right sums, and sums that share a pass share one loop:
 covariance and pearson take their centred sums from the same pass.  The
 sign splits sum one stream of products: ``split_inner`` the products of
 the samples, ``double_pearson`` those of the standardized samples, taken
-as they stream.
+as they stream.  Every pair function refuses operands whose lengths or
+sample spacings differ.  ``_pearson_windows`` is the Pearson window
+preparation for :func:`msetsim.sliding.slide`: it takes the template's
+statistics once and scores each window through ``_pearson``, the rule
+that decides where :func:`pearson` is undefined.
 """
 
 import math
@@ -79,13 +83,6 @@ def standardize(v: Signal) -> Signal:
     return Signal(((x - m) / s for x in v.values), v.dx)
 
 
-def _pair_length(x: Signal, y: Signal) -> int:
-    n = len(x.values)
-    if len(y.values) != n:
-        raise ValueError(f"signal lengths differ: {n} vs {len(y.values)}")
-    return n
-
-
 def _centred_sums(x: Signal, y: Signal) -> tuple[float, float, float]:
     """Sums of (x - mx)**2, (y - my)**2 and (x - mx)*(y - my), in one pass."""
     mx = mean(x)
@@ -102,7 +99,8 @@ def _centred_sums(x: Signal, y: Signal) -> tuple[float, float, float]:
 
 def covariance(x: Signal, y: Signal) -> float:
     """Unbiased sample covariance of two equal-length signals."""
-    n = _pair_length(x, y)
+    require_compatible(x, y)
+    n = len(x.values)
     if n < 2:
         raise ValueError("covariance needs at least 2 samples")
     return _centred_sums(x, y)[2] / (n - 1)
@@ -131,7 +129,8 @@ def pearson(x: Signal, y: Signal) -> float:
     """
     if len(x.values) < 2 or len(y.values) < 2:
         raise ValueError("variance needs at least 2 samples")
-    n = _pair_length(x, y)
+    require_compatible(x, y)
+    n = len(x.values)
     sxx, syy, sxy = _centred_sums(x, y)
     return _pearson(sxy, math.sqrt(sxx / (n - 1)), math.sqrt(syy / (n - 1)), n)
 
@@ -209,7 +208,8 @@ def double_pearson(x: Signal, y: Signal, alpha: float) -> DoublePearson:
     checking x before y.
     """
     wp, wm = _alpha_weights(alpha)
-    n = _pair_length(x, y)
+    require_compatible(x, y)
+    n = len(x.values)
     mx, sx = _location_scale(x)
     my, sy = _location_scale(y)
     # unit spacing: the split is a vector statistic like the coefficient itself
@@ -221,20 +221,16 @@ def double_pearson(x: Signal, y: Signal, alpha: float) -> DoublePearson:
 
 
 def _pearson_windows(template: Signal, signal: Signal):
-    """Pearson score of every valid window, and the lags flagged degenerate,
-    for slide.  Each window is scored through _pearson, the pair function's
-    own rule, so a lag is flagged (scored +0.0) exactly when pearson() would
-    raise on (template, window): fewer than 2 samples, or a variance on
-    either side that is zero or overflows."""
+    """The window preparation of pearson for slide: score(k) is the Pearson
+    coefficient of (template, window at lag k), through _pearson, the pair
+    function's own rule, so it raises exactly when pearson() would raise on
+    the window.  A template of fewer than 2 samples raises here, in
+    sample_stats, as pearson() would on every window."""
     tv, sv, m = template.values, signal.values, len(template.values)
-    lags = range(len(sv) - m + 1)
-    if m < 2:
-        return [0.0] * len(lags), list(lags)
     st = sample_stats(template)
     tdev = tuple(a - st.mean for a in tv)
-    scores = []
-    flagged = []
-    for k in lags:
+
+    def score(k):
         window = sv[k:k + m]
         mw = _total(window) / m
         sww = stw = 0.0
@@ -242,9 +238,5 @@ def _pearson_windows(template: Signal, signal: Signal):
             db = b - mw
             sww += db * db
             stw += da * db
-        try:
-            scores.append(_pearson(stw, st.std, math.sqrt(sww / (m - 1)), m))
-        except ValueError:
-            scores.append(0.0)
-            flagged.append(k)
-    return scores, flagged
+        return _pearson(stw, st.std, math.sqrt(sww / (m - 1)), m)
+    return score

@@ -44,6 +44,16 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(nx=2.5), "nx must be an integer, got 2.5"),
+        (dict(nx=3.0), "nx must be an integer, got 3.0"),
+        (dict(ny="3"), "ny must be an integer, got '3'"),
+    ])
+    def test_rejects_non_integer_point_counts(self, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            GridSpec(**kwargs)
+        assert str(err.value) == message
+
 
 class TestJrValue:
     def test_crest_cases(self):

@@ -211,6 +211,45 @@ class TestReadCsv:
             read_csv(p, [0, 1], has_header=False)
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte order mark is not part of the first cell: a headerless
+    file keeps its first data row and a header keeps its first name, on
+    the bulk read and on the row-by-row reference loop alike."""
+
+    @pytest.mark.parametrize("reader", ["_columns_in_bulk", "_columns_by_row"])
+    @pytest.mark.parametrize("text, selectors", [
+        (b"1.5,2\n3,4\n5,6\n", [0, 1]),
+        (b"x,y\n1.5,2\n3,4\n5,6\n", ["x", "y"]),
+        (b"x,y\n1.5,2\n3,4\n5,6\n", [0, 1]),
+    ])
+    def test_first_row_and_first_name_kept(self, tmp_path, reader, text, selectors):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(BOM + text)
+        columns = getattr(msetsim.io, reader)(p, selectors, None)
+        assert columns == [[1.5, 3.0, 5.0], [2.0, 4.0, 6.0]]
+
+    def test_read_csv(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(BOM + b"1.5,2\n3,4\n5,6\n")
+        f, g = read_csv(p, [0, 1])
+        assert (f.values, g.values) == ((1.5, 3.0, 5.0), (2.0, 4.0, 6.0))
+
+    @pytest.mark.parametrize("text, selectors, has_header, message", [
+        (b"1,2\n3,oops\n", [0, 1], False, "row 2, column 1: cannot parse 'oops' as a number"),
+        (b"1,2\n3,4\n5,oops\n", [0, 1], None, "row 3, column 1: cannot parse 'oops' as a number"),
+        (b"x,y\n1,2\n3\n", ["x", "y"], None, "row 3 has 1 cell(s), column 'y' needs index 1"),
+    ])
+    def test_fault_row_numbers_unchanged(self, tmp_path, text, selectors, has_header, message):
+        for name, data in (("plain.csv", text), ("bom.csv", BOM + text)):
+            p = tmp_path / name
+            p.write_bytes(data)
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: {message}')}$"):
+                read_csv(p, selectors, has_header=has_header)
+
+
 # Reader equivalence: read_csv against a reference reader that converts
 # each cell with one float(cell.strip()), compared bit for bit.  The files
 # run to several thousand records, so faults and blank rows land in later

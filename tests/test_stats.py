@@ -355,6 +355,16 @@ class TestRefusalOrder:
                 call()
             assert str(err.value) == message
 
+    def test_spacings_must_agree(self):
+        # after the lengths and before any variance: the constant operand
+        # would otherwise raise its zero variance first
+        x, y = Signal(CONSTANT, 0.5), Signal(VARIED)
+        for call in (lambda: covariance(x, y), lambda: pearson(x, y),
+                     lambda: double_pearson(x, y, 0.5)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == "sample spacings differ: 0.5 vs 1.0"
+
     def test_alpha_is_checked_first(self):
         with pytest.raises(ValueError) as err:
             double_pearson(Signal((1.0,)), Signal(CONSTANT), 1.5)
