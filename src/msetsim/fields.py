@@ -42,7 +42,9 @@ class GridSpec:
 
     The four bounds are stored as floats, so ``GridSpec(-1, 3, 0, 2)``
     equals ``GridSpec(-1.0, 3.0, 0.0, 2.0)``: int endpoints would stay ints
-    in the lattice, and an int 0 times a negative is 0, not -0.0.
+    in the lattice, and an int 0 times a negative is 0, not -0.0.  A bound
+    must be a number that ``float()`` converts to a finite value; text and
+    bools are refused, as a bool ``nx`` or ``ny`` is.
     """
 
     x_min: float = -2.0
@@ -55,16 +57,24 @@ class GridSpec:
     def __post_init__(self):
         for name in ("x_min", "x_max", "y_min", "y_max"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            try:
+                if isinstance(value, (str, bytes, bytearray, bool)):
+                    raise TypeError
+                bound = float(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be a real number, got {value!r}") from None
+            except OverflowError:  # an int past the float range
+                bound = math.inf
+            if not math.isfinite(bound):
                 raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, bound)
         if not self.x_min < self.x_max:
             raise ValueError(f"need x_min < x_max, got {self.x_min!r} >= {self.x_max!r}")
         if not self.y_min < self.y_max:
             raise ValueError(f"need y_min < y_max, got {self.y_min!r} >= {self.y_max!r}")
         for name in ("nx", "ny"):
             value = getattr(self, name)
-            if not isinstance(value, int):
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grids need at least 2 points per axis")

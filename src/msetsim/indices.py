@@ -10,7 +10,9 @@ validated sample tuples, several accumulators to a loop, with each
 accumulator adding the same terms in the same order as the single-sum
 definition, so the fused results are bit-identical to it.  The Jaccard
 family has two loop shapes.  The pair functions and :func:`report` walk
-the raw samples and branch once on each sample's sign, which gives both
+the raw samples: negating both samples of a pair keeps how their signs
+relate and both magnitudes, so each pair is first folded onto a positive
+first sample, and one branch on the second sample's sign then gives both
 magnitudes and the sign of the intersection term; the loop behind
 interiority and coincidence also sums both operands' absolute masses, so
 :func:`report` takes every sum in two passes.  The ``_*_windows``
@@ -53,17 +55,19 @@ class SimilarityReport:
 
 # Each Jaccard-family index has one rule that turns the loop's sums into its
 # value, and two loop shapes that call it.  The pair loops walk the raw
-# sample tuples and branch once on each sample's sign (x > 0.0, then
-# y > 0.0): the branch gives both magnitudes and the sign of the
-# intersection term, so no sign flag or abs() is computed per sample.  A
-# zero sample falls in the "not positive" branch and its magnitude is -x,
-# which may be -0.0; a sum that starts at +0.0 never changes when +-0 is
-# added, so the sums are those of |x|.  The window loops take each operand
-# as a tuple of "is positive" flags and a tuple of magnitudes instead,
-# because slide shares each sample's gates among the m windows that hold
-# it.  In both shapes a pair with a zero operand has a zero minimum, so its
-# signed-intersection term is zero whichever side it lands on, and each
-# accumulator adds the same terms in the same order.
+# sample tuples.  Whether two samples have the same sign, opposite signs or a
+# zero among them does not change when both are negated, and neither do
+# their magnitudes, so a pair whose x is not positive is negated whole; x is
+# then its magnitude, and one branch on y > 0.0 gives y's magnitude and the
+# sign of the intersection term, so no sign flag or abs() is computed per
+# sample.  A zero x is negated with its pair and may become -0.0; a sum that
+# starts at +0.0 never changes when +-0 is added, so the sums are those of
+# |x|.  The window loops take each operand as a tuple of "is positive" flags
+# and a tuple of magnitudes instead, because slide shares each sample's
+# gates among the m windows that hold it.  In both shapes a pair with a zero
+# operand has a zero minimum, so its signed-intersection term is zero
+# whichever side it lands on, and each accumulator adds the same terms in
+# the same order.
 
 def _jaccard_value(dx: float, scap: float, acup: float) -> float:
     """The Jaccard index from its signed-intersection and union sums: 0
@@ -83,41 +87,26 @@ def _jaccard_samples(dx: float, fv, gv) -> float:
     """The real-valued Jaccard index of two sample tuples."""
     scap = acup = 0.0
     for x, y in zip(fv, gv):
-        # x and y become the magnitudes; same signs add the smaller one
-        # to scap, opposite signs subtract it
-        if x > 0.0:
-            if y > 0.0:
-                if y > x:
-                    acup += y
-                    scap += x
-                else:
-                    acup += x
-                    scap += y
-            else:
-                y = -y
-                if y > x:
-                    acup += y
-                    scap -= x
-                else:
-                    acup += x
-                    scap -= y
-        else:
+        if not x > 0.0:  # a sign relation survives negating both samples
             x = -x
-            if y > 0.0:
-                if y > x:
-                    acup += y
-                    scap -= x
-                else:
-                    acup += x
-                    scap -= y
+            y = -y
+        # x and y become the magnitudes; same signs add the smaller one
+        # to scap, opposite signs or a zero subtract it
+        if y > 0.0:
+            if y > x:
+                acup += y
+                scap += x
             else:
-                y = -y
-                if y > x:
-                    acup += y
-                    scap += x
-                else:
-                    acup += x
-                    scap += y
+                acup += x
+                scap += y
+        else:
+            y = -y
+            if y > x:
+                acup += y
+                scap -= x
+            else:
+                acup += x
+                scap -= y
     return _jaccard_value(dx, scap, acup)
 
 
@@ -127,53 +116,31 @@ def _jaccard_interiority_samples(dx: float, fv, gv) -> tuple[float, float]:
     in its order."""
     scap = acup = acap = fmass = gmass = 0.0
     for x, y in zip(fv, gv):
-        if x > 0.0:
-            fmass += x
-            if y > 0.0:
-                gmass += y
-                if y > x:
-                    acup += y
-                    acap += x
-                    scap += x
-                else:
-                    acup += x
-                    acap += y
-                    scap += y
-            else:
-                y = -y
-                gmass += y
-                if y > x:
-                    acup += y
-                    acap += x
-                    scap -= x
-                else:
-                    acup += x
-                    acap += y
-                    scap -= y
-        else:
+        if not x > 0.0:  # a sign relation survives negating both samples
             x = -x
-            fmass += x
-            if y > 0.0:
-                gmass += y
-                if y > x:
-                    acup += y
-                    acap += x
-                    scap -= x
-                else:
-                    acup += x
-                    acap += y
-                    scap -= y
+            y = -y
+        fmass += x
+        if y > 0.0:
+            gmass += y
+            if y > x:
+                acup += y
+                acap += x
+                scap += x
             else:
-                y = -y
-                gmass += y
-                if y > x:
-                    acup += y
-                    acap += x
-                    scap += x
-                else:
-                    acup += x
-                    acap += y
-                    scap += y
+                acup += x
+                acap += y
+                scap += y
+        else:
+            y = -y
+            gmass += y
+            if y > x:
+                acup += y
+                acap += x
+                scap -= x
+            else:
+                acup += x
+                acap += y
+                scap -= y
     return (_jaccard_value(dx, scap, acup),
             _interiority_value(dx, acap, dx * fmass, dx * gmass))
 

@@ -241,18 +241,18 @@ def _memo_cap(xs: tuple[float, ...]) -> int:
     return 2 * len(set(map(abs, xs))) + 1
 
 
-def _from_memo(memo: dict, row: tuple, cap: int, render) -> tuple | None:
-    """Each value of ``row`` rendered from ``memo``.  The row's new values
-    are first rendered together by one ``render`` call on a tuple of them
-    and added; when that would take ``memo`` past ``cap`` entries, return
-    None and add nothing."""
+def _from_memo(memo: dict, row: tuple, cap: int) -> tuple | None:
+    """The :func:`fmt` text of each value of ``row``, from ``memo``.  The
+    row's new values are first formatted together by one :func:`_texts`
+    call and added; when that would take ``memo`` past ``cap`` entries,
+    return None and add nothing."""
     try:
         return tuple(map(memo.__getitem__, row))
     except KeyError:
         new = tuple(set(row).difference(memo))
         if len(memo) + len(new) > cap:
             return None
-        memo.update(zip(new, render(new)))
+        memo.update(zip(new, _texts(new)))
         return tuple(map(memo.__getitem__, row))
 
 
@@ -348,7 +348,7 @@ def _csv_row_writer(fh, spec: GridSpec):
         texts = None
         if memo is not None and 0x80 not in pack(*row)[7::8]:
             cap += 2
-            texts = _from_memo(memo, row, cap, _texts)
+            texts = _from_memo(memo, row, cap)
             if texts is None:
                 memo = None
         if texts is not None:

@@ -117,44 +117,36 @@ def _gated_sum(weights, xs, ys) -> float:
     use_max)`` as in :data:`_GATED`; a pair of weight 0 is skipped, which
     leaves the sum as 0.0 * magnitude would.
 
-    The sign branches give the gate and both magnitudes, with no ``abs()``
-    call.  A zero operand's magnitude may come out as -0.0; its term is
-    then +-0, which leaves a sum that starts at +0.0 unchanged, as the
+    Negating both operands keeps their gate and their magnitudes, so a
+    negative x is folded onto a positive one first; then the sign branches
+    on x and y give the gate and both magnitudes, with no ``abs()`` call.
+    Only x < 0 is folded, because a zero x takes the zero gate whatever the
+    sign of y.  A zero operand's magnitude may come out as -0.0; its term
+    is then +-0, which leaves a sum that starts at +0.0 unchanged, as the
     +0.0 term of ``abs()`` would."""
     same, opposite, zero, use_max = weights
     total = 0.0
     for x, y in zip(xs, ys):
+        if x < 0.0:
+            x = -x
+            y = -y
         if x > 0.0:
-            ax = x
             if y > 0.0:
                 w = same
-                ay = y
             elif y < 0.0:
                 w = opposite
-                ay = -y
+                y = -y
             else:
                 w = zero
-                ay = y
-        elif x < 0.0:
-            ax = -x
-            if y < 0.0:
-                w = same
-                ay = -y
-            elif y > 0.0:
-                w = opposite
-                ay = y
-            else:
-                w = zero
-                ay = y
         else:
             w = zero
-            ax = x
-            ay = y if y > 0.0 else -y
+            if y < 0.0:
+                y = -y
         if w:
             if use_max:
-                total += w * (ay if ay > ax else ax)
+                total += w * (y if y > x else x)
             else:
-                total += w * (ay if ay < ax else ax)
+                total += w * (y if y < x else x)
     return total
 
 

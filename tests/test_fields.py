@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -48,11 +49,35 @@ class TestGridSpec:
         (dict(nx=2.5), "nx must be an integer, got 2.5"),
         (dict(nx=3.0), "nx must be an integer, got 3.0"),
         (dict(ny="3"), "ny must be an integer, got '3'"),
+        # bool is a subclass of int, but True is not a point count
+        (dict(nx=True), "nx must be an integer, got True"),
+        (dict(ny=False), "ny must be an integer, got False"),
     ])
     def test_rejects_non_integer_point_counts(self, kwargs, message):
         with pytest.raises(ValueError) as err:
             GridSpec(**kwargs)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("kwargs, message", [
+        # float() would parse text and turn True into 1.0; both are refused
+        (dict(x_min="-3"), "x_min must be a real number, got '-3'"),
+        (dict(y_min=b"0"), "y_min must be a real number, got b'0'"),
+        (dict(x_min=True, x_max=2), "x_min must be a real number, got True"),
+        (dict(y_max=None), "y_max must be a real number, got None"),
+        (dict(x_max=[2.0]), "x_max must be a real number, got [2.0]"),
+        # an int that float() cannot hold is past every finite bound
+        (dict(x_max=10**400), "x_max must be finite"),
+        (dict(y_min=-math.inf), "y_min must be finite"),
+    ])
+    def test_rejects_bounds_that_are_not_finite_reals(self, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            GridSpec(**kwargs)
+        assert str(err.value) == message
+
+    def test_bounds_of_any_real_type_become_floats(self):
+        spec = GridSpec(Fraction(-1, 2), 3, 0, 2.5, 3, 2)
+        assert (spec.x_min, spec.x_max, spec.y_min, spec.y_max) == (-0.5, 3.0, 0.0, 2.5)
+        assert all(type(b) is float for b in (spec.x_min, spec.x_max, spec.y_min, spec.y_max))
 
 
 class TestJrValue:

@@ -767,8 +767,8 @@ def memo_calls(monkeypatch):
     calls = []
     from_memo = msetsim.io._from_memo
 
-    def spy(memo, row, cap, render):
-        got = from_memo(memo, row, cap, render)
+    def spy(memo, row, cap):
+        got = from_memo(memo, row, cap)
         calls.append((len(memo), got is not None))
         return got
 

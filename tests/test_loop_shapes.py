@@ -7,7 +7,9 @@ Jaccard and coincidence scorers walk per-sample gate tuples.  For
 equal-length operands ``slide`` scores exactly one window, so its score
 must be the pair function's value.  The gate loop behind ``aggregate``,
 ``kernel`` and ``split_intersection`` is checked against the oracles of
-every kind.  Inputs reach every binade, from the subnormals to the largest
+every kind.  Every sign-aware value is also checked to be unchanged when
+both operands are negated, the symmetry the sign-branch loops fold on.
+Inputs reach every binade, from the subnormals to the largest
 float, with signed zeros, over three spacings; where a sum overflows and
 makes a result NaN, two NaN results match."""
 
@@ -48,6 +50,7 @@ MAX = sys.float_info.max
 EDGE = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
         1e-310, -1e-310, 1e308, -1e308, MAX, -MAX, 1.0, -1.0, 2.5, -3.0)
 CASES_PER_SPACING = 7000
+GATED_KINDS = [k for k in MsetOpKind if k not in (MsetOpKind.CAP, MsetOpKind.CUP)]
 
 
 def key(v: float) -> bytes:
@@ -134,5 +137,17 @@ def test_loop_shapes_agree_bit_for_bit(dx, seed):
         for a in (0.0, 0.5, 1.0, alpha):
             assert same(split_intersection(f, g, a),
                         osplit_intersection(fv, gv, a, dx)), (a, where)
+        # the sign fold's premise: negating both operands keeps every sign
+        # relation and magnitude, so no sign-aware value moves.  CAP and CUP
+        # are left out: min(-x, -y) is -max(x, y)
+        nf, ng = Signal([-v for v in fv], dx), Signal([-v for v in gv], dx)
+        assert same(jaccard(nf, ng), j), where
+        assert same(interiority(nf, ng), i), where
+        assert same(coincidence(nf, ng), c), where
+        assert same(jaccard_power(nf, ng, 3), jaccard_power(f, g, 3)), where
+        for kind in GATED_KINDS:
+            assert same(aggregate(kind, nf, ng), aggregate(kind, f, g)), (kind, where)
+        for a in (0.0, 0.5, 1.0, alpha):
+            assert same(split_intersection(nf, ng, a), split_intersection(f, g, a)), (a, where)
     # guards the inputs: some sums must overflow, as in the near-MAX cases
     assert nan_results > 0
