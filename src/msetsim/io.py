@@ -29,6 +29,7 @@ import stat
 import struct
 import tempfile
 from dataclasses import dataclass
+from io import StringIO
 from typing import Iterable, Sequence, Union
 
 from .fields import GridSpec, ScalarField
@@ -71,16 +72,20 @@ def _resolve(selector: ColumnSelector, header: list[str] | None, path) -> int:
 # calls, small enough that a chunk's cell strings stay a small share of the
 # columns read
 _CHUNK = 1024
-# characters of text per line chunk offered to the plain split; 64 KiB is
-# no faster, and a 10^5-row read then peaks above the csv-record loop
+# characters read per block offered to the plain split, before the block is
+# completed to a line end; 64 Ki is no faster, and a 10^5-row read then
+# peaks above the csv-record loop
 _HINT = 1 << 15
 
 
 def _data_records(reader, path, selectors: list[ColumnSelector], has_header: bool | None):
-    """Consume the first record of ``reader`` and decide whether it is the
-    header; return the data records, the row number of the first of them,
-    and the column index of each selector."""
-    first = next(reader, None)
+    """Consume the first record of ``reader`` that is not empty (the last
+    one, when every record is) and decide whether it is the header; return
+    the data records, the row number of the first of them, and the column
+    index of each selector.  Rows count every record, empty ones included."""
+    first, start = next(reader, None), 1
+    while first == [] and (following := next(reader, None)) is not None:
+        first, start = following, start + 1
     if first is None:
         raise ValueError(f"{path}: file is empty")
     want_names = any(isinstance(s, str) for s in selectors)
@@ -93,8 +98,8 @@ def _data_records(reader, path, selectors: list[ColumnSelector], has_header: boo
     header = [h.strip() for h in first] if has_header else None
     indices = [_resolve(s, header, path) for s in selectors]
     if has_header:
-        return reader, 2, indices
-    return itertools.chain([first], reader), 1, indices
+        return reader, start + 1, indices
+    return itertools.chain([first], reader), start, indices
 
 
 def _extend_from_records(columns, indices, records) -> None:
@@ -108,33 +113,47 @@ def _extend_from_records(columns, indices, records) -> None:
 
 
 def _columns_in_bulk(path, selectors, has_header) -> list[list[float]]:
-    """The selected columns, converted a chunk at a time with no Python code
-    per cell, plain chunks by ``str.split`` and the rest by the csv module
-    (see :func:`read_csv`); any fault raises whatever exception met it."""
+    """The selected columns, converted a block at a time with no Python code
+    per line or cell, plain blocks by ``str.split`` and the rest by the csv
+    module (see :func:`read_csv`); any fault raises whatever exception met
+    it."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        records, start, indices = _data_records(csv.reader(fh), path, selectors, has_header)
+        reader = csv.reader(fh)
+        records, _, indices = _data_records(reader, path, selectors, has_header)
         columns: list[list[float]] = [[] for _ in indices]
-        if start == 1:  # the first record is data
+        if records is not reader:  # the first record is data
             _extend_from_records(columns, indices, itertools.islice(records, 1))
         last, limit = max(indices), csv.field_size_limit()
-        for chunk in iter(lambda: fh.readlines(_HINT), []):
-            lines = list(filter("\n".__ne__, chunk))
-            if not lines:
-                continue
-            text = "".join(lines)
-            commas = set(map(str.count, lines, itertools.repeat(",")))
-            width = max(commas) + 1
-            # plain: the csv module would split every line at every comma and
-            # raise on none, and every record holds every selected index; a
-            # text within the field limit has no line beyond it
-            if ('"' in text or "\r" in text or "\x00" in text or len(commas) > 1
-                    or last >= width or len(text) > limit and max(map(len, lines)) > limit):
-                _extend_from_records(columns, indices, csv.reader(itertools.chain(chunk, fh)))
-                break
-            cells = text.replace("\n", ",").split(",")
-            stop = len(lines) * width  # a final "\n" leaves one more, empty, cell
-            for column, idx in zip(columns, indices):
-                column.extend(map(float, cells[idx:stop:width]))
+        for raw in iter(lambda: fh.read(_HINT), ""):
+            if raw[-1] != "\n":  # the read stopped inside a line
+                raw += fh.readline()
+            text = raw if raw[-1] == "\n" else raw + "\n"  # the file's last line
+            while text:  # the block as read, then without its blank lines
+                n, width = text.count("\n"), text.count(",", 0, text.index("\n")) + 1
+                # plain: the csv module would split every line at every comma
+                # and raise on none, and every record holds every selected
+                # index; a text within the field limit has no line beyond it
+                if not ('"' in text or "\r" in text or "\x00" in text or last >= width
+                        or len(text) > limit and max(map(len, text.split("\n"))) > limit):
+                    # each line's "\n" becomes a cell of its own, so every line
+                    # holds width cells exactly when the "\n" cells fall at
+                    # every (width + 1)-th place, the last followed by one
+                    # empty cell; a blank line breaks that for every width
+                    # but 1, where it is an empty cell
+                    cells = text.replace("\n", ",\n,").split(",")
+                    if (len(cells) == n * (width + 1) + 1
+                            and cells[width::width + 1].count("\n") == n
+                            and (width > 1 or cells.count("") == 1)):
+                        for column, idx in zip(columns, indices):
+                            column.extend(map(float, cells[idx:-1:width + 1]))
+                        break
+                if text[0] != "\n" and "\n\n" not in text:  # no blank line to drop
+                    records = csv.reader(itertools.chain(StringIO(raw, newline=""), fh))
+                    _extend_from_records(columns, indices, records)
+                    return columns
+                text = text.lstrip("\n")
+                while "\n\n" in text:  # each pass halves a run of blank lines
+                    text = text.replace("\n\n", "\n")
     return columns
 
 
@@ -182,27 +201,31 @@ def read_csv(path, selectors: Sequence[ColumnSelector],
     header row.  With has_header=None the header is detected: any name
     selector implies a header, and for pure index selectors the first row
     counts as data exactly when all its selected cells parse as numbers.
-    Fully empty rows are skipped; short (ragged) rows, blank cells, and
+    Fully empty rows are skipped, before the first row as anywhere else, and
+    are counted in row numbers; short (ragged) rows, blank cells, and
     unparseable or non-finite cells raise with the offending row number; a
     record the csv module rejects raises with the reader's line number.
 
     ``dx`` is checked before the file is opened, so a bad spacing is
     reported ahead of a missing file or a bad cell.
 
-    The first record is parsed by the csv module, and the rest of the file
-    is read in chunks of lines of about 32 KiB.  A chunk is *plain* when,
-    its blank lines dropped, it holds no ``"``, ``\\r`` or NUL, no line
-    longer than ``csv.field_size_limit()``, and the same number of commas
-    on every line, enough for every selected index: the csv module would
-    then split each line at each comma, so the chunk is split by one
-    ``str.split`` and each column taken with a stride.  From the first chunk
-    that is not plain, the rest of the file goes to the csv module, 1024
-    records at a time, each selected cell picked by one
-    ``operator.itemgetter``.  Either way no Python code runs per cell and
-    memory does not grow with the file beyond the columns kept.  ``float``
-    ignores the surrounding whitespace that ``str.strip`` removes, so the
-    values are those of ``float(cell.strip())``, and :class:`Signal` is the
-    only finiteness check.  Any fault on that path (a short row, a cell
+    The rows up to the first that is not empty are parsed by the csv
+    module, and the rest of the file is read in blocks: 32,768 characters,
+    completed to the end of the last line.
+    A block is *plain* when, as read or with its blank lines dropped, it
+    holds no ``"``, ``\\r`` or NUL, no line longer than
+    ``csv.field_size_limit()``, and the same number of commas on every line,
+    enough for every selected index: the csv module would then split each
+    line at each comma, so the block is split by one ``str.split``, each
+    line's ``\\n`` a cell of its own, and each column taken with a stride.
+    From the first block that is not plain, the rest of the file (that
+    block as read, then the file) goes to the csv module, 1024 records at a
+    time, each selected cell picked by one ``operator.itemgetter``.  Either
+    way no Python code runs per line or cell, and memory does not grow with
+    the file beyond the columns kept.  ``float`` ignores the surrounding
+    whitespace that ``str.strip`` removes, so the values are those of
+    ``float(cell.strip())``, and :class:`Signal` is the only finiteness
+    check.  Any fault on that path (a short row, a cell
     ``float`` rejects, a non-finite value, an empty column, a csv error)
     reruns the whole file through the row-by-row reference loop, which
     raises the first fault in file order with its row and column.  That
