@@ -68,10 +68,6 @@ def _resolve(selector: ColumnSelector, header: list[str] | None, path) -> int:
     return idx
 
 
-# records per csv-parsed chunk: large enough to amortise the per-chunk
-# calls, small enough that a chunk's cell strings stay a small share of the
-# columns read
-_CHUNK = 1024
 # characters read per block offered to the plain split, before the block is
 # completed to a line end; 64 Ki is no faster, and a 10^5-row read then
 # peaks above the csv-record loop
@@ -79,13 +75,14 @@ _HINT = 1 << 15
 
 
 def _data_records(reader, path, selectors: list[ColumnSelector], has_header: bool | None):
-    """Consume the first record of ``reader`` that is not empty (the last
-    one, when every record is) and decide whether it is the header; return
-    the data records, the row number of the first of them, and the column
-    index of each selector.  Rows count every record, empty ones included."""
+    """Consume the first record of ``reader`` that is not empty and decide
+    whether it is the header; return the data records, the row number of
+    the first of them, and the column index of each selector.  Rows count
+    every record, empty ones included; a file with no record that is not
+    empty is empty."""
     first, start = next(reader, None), 1
-    while first == [] and (following := next(reader, None)) is not None:
-        first, start = following, start + 1
+    while first == []:
+        first, start = next(reader, None), start + 1
     if first is None:
         raise ValueError(f"{path}: file is empty")
     want_names = any(isinstance(s, str) for s in selectors)
@@ -103,13 +100,11 @@ def _data_records(reader, path, selectors: list[ColumnSelector], has_header: boo
 
 
 def _extend_from_records(columns, indices, records) -> None:
-    """Append the selected cells of csv ``records`` to ``columns``, a chunk
-    of records at a time, blank ones dropped."""
-    pick = operator.itemgetter(*indices)
-    for chunk in iter(lambda: list(itertools.islice(records, _CHUNK)), []):
-        cells = map(pick, filter(None, chunk))
-        for column, part in zip(columns, zip(*cells) if len(columns) > 1 else [cells]):
-            column.extend(map(float, part))
+    """Append the selected cells of csv ``records`` to ``columns``, blank
+    ones dropped."""
+    cells = map(operator.itemgetter(*indices), filter(None, records))
+    for column, part in zip(columns, zip(*cells) if len(columns) > 1 else [cells]):
+        column.extend(map(float, part))
 
 
 def _columns_in_bulk(path, selectors, has_header) -> list[list[float]]:
@@ -128,8 +123,8 @@ def _columns_in_bulk(path, selectors, has_header) -> list[list[float]]:
             if raw[-1] != "\n":  # the read stopped inside a line
                 raw += fh.readline()
             text = raw if raw[-1] == "\n" else raw + "\n"  # the file's last line
-            while text:  # the block as read, then without its blank lines
-                n, width = text.count("\n"), text.count(",", 0, text.index("\n")) + 1
+            while text:  # the block as read, then with LF ends and no blank lines
+                width = text.count(",", 0, text.index("\n")) + 1
                 # plain: the csv module would split every line at every comma
                 # and raise on none, and every record holds every selected
                 # index; a text within the field limit has no line beyond it
@@ -140,18 +135,21 @@ def _columns_in_bulk(path, selectors, has_header) -> list[list[float]]:
                     # every (width + 1)-th place, the last followed by one
                     # empty cell; a blank line breaks that for every width
                     # but 1, where it is an empty cell
-                    cells = text.replace("\n", ",\n,").split(",")
+                    n, cells = text.count("\n"), text.replace("\n", ",\n,").split(",")
                     if (len(cells) == n * (width + 1) + 1
                             and cells[width::width + 1].count("\n") == n
                             and (width > 1 or cells.count("") == 1)):
                         for column, idx in zip(columns, indices):
                             column.extend(map(float, cells[idx:-1:width + 1]))
                         break
-                if text[0] != "\n" and "\n\n" not in text:  # no blank line to drop
-                    records = csv.reader(itertools.chain(StringIO(raw, newline=""), fh))
+                # a quoted block, or one with no CRLF or blank line to drop,
+                # goes to the csv module on its own; strict mode raises on a
+                # quoted cell still open at the block's end
+                if '"' in text or not ("\r\n" in text or text[0] == "\n" or "\n\n" in text):
+                    records = csv.reader(StringIO(raw, newline=""), strict=True)
                     _extend_from_records(columns, indices, records)
-                    return columns
-                text = text.lstrip("\n")
+                    break
+                text = text.replace("\r\n", "\n").lstrip("\n")
                 while "\n\n" in text:  # each pass halves a run of blank lines
                     text = text.replace("\n\n", "\n")
     return columns
@@ -202,9 +200,10 @@ def read_csv(path, selectors: Sequence[ColumnSelector],
     selector implies a header, and for pure index selectors the first row
     counts as data exactly when all its selected cells parse as numbers.
     Fully empty rows are skipped, before the first row as anywhere else, and
-    are counted in row numbers; short (ragged) rows, blank cells, and
-    unparseable or non-finite cells raise with the offending row number; a
-    record the csv module rejects raises with the reader's line number.
+    are counted in row numbers, so a file of empty rows only is empty;
+    short (ragged) rows, blank cells, and unparseable or non-finite cells
+    raise with the offending row number; a record the csv module rejects
+    raises with the reader's line number.
 
     ``dx`` is checked before the file is opened, so a bad spacing is
     reported ahead of a missing file or a bad cell.
@@ -212,20 +211,23 @@ def read_csv(path, selectors: Sequence[ColumnSelector],
     The rows up to the first that is not empty are parsed by the csv
     module, and the rest of the file is read in blocks: 32,768 characters,
     completed to the end of the last line.
-    A block is *plain* when, as read or with its blank lines dropped, it
-    holds no ``"``, ``\\r`` or NUL, no line longer than
-    ``csv.field_size_limit()``, and the same number of commas on every line,
-    enough for every selected index: the csv module would then split each
-    line at each comma, so the block is split by one ``str.split``, each
-    line's ``\\n`` a cell of its own, and each column taken with a stride.
-    From the first block that is not plain, the rest of the file (that
-    block as read, then the file) goes to the csv module, 1024 records at a
-    time, each selected cell picked by one ``operator.itemgetter``.  Either
-    way no Python code runs per line or cell, and memory does not grow with
-    the file beyond the columns kept.  ``float`` ignores the surrounding
-    whitespace that ``str.strip`` removes, so the values are those of
-    ``float(cell.strip())``, and :class:`Signal` is the only finiteness
-    check.  Any fault on that path (a short row, a cell
+    A block is *plain* when, as read or with its ``\\r\\n`` line ends made
+    ``\\n`` and its blank lines dropped, it holds no ``"``, ``\\r`` or NUL,
+    no line longer than ``csv.field_size_limit()``, and the same number of
+    commas on every line, enough for every selected index: the csv module
+    would then split each line at each comma, so the block is split by one
+    ``str.split``, each line's ``\\n`` a cell of its own, and each column
+    taken with a stride.  A block that is not plain goes to the csv module
+    on its own, in strict mode, each selected cell picked by one
+    ``operator.itemgetter``, and the next block is tried for the plain
+    split again.  A block starts at a record's start, and strict mode only
+    adds errors, so its records are those of the whole file; strict mode
+    raises on a quoted cell still open at the block's end.  Either way no
+    Python code runs per line or cell, and memory does not grow with the
+    file beyond the columns kept and one block.  ``float`` ignores the
+    surrounding whitespace that ``str.strip`` removes, so the values are
+    those of ``float(cell.strip())``, and :class:`Signal` is the only
+    finiteness check.  Any fault on that path (a short row, a cell
     ``float`` rejects, a non-finite value, an empty column, a csv error)
     reruns the whole file through the row-by-row reference loop, which
     raises the first fault in file order with its row and column.  That

@@ -194,13 +194,15 @@ class TestReadCsv:
         with pytest.raises(ValueError, match=r"row 3 has 1 cell\(s\), column 1 needs index 1"):
             read_csv(p, [0, 1])
 
-    @pytest.mark.parametrize("selectors", [[0], ["x"]])
-    def test_only_blank_lines_is_no_data(self, tmp_path, selectors):
+    @pytest.mark.parametrize("has_header", [None, True, False])
+    @pytest.mark.parametrize("selectors", [[0], ["x"], [1, 0]])
+    def test_only_blank_lines_is_no_data(self, tmp_path, selectors, has_header):
+        # empty rows are skipped, and nothing is left: there is no header
+        # to name a column in, and no data row
         p = tmp_path / "data.csv"
         p.write_text("\n\n\n")
-        with pytest.raises(ValueError, match="no data rows" if selectors == [0]
-                           else "not found in header"):
-            read_csv(p, selectors)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: file is empty$"):
+            read_csv(p, selectors, has_header)
 
     @pytest.mark.parametrize("text, line", [
         ('"' + "x" * 200_000 + '"\n1,2\n', 1),
@@ -408,10 +410,11 @@ class TestReadCsvEquivalence:
 
 # Plain blocks: after its first record, read_csv reads msetsim.io._HINT
 # characters at a time, completes each block to a line end, and splits it
-# with str.split while the block holds no quote, CR or NUL, no line over the
-# csv field limit, and the same comma count on every line, enough for every
-# selector.  The files below are quote-free, so they reach that path, and
-# each fault sits in a later block.
+# with str.split when the block, its CRLF ends made LF, holds no quote, CR
+# or NUL, no line over the csv field limit, and the same comma count on
+# every line, enough for every selector; any other block goes to the csv
+# module alone.  The files below are mostly quote-free, so they reach that
+# path, and each fault sits in a later block.
 
 def line_chunks(path) -> list[list[str]]:
     """The blocks the bulk reader reads after the first line, each split
@@ -442,15 +445,18 @@ def plain_rows(seed, n=8000, width=3):
 
 @pytest.fixture
 def hand_offs(monkeypatch):
-    """The csv readers read_csv hands the rest of a file to, from the first
-    block that is not plain; a headerless file's first record, passed as
-    an islice, is not one.  The row-by-row fallback must not run."""
-    readers = []
+    """The records the csv module yields for each block read_csv hands to
+    it, one list per block that is not plain; a headerless file's first
+    record, passed as an islice, is not one.  The row-by-row fallback must
+    not run."""
+    blocks = []
     extend = msetsim.io._extend_from_records
 
     def spy(columns, indices, records):
         if not isinstance(records, itertools.islice):
-            readers.append(records)
+            records = list(records)
+            blocks.append(records)
+            records = iter(records)
         extend(columns, indices, records)
 
     def no_fallback(*args):
@@ -458,7 +464,7 @@ def hand_offs(monkeypatch):
 
     monkeypatch.setattr(msetsim.io, "_extend_from_records", spy)
     monkeypatch.setattr(msetsim.io, "_columns_by_row", no_fallback)
-    return readers
+    return blocks
 
 
 def assert_reads_as_reference(path, selectors, indices, has_header):
@@ -498,6 +504,18 @@ class TestPlainChunks:
         assert len(signals[0].values) == 8000
         assert hand_offs == []
 
+    def test_one_quoted_cell_hands_off_its_block_alone(self, tmp_path, hand_offs):
+        # a quoted cell in data row 10: the csv module yields the records of
+        # the first block only, and every later block is split plainly
+        rows = plain_rows(8110)
+        rows[9][1] = '"' + rows[9][1] + '"'
+        p = tmp_path / "data.csv"
+        write_rows(p, rows, "x,y,z")
+        chunks = line_chunks(p)
+        assert len(chunks) >= 4 and chunk_of_line(p, 11) == 0
+        assert_reads_as_reference(p, ["x", "y"], [0, 1], True)
+        assert [len(records) for records in hand_offs] == [len(chunks[0])]
+
     def test_whole_chunks_of_another_width_match_reference(self, tmp_path, hand_offs):
         # every row from 3000 on has four cells: those chunks are plain with
         # a wider stride, and the chunk where the width changes is not
@@ -533,19 +551,32 @@ class TestPlainChunks:
             return
         hand_offs = request.getfixturevalue("hand_offs")
         assert_reads_as_reference(p, selectors, selectors, True)
-        assert len(hand_offs) == 1
+        # each block that is not plain is handed over on its own: the one
+        # holding row 3500, or every block from row 3000 on
+        quoted_blocks = len(line_chunks(p)) - chunk_of_line(p, 3002)
+        assert len(hand_offs) == (quoted_blocks if fault == "quoted_commas" else 1)
 
-    def test_quoted_newlines_across_a_chunk_boundary(self, tmp_path, hand_offs):
+    def test_quoted_newlines_across_a_chunk_boundary(self, tmp_path, monkeypatch):
         # float and str.strip both drop the 70000 newlines, more than one
-        # chunk holds, so the record opens in one chunk and closes in another
+        # chunk holds, so the record opens in one chunk and closes in
+        # another: strict mode raises at the end of the first, and the
+        # row-by-row loop reads the file
         rows = plain_rows(8106)
         rows[2000][1] = '"1.5' + "\n" * 70_000 + '"'
         p = tmp_path / "data.csv"
         write_rows(p, rows, "x,y,z")
         assert chunk_of_line(p, 2002) < chunk_of_line(p, 2002 + 70_000)
+        fallbacks = []
+        by_row = msetsim.io._columns_by_row
+
+        def spy(*args):
+            fallbacks.append(args)
+            return by_row(*args)
+
+        monkeypatch.setattr(msetsim.io, "_columns_by_row", spy)
         (f, g) = assert_reads_as_reference(p, ["x", "y"], [0, 1], True)
         assert g.values[2000] == 1.5 and len(g.values) == 8000
-        assert len(hand_offs) == 1
+        assert len(fallbacks) == 1
 
     @pytest.mark.parametrize("newline", ["\r\n", "\r"])
     def test_cr_line_ends_in_a_later_chunk(self, tmp_path, hand_offs, newline):
@@ -555,7 +586,10 @@ class TestPlainChunks:
                      + newline.join(rows[3000:]) + newline, encoding="utf-8", newline="")
         assert chunk_of_line(p, 3002) > 0
         assert_reads_as_reference(p, ["y", "z"], [1, 2], True)
-        assert len(hand_offs) == 1
+        # CRLF blocks are split plainly; each block holding a lone CR goes
+        # to the csv module
+        cr_blocks = len(line_chunks(p)) - chunk_of_line(p, 3002)
+        assert len(hand_offs) == (0 if newline == "\r\n" else cr_blocks)
 
     def test_short_row_in_a_plain_file_names_its_row(self, tmp_path):
         rows = plain_rows(8108)
@@ -637,6 +671,11 @@ class TestBlockEdges:
     # (width + 1)-th place but outnumber the rows that many cells make
     @example(b"0,0\n1,2\n3\n4,5,6\n", 64, [0], False)
     @example(b"a,b,c\n0\n0,0,0\n", 8, [0], None)
+    # a quoted cell still open at the first block's end; a CRLF file whose
+    # first read stops between "\r" and "\n"; and blank lines only
+    @example(b'a,b\n1,"2222222\n3",4\n', 8, [1], None)
+    @example(b"a,b\r\n1000,22\r\n3,4\r\n", 8, [0, 1], None)
+    @example(b"\n\n\n", 8, ["a"], None)
     @given(data=csv_files(), hint=st.integers(8, 64),
            selectors=st.sampled_from([[0], [1], [0, 1], [2, 0], [1, 1], ["a"], ["c", "a"]]),
            has_header=st.sampled_from([None, True, False]))
