@@ -12,11 +12,12 @@ rows; it writes both files in one pass over rows as they are evaluated,
 holding one row, the nx*ny-byte image and the CSV writer's memo, never
 the field.
 
-On a lattice symmetric about zero, a CSV row whose right half mirrors its
-left half in the bits, equal (even) or negated (odd), formats one half and
-the centre and writes the other half from the same texts, a literal ``-``
-before each for an odd row.  A NaN's text has no sign, so a row with a NaN
-among the values it would format is formatted whole.
+A CSV row the writer's memo does not serve, and whose right half mirrors
+its left half in magnitude (as every row of ``jr``, ``jrpow`` and ``a3``
+does on a range symmetric about zero), formats the magnitudes of one half
+and the centre, and writes both halves from those texts through a
+template that prints a literal ``-`` before each value whose sign bit is
+set.  A NaN's text has no sign, so a row holding a NaN is formatted whole.
 """
 
 import contextlib
@@ -286,15 +287,8 @@ def _texts(new: tuple) -> list[str]:
     return ("\n".join(["%.17g"] * len(new)) % new).split("\n")
 
 
-# byte b with its top bit flipped: in byte 7 of a little-endian double, the sign
-_FLIP_SIGN = bytes(b ^ 0x80 for b in range(256))
-
-
-def _negated(packed: bytes) -> bytearray:
-    """Little-endian doubles packed by ``struct``, each with its sign flipped."""
-    out = bytearray(packed)
-    out[7::8] = packed[7::8].translate(_FLIP_SIGN)
-    return out
+# byte b's top bit, 0 or 1: in byte 7 of a little-endian double, the sign
+_SIGN_BIT = bytes(b >> 7 for b in range(256))
 
 
 def _csv_row_writer(fh, spec: GridSpec):
@@ -310,77 +304,52 @@ def _csv_row_writer(fh, spec: GridSpec):
     goes to the memo; the test, on each value's sign-and-exponent byte,
     also keeps rows holding a negative above -2**-1007 from it.
 
-    Any other row is written from half its values when the x lattice
-    mirrors in the bits (x at index nx-1-i is -x at index i, as for every
-    range symmetric about zero): with h = nx // 2 and i < h,
-    - an even row, whose value at nx-1-i has the bits of the value at i,
-      formats its right half and centre, and its left half takes the same
-      texts, reversed;
-    - an odd row, whose value at nx-1-i is the negated value at i, formats
-      the half whose sign bits are all clear and the centre, and the other
-      half takes the same texts, reversed, through cells that print a
-      literal ``-`` first.  ``fmt(-v) == "-" + fmt(v)`` holds for every v
-      with a clear sign bit (0.0, inf and subnormals included) but NaN,
-      whose text has no sign.
-    A row with a NaN among its formatted values, every other row, and every
-    row of a lattice that does not mirror, is formatted by the ``%.17g``
-    template, one ``%`` a row.
+    Every other row whose magnitudes mirror (with h = nx // 2, the value at
+    nx-1-i has the magnitude of the value at i for i < h, as in every row
+    of ``jr``, ``jrpow`` and ``a3`` on a range symmetric about zero)
+    formats the magnitudes of its right half and centre, and its left half
+    takes the same texts, reversed.  They fill a template whose cells print
+    a literal ``-`` first wherever the value's sign bit is set, rebuilt only
+    when a row's sign bits differ from the last's.  ``fmt(v) == "-" +
+    fmt(-v)`` holds for every v with its sign bit set (-0.0, -inf and
+    subnormals included) but NaN, whose text has no sign; a NaN never
+    equals a magnitude, so only a NaN at the centre is formatted.  A row
+    holding one, and every row whose magnitudes do not mirror, is formatted
+    by the ``%.17g`` template, one ``%`` a row.
     """
-    xs = spec.xs()
-    lines = [f"{fmt(x)},\x00,%.17g\n" for x in xs]
-
-    def template(cut: int, before: str, after: str) -> list[str]:
-        """The lines, their cells printed by ``before`` up to line ``cut``
-        and by ``after`` from there, split at the y slot."""
-        return ("".join(lines[:cut]).replace("%.17g", before)
-                + "".join(lines[cut:]).replace("%.17g", after)).split("\x00")
-
     nx = spec.nx
-    h = nx // 2
-    k = nx - h  # the values formatted in a mirrored row: one half, the centre
-    direct = template(0, "", "%.17g")
-    memoised = template(0, "", "%s")
+    h = nx // 2  # at least 1: a grid has nx >= 2
+    xs = spec.xs()
+    heads = [f"{fmt(x)},\x00," for x in xs]
+
+    def template(cell: Sequence[str]) -> list[str]:
+        """The lines, value i printed by ``cell[i]``, split at the y slot."""
+        return "".join(map(operator.add, heads, cell)).split("\x00")
+
+    direct = template(["%.17g\n"] * nx)
+    memoised = template(["%s\n"] * nx)
     # little-endian doubles: byte 7 of each holds the sign (its top bit) and
     # the top of the exponent, 0x80 for -0.0 and for negatives above -2**-1007
     pack = struct.Struct(f"<{nx}d").pack
-    half = struct.Struct(f"<{h}d").pack
-    mirrors = half(*xs[:h]) == _negated(half(*xs[:k - 1:-1]))
-    if mirrors:
-        neg_left = template(h, "-%s", "%s")
-        neg_right = template(k, "%s", "-%s")
+    bits, signed = bytes(nx), memoised  # no sign bit set: every cell "%s"
     memo: dict | None = {}
     cap = _memo_cap(xs)
 
-    def mirrored(row: Sequence[float]) -> tuple | None:
-        """The texts of a mirrored row and the template they fill, or None."""
-        left, right = half(*row[:h]), half(*row[:k - 1:-1])
-        if left == right:
-            tmpl = memoised
-        elif left != _negated(right):
-            return None
-        elif max(right[7::8]) < 0x80:
-            tmpl = neg_left
-        elif max(left[7::8]) < 0x80:
-            done = _texts(tuple(row[:k]))
-            return None if "nan" in done else (done + done[h - 1::-1], neg_right)
-        else:
-            return None
-        done = _texts(tuple(row[h:]))
-        return None if "nan" in done else (done[:-h - 1:-1] + done, tmpl)
-
     def write(y: float, row: Sequence[float]) -> None:
-        nonlocal memo, cap
-        texts = None
-        if memo is not None and 0x80 not in pack(*row)[7::8]:
+        nonlocal memo, cap, bits, signed
+        tops = pack(*row)[7::8]
+        if memo is not None and 0x80 not in tops:
             cap += 2
             texts = _from_memo(memo, row, cap)
-            if texts is None:
-                memo = None
-        if texts is not None:
-            fh.write(fmt(y).join(memoised) % texts)
-        elif mirrors and (got := mirrored(row)):
-            texts, tmpl = got
-            fh.write(fmt(y).join(tmpl) % tuple(texts))
+            if texts is not None:
+                fh.write(fmt(y).join(memoised) % texts)
+                return
+            memo = None
+        mags = tuple(map(abs, row))
+        if mags[:h] == mags[:nx - h - 1:-1] and "nan" not in (done := _texts(mags[h:])):
+            if (now := tops.translate(_SIGN_BIT)) != bits:
+                bits, signed = now, template([("%s\n", "-%s\n")[b] for b in now])
+            fh.write(fmt(y).join(signed) % tuple(done[:-h - 1:-1] + done))
         else:
             fh.write(fmt(y).join(direct) % tuple(row))  # ``%`` needs a tuple
 
@@ -406,13 +375,17 @@ def write_field_csv(fld: ScalarField, path) -> None:
 @dataclass(frozen=True)
 class HeatmapRange:
     """Grayscale mapping range: lo renders black, hi renders white.  Both
-    levels and the width ``hi - lo`` must be finite, so that every pixel
-    is a finite fraction of the width."""
+    levels must be real numbers, not text or bools, and they and the width
+    ``hi - lo`` must be finite, so that every pixel is a finite fraction of
+    the width."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
+        for level in (self.lo, self.hi):
+            if isinstance(level, (str, bytes, bytearray, bool)):
+                raise ValueError(f"heatmap levels must be real numbers, got {level!r}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise ValueError(f"need finite lo < hi, got {self.lo!r}, {self.hi!r}")
         if not math.isfinite(self.hi - self.lo):

@@ -44,14 +44,18 @@ class Signal:
     """A uniformly sampled real sequence with sample spacing ``dx``.
 
     ``dx`` defaults to 1 so plain vectors and discretized functions share
-    one type.  Samples must be finite and the signal nonempty; two signals
-    enter a binary operation only with equal length and equal dx.
+    one type.  Samples must be finite and the signal nonempty; ``values``
+    is a sequence of numbers, so text and bytes are refused whole rather
+    than read one character or byte at a time.  Two signals enter a binary
+    operation only with equal length and equal dx.
     """
 
     values: tuple[float, ...]
     dx: float = 1.0
 
     def __post_init__(self):
+        if isinstance(self.values, (str, bytes, bytearray)):
+            raise ValueError(f"signal samples must be numbers, got {type(self.values).__name__}")
         vals = tuple(map(float, self.values))
         if not vals:
             raise ValueError("signal needs at least one sample")
@@ -68,7 +72,10 @@ class Signal:
 def _spacing(dx) -> float:
     """``dx`` as a float, raising unless it is a positive finite real: the
     one spacing rule, for :class:`Signal` and for callers that check a
-    spacing before building signals with it."""
+    spacing before building signals with it.  Text and bools are refused,
+    though ``float()`` would take them."""
+    if isinstance(dx, (str, bytes, bytearray, bool)):
+        raise ValueError(f"sample spacing must be a positive finite real, got {dx!r}")
     dx = float(dx)
     if not math.isfinite(dx) or dx <= 0:
         raise ValueError(f"sample spacing must be a positive finite real, got {dx!r}")

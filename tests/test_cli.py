@@ -903,6 +903,47 @@ class TestOutputRule:
         assert captured.read_bytes() == want + printed.encode()
         assert self.names(captured.parent) == ["stdout.txt"]
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux /proc and errno texts")
+class TestLinksOpenedAsGiven:
+    """Two symlinks that ``io._regular_target`` does not resolve to a
+    regular file, so the output rule opens them as given."""
+
+    OLD = b"old bytes\n"
+
+    def test_link_into_proc_is_written_through(self, tmp_path):
+        # the chain's second hop lies under /proc/: the file behind the fd
+        # is written in place, never staged and renamed over
+        f = tmp_path / "f.txt"
+        f.write_bytes(self.OLD * 10)
+        inode = f.stat().st_ino
+        fd = os.open(f, os.O_RDONLY)
+        try:
+            link = tmp_path / "link.csv"
+            link.symlink_to(f"/proc/self/fd/{fd}")
+            msetsim.io.write_csv(link, ["a", "b"], [(1.0, -0.0), (0.5, 2.0)])
+        finally:
+            os.close(fd)
+        assert os.readlink(link) == f"/proc/self/fd/{fd}"
+        assert f.stat().st_ino == inode
+        assert f.read_bytes() == b"a,b\n1,-0\n0.5,2\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt", "link.csv"]
+
+    def test_link_through_a_regular_file_fails_as_open_does(self, tmp_path, capsys):
+        # lstat of f.txt/child raises "Not a directory" while the chain is
+        # followed; the link is then opened as given, and open() says why
+        src = tmp_path / "d.csv"
+        write_two_cols(src, ZERO_XS, ZERO_YS)
+        (tmp_path / "f.txt").write_bytes(self.OLD)
+        link = tmp_path / "link.csv"
+        link.symlink_to("f.txt/child")
+        with pytest.raises(NotADirectoryError) as direct:
+            open(link, "w")
+        assert cli(["standardize", "--input", str(src), "--col", "a", "--out", str(link)]) == 1
+        assert capsys.readouterr().err == f"error: {direct.value}\n"
+        assert (tmp_path / "f.txt").read_bytes() == self.OLD
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "f.txt", "link.csv"]
+
+
 class TestColumnSelectors:
     @pytest.mark.parametrize("cols", ["a", "a,b,a", "0", "0,1,1"])
     def test_not_two_columns_is_usage_error(self, tmp_path, capsys, cols):

@@ -67,7 +67,8 @@ class TestReadCsv:
         with pytest.raises(OSError):
             read_csv(tmp_path / "nope.csv", [0])
 
-    @pytest.mark.parametrize("dx", [0.0, -1.0, math.inf, math.nan])
+    # text and bools too, though float() takes "0.5" and True
+    @pytest.mark.parametrize("dx", [0.0, -1.0, math.inf, math.nan, "0.5", True])
     def test_bad_spacing_raises_before_opening_the_file(self, tmp_path, monkeypatch, dx):
         # the spacing is checked before any read; checked after, a good file
         # is read twice (in bulk, then row by row) before the error
@@ -863,6 +864,14 @@ class TestPgm:
         with pytest.raises(ValueError):
             HeatmapRange(math.nan, 1.0)
 
+    @pytest.mark.parametrize("lo, hi, shown", [
+        ("0", "1", "'0'"), (0.0, b"1", "b'1'"), (True, 2.0, "True"), (-1.0, True, "True")],
+        ids=repr)
+    def test_text_and_bool_levels_are_refused(self, lo, hi, shown):
+        # math.isfinite raises TypeError on text, and a bool passes it
+        with pytest.raises(ValueError, match=f"levels must be real numbers, got {shown}$"):
+            HeatmapRange(lo, hi)
+
     @pytest.mark.parametrize("lo, hi", [(-1.7e308, 1.7e308), (-1e308, 1e308),
                                         (-1e300, 1.7976931348623157e308)])
     def test_range_whose_width_overflows_is_refused(self, lo, hi):
@@ -1041,7 +1050,8 @@ class TestDistinctValueMemo:
 @pytest.fixture
 def formatted(monkeypatch):
     """The number of values in each call of ``io._texts``: a memo's new
-    values, or the half and centre of a mirrored row."""
+    values, or the magnitudes of the right half and centre of a row whose
+    halves mirror in magnitude."""
     sizes = []
     texts = msetsim.io._texts
 
@@ -1058,9 +1068,11 @@ SURFACES = [(e, None) for e in FieldExpr if e is not FieldExpr.JR_POW] + [
 
 
 class TestMirroredRows:
-    """On a lattice symmetric about zero, a CSV row whose halves mirror in
-    the bits is written from one formatted half and the centre; every
-    expected byte here is the per-cell writer's (:func:`reference_csv`)."""
+    """A CSV row the memo does not serve, whose halves mirror in magnitude
+    (every row of ``jr``, ``jrpow`` and ``a3`` on a range symmetric about
+    zero), is written from the formatted magnitudes of one half and the
+    centre, through a template of the row's signs; every expected byte
+    here is the per-cell writer's (:func:`reference_csv`)."""
 
     @pytest.mark.parametrize("spec", [
         *(GridSpec(-2.0, 2.0, -2.0, 2.0, nx, 7) for nx in (2, 3, 4, 5)),
@@ -1106,15 +1118,19 @@ class TestMirroredRows:
 
     NAN = float("nan")
     # after three rows of fresh values the memo is gone, so each of these
-    # rows is mirrored or formatted directly: (row, values formatted from
-    # it before that).  A row whose formatted half holds a NaN is then
-    # formatted whole: a NaN prints no sign, so "-" + "nan" would be wrong
+    # rows is written from its mirrored magnitudes or formatted directly:
+    # (row, values formatted from it before that, None for none).  A NaN
+    # equals no magnitude, so a NaN in a half sends the row straight to
+    # the direct template; a NaN at the centre is formatted with the right
+    # half, and then the row is formatted whole: a NaN prints no sign, so
+    # "-" + "nan" would be wrong
     ROWS = [
-        ([NAN, 1.0, 0.5, -1.0, -NAN], 3),       # odd, NaN in the clear half
-        ([-NAN, -1.0, 0.5, 1.0, NAN], 3),       # the same, mirrored
-        ([NAN, 2.0, 5.0, 2.0, NAN], 3),         # even, NaN's bits in both halves
-        ([-NAN, 2.0, NAN, 2.0, -NAN], 3),
-        ([1.0, -2.0, 0.5, 2.0, -1.0], None),    # odd, mixed signs in both halves
+        ([NAN, 1.0, 0.5, -1.0, -NAN], None),    # odd, NaN in both halves
+        ([-NAN, -1.0, 0.5, 1.0, NAN], None),    # the same, mirrored
+        ([NAN, 2.0, 5.0, 2.0, NAN], None),      # even, NaN's bits in both halves
+        ([-NAN, 2.0, NAN, 2.0, -NAN], None),
+        ([1.0, -2.0, -NAN, 2.0, -1.0], 3),      # odd, the only NaN at the centre
+        ([1.0, -2.0, 0.5, 2.0, -1.0], 3),       # odd, mixed signs in both halves
         ([-0.0, 3.0, 1.0, 3.0, -0.0], 3),       # even, -0.0 in both halves
         ([-0.0, -3.0, 0.0, 3.0, 0.0], 3),       # odd, the right half clear
         ([0.0, 3.0, -0.0, -3.0, -0.0], 3),      # odd, the left half clear
@@ -1134,6 +1150,17 @@ class TestMirroredRows:
         # no NaN prints a sign
         text = (tmp_path / "f.csv").read_text()
         assert "-nan" not in text and text.count("nan") == 2 * str(row).count("nan")
+
+    def test_template_follows_each_rows_signs(self, tmp_path, formatted):
+        # consecutive mirrored rows with different sign bits: the template of
+        # signs is rebuilt for the second row and again for the third
+        fresh = [i / 7 for i in range(1, 11)]
+        row = [1.0, -2.0, 0.5, 2.0, -1.0]
+        flipped = [-v for v in row]
+        fld = ScalarField(GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 5), fresh + row + flipped + row)
+        assert_writes_reference(tmp_path, fld)
+        # rows 0 and 1 fill the memo; row 2 would pass its cap
+        assert formatted == [5, 5, 3, 3, 3]
 
     @pytest.mark.parametrize("nx", [2, 3, 4, 5])
     def test_small_rows_of_each_shape(self, tmp_path, formatted, nx):

@@ -39,10 +39,19 @@ class TestSignal:
         with pytest.raises(ValueError, match=f"finite, got {shown}$"):
             Signal([str(bad)])
 
-    @pytest.mark.parametrize("dx", [0.0, -1.0, math.nan, math.inf])
+    # text and bools too, as for a GridSpec bound, though float() takes
+    # "0.5", b"1" and True
+    @pytest.mark.parametrize("dx", [0.0, -1.0, math.nan, math.inf, "0.5", b"1", True, False])
     def test_rejects_bad_spacing(self, dx):
         with pytest.raises(ValueError, match="spacing"):
             Signal((1.0,), dx)
+
+    @pytest.mark.parametrize("values", ["123", b"12", bytearray(b"12")], ids=repr)
+    def test_rejects_text_and_bytes_as_samples(self, values):
+        # float() takes each character of a str and each byte of bytes, so
+        # unchecked these would be the samples (1.0, 2.0, 3.0) and (49.0, 50.0)
+        with pytest.raises(ValueError, match=f"samples must be numbers, got {type(values).__name__}$"):
+            Signal(values)
 
 
 def test_require_compatible():
