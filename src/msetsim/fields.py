@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple
 
-from .msetops import MsetOpKind, kernel
+from .msetops import MsetOpKind, _member, _positive_finite, _real, _whole, kernel
 
 
 class FieldExpr(Enum):
@@ -43,8 +43,8 @@ class GridSpec:
     The four bounds are stored as floats, so ``GridSpec(-1, 3, 0, 2)``
     equals ``GridSpec(-1.0, 3.0, 0.0, 2.0)``: int endpoints would stay ints
     in the lattice, and an int 0 times a negative is 0, not -0.0.  A bound
-    must be a number that ``float()`` converts to a finite value; text and
-    bools are refused, as a bool ``nx`` or ``ny`` is.
+    must be a finite real and ``nx`` and ``ny`` ints of at least 2, by the
+    parameter rules of :mod:`msetsim.msetops`: text and bools are refused.
     """
 
     x_min: float = -2.0
@@ -56,15 +56,7 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("x_min", "x_max", "y_min", "y_max"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, (str, bytes, bytearray, bool)):
-                    raise TypeError
-                bound = float(value)
-            except (TypeError, ValueError):
-                raise ValueError(f"{name} must be a real number, got {value!r}") from None
-            except OverflowError:  # an int past the float range
-                bound = math.inf
+            bound = _real(getattr(self, name), f"{name} must be a real number")
             if not math.isfinite(bound):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, bound)
@@ -73,11 +65,8 @@ class GridSpec:
         if not self.y_min < self.y_max:
             raise ValueError(f"need y_min < y_max, got {self.y_min!r} >= {self.y_max!r}")
         for name in ("nx", "ny"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError("grids need at least 2 points per axis")
+            if _whole(getattr(self, name), f"{name} must be an integer", None) < 2:
+                raise ValueError("grids need at least 2 points per axis")
 
     def xs(self) -> tuple[float, ...]:
         return _lattice(self.x_min, self.x_max, self.nx)
@@ -119,16 +108,21 @@ class ScalarField:
 @dataclass(frozen=True)
 class PolarProbe:
     """A first-quadrant probe point below the identity crest, in polar form:
-    angle alpha in [0, pi/4) up from the x-axis, radius rho > 0."""
+    angle alpha in [0, pi/4) up from the x-axis, radius rho > 0 and finite,
+    both stored as floats."""
 
     alpha: float
     rho: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and 0.0 <= self.alpha < math.pi / 4):
-            raise ValueError(f"alpha must lie in [0, pi/4), got {self.alpha!r}")
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise ValueError(f"rho must be positive, got {self.rho!r}")
+        alpha = _real(self.alpha, "alpha must lie in [0, pi/4)", _below_crest)
+        rho = _real(self.rho, "rho must be positive and finite", _positive_finite)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "rho", rho)
+
+
+def _below_crest(alpha: float) -> bool:
+    return 0.0 <= alpha < math.pi / 4
 
 
 def jr_value(x: float, y: float) -> float:
@@ -239,16 +233,17 @@ def field_rows(expr: FieldExpr, spec: GridSpec, d: int | None = None) -> Iterato
     """The surface's rows over the lattice, one list of nx values at a
     time, y from y_min upward: the rows of ``field(expr, spec, d).values``.
 
-    ``d`` is the power for FieldExpr.JR_POW and ignored otherwise.  The
-    arguments are checked when this is called, before the first row:
-    lattices with a non-finite point (ranges so wide that the endpoint
-    blend overflows) raise ValueError naming the axis.  Each row is
-    evaluated when it is asked for, so a caller that writes rows as they
-    come holds one row, not the field.
+    ``d`` is the power for FieldExpr.JR_POW, an int of at least 1, and
+    ignored otherwise.  The arguments are checked when this is called,
+    before the first row: an ``expr`` that is not a FieldExpr, a power that
+    is not such an int, and lattices with a non-finite point (ranges so
+    wide that the endpoint blend overflows) raise ValueError, the last
+    naming the axis.  Each row is evaluated when it is asked for, so a
+    caller that writes rows as they come holds one row, not the field.
     """
-    if expr is FieldExpr.JR_POW and (not isinstance(d, int) or d < 1):
-        raise ValueError(f"JR_POW needs a positive integer power, got {d!r}")
-    row = _ROWS[expr]
+    row = _member(_ROWS, expr, "field expression")
+    if expr is FieldExpr.JR_POW:
+        _whole(d, "JR_POW needs a positive integer power")
     xs = _finite_axis("x", spec.x_min, spec.x_max, spec.xs())
     ys = _finite_axis("y", spec.y_min, spec.y_max, spec.ys())
     c = _columns(xs)

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 # kernel is no longer called here; it stays importable from this module,
 # where the benchmark's tracer (perfbench/spans.py) wraps it.
-from .msetops import (MsetOpKind, Signal, _alpha_weights, _gated_sum, abs_mass,  # noqa: F401
-                      aggregate, kernel, require_compatible)
+from .msetops import (MsetOpKind, Signal, _alpha_weights, _gated_sum, _whole,  # noqa: F401
+                      abs_mass, aggregate, kernel, require_compatible)
 
 _positive = (0.0).__lt__  # v > 0 for a float v
 
@@ -306,8 +306,7 @@ def signed_power(value: float, exponent: int) -> float:
     does: ``signed_power(-0.0, 3)`` is ``-0.0``, like ``(-0.0) ** 3``.  An
     even exponent gives ``+0.0``.
     """
-    if not isinstance(exponent, int) or exponent < 1:
-        raise ValueError(f"exponent must be a positive integer, got {exponent!r}")
+    _whole(exponent, "exponent must be a positive integer")
     p = abs(value) ** exponent
     return math.copysign(p, value) if exponent % 2 else p
 

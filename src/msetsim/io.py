@@ -34,7 +34,7 @@ from io import StringIO
 from typing import Iterable, Sequence, Union
 
 from .fields import GridSpec, ScalarField
-from .msetops import Signal, _spacing
+from .msetops import Signal, _real, _spacing, _whole
 
 # a column is picked either by 0-based index or by header name
 ColumnSelector = Union[int, str]
@@ -53,20 +53,13 @@ def _parses_as_number(cell: str) -> bool:
     return True
 
 
-def _resolve(selector: ColumnSelector, header: list[str] | None, path) -> int:
-    # header is None only for index selectors: _data_records raises
-    # first when a name selector has no header row
-    if isinstance(selector, str):
-        matches = [i for i, h in enumerate(header) if h.strip() == selector]
-        if not matches:
-            raise ValueError(f"{path}: column {selector!r} not found in header {header}")
-        if len(matches) > 1:
-            raise ValueError(f"{path}: column name {selector!r} is ambiguous")
-        return matches[0]
-    idx = int(selector)
-    if idx < 0:
-        raise ValueError(f"{path}: column index must be >= 0, got {idx}")
-    return idx
+def _resolve(name: str, header: list[str], path) -> int:
+    """The index of the column ``name`` in the stripped ``header``."""
+    if name not in header:
+        raise ValueError(f"{path}: column {name!r} not found in header {header}")
+    if header.count(name) > 1:
+        raise ValueError(f"{path}: column name {name!r} is ambiguous")
+    return header.index(name)
 
 
 # characters read per block offered to the plain split, before the block is
@@ -89,12 +82,12 @@ def _data_records(reader, path, selectors: list[ColumnSelector], has_header: boo
     want_names = any(isinstance(s, str) for s in selectors)
     if has_header is None:
         has_header = want_names or not all(
-            i < len(first) and _parses_as_number(first[i].strip())
-            for i in map(int, selectors))
+            i < len(first) and _parses_as_number(first[i].strip()) for i in selectors)
     elif want_names and not has_header:
         raise ValueError(f"{path}: column names need a header row")
     header = [h.strip() for h in first] if has_header else None
-    indices = [_resolve(s, header, path) for s in selectors]
+    # an index selector is a checked int, and a name has a header row here
+    indices = [_resolve(s, header, path) if isinstance(s, str) else s for s in selectors]
     if has_header:
         return reader, start + 1, indices
     return itertools.chain([first], reader), start, indices
@@ -206,8 +199,10 @@ def read_csv(path, selectors: Sequence[ColumnSelector],
     raise with the offending row number; a record the csv module rejects
     raises with the reader's line number.
 
-    ``dx`` is checked before the file is opened, so a bad spacing is
-    reported ahead of a missing file or a bad cell.
+    The parameters are checked before the file is opened, so a bad one is
+    reported ahead of a missing file or a bad cell: each selector must be a
+    name or an int of at least 0 (not a bool), ``has_header`` None or a
+    bool, and ``dx`` a positive finite real.
 
     The rows up to the first that is not empty are parsed by the csv
     module, and the rest of the file is read in blocks: 32,768 characters,
@@ -236,9 +231,12 @@ def read_csv(path, selectors: Sequence[ColumnSelector],
     separators U+001C..U+001F, which ``str.strip`` removes, so such a file
     is read by the fallback.
     """
-    selectors = list(selectors)
+    selectors = [s if isinstance(s, str) else _whole(s, "column index must be an integer >= 0", 0)
+                 for s in selectors]
     if not selectors:
         raise ValueError("at least one column selector is required")
+    if has_header is not None and type(has_header) is not bool:
+        raise ValueError(f"has_header must be None, True or False, got {has_header!r}")
     dx = _spacing(dx)
     try:
         return [Signal(col, dx) for col in _columns_in_bulk(path, selectors, has_header)]
@@ -375,17 +373,17 @@ def write_field_csv(fld: ScalarField, path) -> None:
 @dataclass(frozen=True)
 class HeatmapRange:
     """Grayscale mapping range: lo renders black, hi renders white.  Both
-    levels must be real numbers, not text or bools, and they and the width
-    ``hi - lo`` must be finite, so that every pixel is a finite fraction of
-    the width."""
+    levels must be real numbers, not text or bools, and are stored as
+    floats; they and the width ``hi - lo`` must be finite, so that every
+    pixel is a finite fraction of the width."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        for level in (self.lo, self.hi):
-            if isinstance(level, (str, bytes, bytearray, bool)):
-                raise ValueError(f"heatmap levels must be real numbers, got {level!r}")
+        for name in ("lo", "hi"):
+            level = _real(getattr(self, name), "heatmap levels must be real numbers")
+            object.__setattr__(self, name, level)
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise ValueError(f"need finite lo < hi, got {self.lo!r}, {self.hi!r}")
         if not math.isfinite(self.hi - self.lo):
@@ -535,8 +533,12 @@ def export_field(spec: GridSpec, rows: Iterable[Sequence[float]], path,
     image is written after the CSV, so memory is one row, the nx*ny-byte
     image and the CSV writer's memo.  Both files are opened before the first
     row, under the output rule of :func:`_outputs`: a failed export leaves
-    an existing output's old bytes and no new file.
+    an existing output's old bytes and no new file.  A heatmap with an
+    ``rng`` that is not a :class:`HeatmapRange` raises ValueError before
+    either is opened.
     """
+    if pgm_path is not None and not isinstance(rng, HeatmapRange):
+        raise ValueError(f"a heatmap needs a HeatmapRange, got {rng!r}")
     with _outputs((path, "w"), (pgm_path, "wb")) as (fh, pgm):
         write = None if fh is None else _csv_row_writer(fh, spec)
         render = None if pgm is None else _pgm_row_renderer(rng)

@@ -17,6 +17,19 @@ alpha-weighted gates through it too.  A zero term leaves a left-to-right
 sum unchanged (the running total starts at +0.0 and can never become
 -0.0), so the loop skips the pairs whose term is zero.  The sign-split
 mixes take their alpha weights from one rule, :func:`_alpha_weights`.
+
+Parameters are checked once, here.  Every public parameter that is not a
+sample (a spacing, the sign-split alpha, a power, a grid bound or point
+count, a heatmap level, a probe angle or radius, a column index, an
+operation, surface or slide index) goes through one of three rules:
+:func:`_real` for a real number, :func:`_whole` for a count or an index,
+and :func:`_member` for a key of the table it picks from.  Each failure is
+a ValueError that names the parameter.  A real is stored as a float, and
+text and bools are refused, though ``float()`` takes them; a bool is not a
+count, though it is an int.  Samples are not parameters: the pointwise
+kernels check their operands with ``math.isfinite``, which costs them less
+than a call, and :class:`Signal` converts each sample with ``float()``, so
+a text sample such as ``Signal(["1"])`` is still read as a number.
 """
 
 import math
@@ -46,15 +59,16 @@ class Signal:
     ``dx`` defaults to 1 so plain vectors and discretized functions share
     one type.  Samples must be finite and the signal nonempty; ``values``
     is a sequence of numbers, so text and bytes are refused whole rather
-    than read one character or byte at a time.  Two signals enter a binary
-    operation only with equal length and equal dx.
+    than read one character or byte at a time, and sets and dicts are
+    refused rather than read in their iteration order.  Two signals enter a
+    binary operation only with equal length and equal dx.
     """
 
     values: tuple[float, ...]
     dx: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.values, (str, bytes, bytearray)):
+        if isinstance(self.values, (str, bytes, bytearray, set, frozenset, dict)):
             raise ValueError(f"signal samples must be numbers, got {type(self.values).__name__}")
         vals = tuple(map(float, self.values))
         if not vals:
@@ -69,17 +83,60 @@ class Signal:
         return len(self.values)
 
 
+def _real(value, requirement: str, test=None) -> float:
+    """``value`` as a float, raising ValueError(f"{requirement}, got
+    {value!r}") unless it is a real number that passes ``test``: the one
+    rule for a real parameter.  Text and bools are refused, though
+    ``float()`` takes them, and so is anything ``float()`` refuses.  An int
+    past the float range becomes +-inf, for ``test`` or the caller's
+    finiteness check to report.  ``test`` is a module-level predicate on
+    the float, or None to take any float."""
+    # a float, the common case, skips the isinstance test, which costs about
+    # as much as the rest of the rule
+    if type(value) is float or not isinstance(value, (str, bytes, bytearray, bool)):
+        try:
+            number = float(value)
+        except OverflowError:  # an int past the float range
+            number = math.inf if value > 0 else -math.inf
+        except (TypeError, ValueError):
+            number = None
+        if number is not None and (test is None or test(number)):
+            return number
+    raise ValueError(f"{requirement}, got {value!r}")
+
+
+def _whole(value, requirement: str, least: int | None = 1) -> int:
+    """``value``, raising ValueError(f"{requirement}, got {value!r}")
+    unless it is an int, not a bool, and at least ``least`` (None for no
+    lower bound): the one rule for a count or an index."""
+    if type(value) is bool or not isinstance(value, int) or least is not None and value < least:
+        raise ValueError(f"{requirement}, got {value!r}")
+    return value
+
+
+def _member(table, key, what: str):
+    """``table[key]``, raising ValueError(f"unknown {what}: {key!r}") for a
+    key the table does not hold or cannot hash: the one lookup of an
+    operation, surface or slide index in its table."""
+    try:
+        return table[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown {what}: {key!r}") from None
+
+
+def _positive_finite(v: float) -> bool:
+    return 0.0 < v < math.inf
+
+
+def _unit(v: float) -> bool:
+    return 0.0 <= v <= 1.0
+
+
 def _spacing(dx) -> float:
     """``dx`` as a float, raising unless it is a positive finite real: the
     one spacing rule, for :class:`Signal` and for callers that check a
-    spacing before building signals with it.  Text and bools are refused,
-    though ``float()`` would take them."""
-    if isinstance(dx, (str, bytes, bytearray, bool)):
-        raise ValueError(f"sample spacing must be a positive finite real, got {dx!r}")
-    dx = float(dx)
-    if not math.isfinite(dx) or dx <= 0:
-        raise ValueError(f"sample spacing must be a positive finite real, got {dx!r}")
-    return dx
+    spacing before building signals with it."""
+    return _real(dx, "sample spacing must be a positive finite real", _positive_finite)
 
 
 def require_compatible(f: Signal, g: Signal) -> None:
@@ -108,14 +165,6 @@ _GATED = {
     MsetOpKind.ACAP: (1.0, 1.0, 1.0, False),
     MsetOpKind.ACUP: (1.0, 1.0, 1.0, True),
 }
-
-
-def _weights(kind):
-    """The :data:`_GATED` weight row of a kind."""
-    try:
-        return _GATED[kind]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown operation kind: {kind!r}") from None
 
 
 def _gated_sum(weights, xs, ys) -> float:
@@ -173,7 +222,7 @@ def kernel(kind: MsetOpKind, x: float, y: float) -> float:
         return min(x, y)
     if kind is MsetOpKind.CUP:
         return max(x, y)
-    return _gated_sum(_weights(kind), (x,), (y,))
+    return _gated_sum(_member(_GATED, kind, "operation kind"), (x,), (y,))
 
 
 def aggregate(kind: MsetOpKind, f: Signal, g: Signal) -> float:
@@ -187,15 +236,14 @@ def aggregate(kind: MsetOpKind, f: Signal, g: Signal) -> float:
         for x, y in zip(f.values, g.values):
             total += y if y > x else x
     else:
-        total = _gated_sum(_weights(kind), f.values, g.values)
+        total = _gated_sum(_member(_GATED, kind, "operation kind"), f.values, g.values)
     return f.dx * total
 
 
 def _alpha_weights(alpha: float) -> tuple[float, float]:
     """The weights (2*alpha, 2*(1-alpha)) of the same-sign and opposite-sign
     parts in a sign-split mix; alpha = 0.5 weighs both parts 1."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    alpha = _real(alpha, "alpha must lie in [0, 1]", _unit)
     return 2.0 * alpha, 2.0 * (1.0 - alpha)
 
 

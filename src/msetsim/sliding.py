@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .indices import _coincidence_windows, _cosine_windows, _inner_windows, _jaccard_windows
-from .msetops import Signal
+from .msetops import Signal, _member
 from .stats import _pearson_windows
 
 # No longer called here; kept as module attributes because the benchmark's
@@ -79,8 +79,10 @@ def slide(template: Signal, signal: Signal, index: SlideIndex) -> MatchProfile:
     """Score the template against every valid window of the signal.
 
     An undefined window is scored +0.0 and listed in ``degenerate_lags``;
-    when the index is undefined on the template alone, every lag is.
+    when the index is undefined on the template alone, every lag is.  An
+    ``index`` that is not a SlideIndex raises ValueError.
     """
+    prepare = _member(_SCORERS, index, "slide index")
     m = len(template.values)
     if m > len(signal.values):
         raise ValueError(
@@ -91,7 +93,7 @@ def slide(template: Signal, signal: Signal, index: SlideIndex) -> MatchProfile:
 
     lags = range(len(signal.values) - m + 1)
     try:
-        score = _SCORERS[index](template, signal)
+        score = prepare(template, signal)
     except ValueError:
         scores, flagged = [0.0] * len(lags), list(lags)
     else:

@@ -883,6 +883,23 @@ class TestPgm:
         # a width that rounds to the largest float is finite
         assert HeatmapRange(-5e-324, 1.7976931348623157e308).hi == 1.7976931348623157e308
 
+    @pytest.mark.parametrize("rng", [None, (0, 1), (-1.0, 1.0)], ids=repr)
+    def test_heatmap_needs_a_range_before_any_output_is_opened(self, tmp_path, rng):
+        # an rng without .lo and .hi raised AttributeError once both outputs
+        # were open
+        fld = field(FieldExpr.A3, GridSpec(nx=3, ny=3))
+        old, new_csv, new_pgm = tmp_path / "old.csv", tmp_path / "new.csv", tmp_path / "new.pgm"
+        old.write_bytes(b"old bytes\n")
+        message = f"^a heatmap needs a HeatmapRange, got {re.escape(repr(rng))}$"
+        with pytest.raises(ValueError, match=message):
+            write_pgm(fld, rng, new_pgm)
+        with pytest.raises(ValueError, match=message):
+            msetsim.io.export_field(fld.spec, msetsim.io._rows(fld), new_csv, old, rng)
+        with pytest.raises(ValueError, match=message):
+            msetsim.io.export_field(fld.spec, msetsim.io._rows(fld), old, new_pgm, rng)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv"]
+        assert old.read_bytes() == b"old bytes\n"
+
 
 def reference_csv(fld) -> bytes:
     """Per-cell writer: every number formatted on its own by format(v, ".17g")."""

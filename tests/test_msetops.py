@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -50,6 +51,16 @@ class TestSignal:
     def test_rejects_text_and_bytes_as_samples(self, values):
         # float() takes each character of a str and each byte of bytes, so
         # unchecked these would be the samples (1.0, 2.0, 3.0) and (49.0, 50.0)
+        with pytest.raises(ValueError, match=f"samples must be numbers, got {type(values).__name__}$"):
+            Signal(values)
+
+    @pytest.mark.parametrize("values", [
+        {3.0, -1.0, 2.0}, frozenset({3.0, -1.0}), {3.0: "a", -1.0: "b"},
+        collections.OrderedDict([(3.0, 0), (-1.0, 0)]), collections.Counter([3.0, -1.0]),
+        type("Samples", (set,), {})({3.0, -1.0})], ids=lambda v: type(v).__name__)
+    def test_rejects_sets_and_dicts_as_samples(self, values):
+        # float() would take their elements or keys in iteration order, which
+        # is not a sample order: on CPython {3.0, -1.0, 2.0} reads (2.0, 3.0, -1.0)
         with pytest.raises(ValueError, match=f"samples must be numbers, got {type(values).__name__}$"):
             Signal(values)
 

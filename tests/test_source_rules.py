@@ -16,7 +16,14 @@ One output rule: every file the package writes is opened by
 ``io._outputs``, which stages an existing file and removes what a failed
 write created, so no other code may call ``open()`` with a mode that
 writes (one holding ``w``, ``a``, ``x`` or ``+``, or one that is not a
-constant), ``os.open`` or ``tempfile.mkstemp``."""
+constant), ``os.open`` or ``tempfile.mkstemp``.
+
+One parameter rule: what counts as a valid parameter is decided in
+``msetops``, by ``_real``, ``_whole`` and ``_member``.  So the tables a
+parameter picks from (``_GATED``, ``_ROWS`` and ``_SCORERS``) are
+subscripted only inside ``msetops._member``, and only ``msetops`` calls
+``isinstance`` with ``bool`` among its types, the test that refuses a bool
+where a number is meant."""
 
 import ast
 from pathlib import Path
@@ -191,3 +198,67 @@ def test_output_rule_allows_reads_and_the_opener(tmp_path):
     p.write_text("def read(p):\n    return open(p), open(p, 'rb'), open(p, newline=''), p.open()\n"
                  "def _outputs(p, mode):\n    return open(p, mode), open(p, 'w')\n")
     assert write_opens(p) == []
+
+
+PARAMETER_TABLES = {"_GATED", "_ROWS", "_SCORERS"}
+TABLE_LOOKUP = "msetops._member"
+
+
+def parameter_decisions(path: Path) -> list[str]:
+    """Subscripts of a parameter table, by plain or attribute name, outside
+    :data:`TABLE_LOOKUP`, and ``isinstance`` calls whose type, or a member
+    of whose type tuple, is ``bool`` outside ``msetops``, each as
+    ``scope:line: what``."""
+    found = []
+
+    def names_bool(types) -> bool:
+        members = types.elts if isinstance(types, ast.Tuple) else [types]
+        return any(isinstance(t, ast.Name) and t.id == "bool" for t in members)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Subscript) and scope != TABLE_LOOKUP:
+                name = getattr(child.value, "id", None) or getattr(child.value, "attr", None)
+                if name in PARAMETER_TABLES:
+                    found.append(f"{scope}:{child.lineno}: subscripts {name}")
+            elif (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance"
+                  and len(child.args) == 2 and names_bool(child.args[1])
+                  and path.stem != "msetops"):
+                found.append(f"{scope}:{child.lineno}: isinstance names bool")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_parameters_are_decided_only_in_msetops(path):
+    assert parameter_decisions(path) == []
+
+
+@pytest.mark.parametrize("name, src, bad", [
+    ("fields.py", "def field_rows(expr):\n    return _ROWS[expr]",
+     "fields.field_rows:2: subscripts _ROWS"),
+    ("sliding.py", "def slide(i):\n    return sliding._SCORERS[i]",
+     "sliding.slide:2: subscripts _SCORERS"),
+    ("msetops.py", "def _weights(kind):\n    return _GATED[kind]",
+     "msetops._weights:2: subscripts _GATED"),
+    ("io.py", "class R:\n    def f(self, v):\n        return isinstance(v, (str, bool))",
+     "io.R.f:3: isinstance names bool"),
+    ("fields.py", "ok = isinstance(n, int) and not isinstance(n, bool)",
+     "fields:1: isinstance names bool"),
+])
+def test_parameter_rule_catches(tmp_path, name, src, bad):
+    p = tmp_path / name
+    p.write_text(src + "\n")
+    assert parameter_decisions(p) == [bad]
+
+
+def test_parameter_rule_allows_the_rules(tmp_path):
+    p = tmp_path / "msetops.py"
+    p.write_text("def _member(key):\n    return _GATED[key]\n"
+                 "def _real(v):\n    return isinstance(v, (str, bool))\n")
+    assert parameter_decisions(p) == []
