@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple
 
+from .indices import _signed_powers
 from .msetops import MsetOpKind, _member, _positive_finite, _real, _whole, kernel
 
 
@@ -45,6 +46,13 @@ class GridSpec:
     in the lattice, and an int 0 times a negative is 0, not -0.0.  A bound
     must be a finite real and ``nx`` and ``ny`` ints of at least 2, by the
     parameter rules of :mod:`msetsim.msetops`: text and bools are refused.
+
+    :meth:`xs` and :meth:`ys` build an axis when asked, so a count past the
+    float range, such as ``nx=10**400``, is a count here.  They refuse an
+    axis with a ValueError naming it when a point is not finite (a range
+    so wide that the endpoint blend overflows) or its count is past the
+    float range, where no blend can be computed.  Every reader of the
+    lattice goes through them: the surfaces and the field writers.
     """
 
     x_min: float = -2.0
@@ -69,19 +77,26 @@ class GridSpec:
                 raise ValueError("grids need at least 2 points per axis")
 
     def xs(self) -> tuple[float, ...]:
-        return _lattice(self.x_min, self.x_max, self.nx)
+        return _lattice("x", self.x_min, self.x_max, self.nx)
 
     def ys(self) -> tuple[float, ...]:
-        return _lattice(self.y_min, self.y_max, self.ny)
+        return _lattice("y", self.y_min, self.y_max, self.ny)
 
 
-def _lattice(lo: float, hi: float, n: int) -> tuple[float, ...]:
+def _lattice(axis: str, lo: float, hi: float, n: int) -> tuple[float, ...]:
+    """The n points of one axis from lo to hi, or a ValueError naming the
+    axis when a point is not finite or a count cannot be blended in floats."""
     last = n - 1
-    pts = [lo]
-    for i in range(1, last):
-        pts.append((lo * (last - i) + hi * i) / last)
-    pts.append(hi)
-    return tuple(pts)
+    try:
+        pts = (lo, *[(lo * (last - i) + hi * i) / last for i in range(1, last)], hi)
+    except OverflowError:  # a count past the float range: float(last - i) overflows
+        raise ValueError(f"the {axis} lattice cannot be computed in floats: "
+                         f"n{axis} is past the float range; use fewer points") from None
+    if not all(map(math.isfinite, pts)):
+        raise ValueError(
+            f"the {axis} lattice from {lo!r} to {hi!r} has non-finite points: "
+            f"the endpoint blend overflows; narrow the {axis} range")
+    return pts
 
 
 @dataclass(frozen=True)
@@ -196,10 +211,7 @@ def _jr_row(c, y, d):
 
 
 def _jr_pow_row(c, y, d):
-    # signed_power of each jr value
-    if d % 2:
-        return [math.copysign(abs(v) ** d, v) for v in _jr_row(c, y, d)]
-    return [abs(v) ** d for v in _jr_row(c, y, d)]
+    return _signed_powers(_jr_row(c, y, d), d)
 
 
 def _kron_row(c, y, d):
@@ -221,33 +233,24 @@ _ROWS = {
 }
 
 
-def _finite_axis(axis: str, lo: float, hi: float, pts: tuple[float, ...]) -> tuple[float, ...]:
-    if not all(map(math.isfinite, pts)):
-        raise ValueError(
-            f"the {axis} lattice from {lo!r} to {hi!r} has non-finite points: "
-            f"the endpoint blend overflows; narrow the {axis} range")
-    return pts
-
-
 def field_rows(expr: FieldExpr, spec: GridSpec, d: int | None = None) -> Iterator[list[float]]:
     """The surface's rows over the lattice, one list of nx values at a
     time, y from y_min upward: the rows of ``field(expr, spec, d).values``.
 
-    ``d`` is the power for FieldExpr.JR_POW, an int of at least 1, and
-    ignored otherwise.  The arguments are checked when this is called,
-    before the first row: an ``expr`` that is not a FieldExpr, a power that
-    is not such an int, and lattices with a non-finite point (ranges so
-    wide that the endpoint blend overflows) raise ValueError, the last
-    naming the axis.  Each row is evaluated when it is asked for, so a
-    caller that writes rows as they come holds one row, not the field.
+    ``d`` is the power for FieldExpr.JR_POW, any int of at least 1 (past
+    2**1023 only its parity matters: see :func:`msetsim.indices.signed_power`),
+    and ignored otherwise.  The arguments are checked when this is called,
+    before the first row: an ``expr`` that is not a FieldExpr and a power
+    that is not such an int raise ValueError, and so does a lattice that
+    :meth:`GridSpec.xs` or :meth:`GridSpec.ys` refuses, naming the axis.
+    Each row is evaluated when it is asked for, so a caller that writes
+    rows as they come holds one row, not the field.
     """
     row = _member(_ROWS, expr, "field expression")
     if expr is FieldExpr.JR_POW:
         _whole(d, "JR_POW needs a positive integer power")
-    xs = _finite_axis("x", spec.x_min, spec.x_max, spec.xs())
-    ys = _finite_axis("y", spec.y_min, spec.y_max, spec.ys())
-    c = _columns(xs)
-    return (row(c, y, d) for y in ys)
+    c = _columns(spec.xs())
+    return (row(c, y, d) for y in spec.ys())  # spec.ys() is built here, not at the first row
 
 
 def field(expr: FieldExpr, spec: GridSpec, d: int | None = None) -> ScalarField:

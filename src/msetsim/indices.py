@@ -299,16 +299,40 @@ def coincidence(f: Signal, g: Signal) -> float:
     return j * i
 
 
+def _signed_powers(values, d: int) -> list[float]:
+    """:func:`signed_power` of each of the sequence ``values``, for a
+    checked int ``d`` of at least 1: the one home of the sign-kept power.
+
+    An exponent past 2**1023 is capped there, its parity kept: from there
+    on every |v| < 1 gives 0, |v| = 1 gives 1 and |v| > 1 overflows, so the
+    cap changes no result.  A power past the float range raises
+    OverflowError; none of a value in [-1, 1] (a Jaccard value) is.
+    """
+    d = min(d, (1 << 1023) + d % 2)
+    if d % 2:
+        return [math.copysign(abs(v) ** d, v) for v in values]
+    return [abs(v) ** d for v in values]
+
+
 def signed_power(value: float, exponent: int) -> float:
     """|value| ** exponent, keeping the sign of value for odd exponents.
 
-    For an odd exponent a zero keeps its sign too, as IEEE 754 ``pow``
-    does: ``signed_power(-0.0, 3)`` is ``-0.0``, like ``(-0.0) ** 3``.  An
-    even exponent gives ``+0.0``.
+    Every int of at least 1 is an exponent, and every float has a power:
+
+    - for an odd exponent a zero keeps its sign too, as IEEE 754 ``pow``
+      does: ``signed_power(-0.0, 3)`` is ``-0.0``, like ``(-0.0) ** 3``;
+      an even exponent gives ``+0.0``;
+    - a power past the float range is inf with the sign it would have, as
+      a product that overflows is inf: ``signed_power(1e200, 2)`` is inf
+      and ``signed_power(-2.0, 2001)`` is -inf;
+    - from an exponent of 2**1023 on, each |value| < 1 gives 0 and
+      |value| = 1 gives 1, signed as above: the closed forms that the
+      powers of a Jaccard value, never above 1 in magnitude, converge to.
     """
-    _whole(exponent, "exponent must be a positive integer")
-    p = abs(value) ** exponent
-    return math.copysign(p, value) if exponent % 2 else p
+    try:
+        return _signed_powers((value,), _whole(exponent, "exponent must be a positive integer"))[0]
+    except OverflowError:  # past the float range
+        return math.copysign(math.inf, value) if exponent % 2 else math.inf
 
 
 def jaccard_power(f: Signal, g: Signal, d: int) -> float:

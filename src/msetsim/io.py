@@ -289,7 +289,7 @@ def _texts(new: tuple) -> list[str]:
 _SIGN_BIT = bytes(b >> 7 for b in range(256))
 
 
-def _csv_row_writer(fh, spec: GridSpec):
+def _csv_row_writer(fh, xs: tuple[float, ...]):
     """Write the "x,y,value" header to ``fh`` and return ``write(y, row)``,
     which writes one row's lines, the rows given in row-major order.
 
@@ -315,9 +315,8 @@ def _csv_row_writer(fh, spec: GridSpec):
     holding one, and every row whose magnitudes do not mirror, is formatted
     by the ``%.17g`` template, one ``%`` a row.
     """
-    nx = spec.nx
+    nx = len(xs)
     h = nx // 2  # at least 1: a grid has nx >= 2
-    xs = spec.xs()
     heads = [f"{fmt(x)},\x00," for x in xs]
 
     def template(cell: Sequence[str]) -> list[str]:
@@ -534,16 +533,18 @@ def export_field(spec: GridSpec, rows: Iterable[Sequence[float]], path,
     image and the CSV writer's memo.  Both files are opened before the first
     row, under the output rule of :func:`_outputs`: a failed export leaves
     an existing output's old bytes and no new file.  A heatmap with an
-    ``rng`` that is not a :class:`HeatmapRange` raises ValueError before
-    either is opened.
+    ``rng`` that is not a :class:`HeatmapRange`, and a lattice that
+    :meth:`~msetsim.fields.GridSpec.xs` or ``ys`` refuses, raise ValueError
+    before either is opened.
     """
     if pgm_path is not None and not isinstance(rng, HeatmapRange):
         raise ValueError(f"a heatmap needs a HeatmapRange, got {rng!r}")
+    xs, ys = spec.xs(), spec.ys()
     with _outputs((path, "w"), (pgm_path, "wb")) as (fh, pgm):
-        write = None if fh is None else _csv_row_writer(fh, spec)
+        write = None if fh is None else _csv_row_writer(fh, xs)
         render = None if pgm is None else _pgm_row_renderer(rng)
         shades = []
-        for y, row in zip(spec.ys(), rows):
+        for y, row in zip(ys, rows):
             if write:
                 write(y, row)
             if render:

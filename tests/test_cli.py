@@ -13,7 +13,7 @@ import pytest
 import msetsim.io
 from msetsim.cli import BOUNDED_EXPRS, cli, main
 from msetsim.fields import FieldExpr, GridSpec, field, field_rows
-from msetsim.io import HeatmapRange, export_field, write_field_csv, write_pgm
+from msetsim.io import HeatmapRange, export_field, read_csv, write_field_csv, write_pgm
 from msetsim.msetops import Signal
 from msetsim.signs import conjoint_signs
 from msetsim.sliding import SlideIndex, slide
@@ -141,6 +141,29 @@ class TestFieldCommand:
                     "--xmin=-1e308", "--xmax=1e308", "--out", str(tmp_path / "f.csv")])
         assert code == 1
         assert "the x lattice" in capsys.readouterr().err
+
+    def test_count_past_the_float_range_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        code = cli(["field", "--expr", "a1", "--nx", str(10**400), "--ny", "3",
+                    "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: the x lattice cannot be computed in floats")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("power, kron", [
+        (10**400 + 1, lambda v: v),  # signed zeros may differ: -0 is 0
+        (10**400, abs),
+    ], ids=["odd", "even"])
+    def test_power_past_the_float_range_is_the_kronecker_surface(self, tmp_path, power, kron):
+        out = tmp_path / "p.csv"
+        assert cli(["field", "--expr", "jrpow", "--D", str(power), "--nx", "9", "--ny", "7",
+                    "--xmin", "-2", "--xmax", "2", "--ymin", "-1.5", "--ymax", "1.5",
+                    "--out", str(out)]) == 0
+        (values,) = read_csv(out, ["value"])
+        spec = GridSpec(-2.0, 2.0, -1.5, 1.5, 9, 7)
+        want = [kron(v) for v in field(FieldExpr.KRON, spec).values]
+        assert list(values.values) == want and 1.0 in want
 
     def test_repeated_calls_start_from_defaults(self, tmp_path):
         out = tmp_path / "f.csv"

@@ -464,16 +464,57 @@ def test_surface_grids_reach_their_edge_values():
     assert bits(SURFACE_GRIDS["negative_zero_ends"].xs()[-1]) == bits(-0.0)
 
 
+@pytest.mark.parametrize("name", SURFACE_GRIDS)
+def test_jrpow_past_the_float_range_is_the_kronecker_surface(name):
+    # jr is s * min(|x|, |y|) / max(|x|, |y|) with s the sign product of x
+    # and y, so it is +-1 exactly where |x| = |y| != 0: +1 on x = y and -1
+    # on x = -y, which is kron there, and a quotient a/b of floats a < b
+    # rounds below 1, so every other |jr| is < 1.  A power of 10**400 (or
+    # 10**400 + 1) drives |jr| < 1 to 0 and keeps |jr| = 1: the odd power
+    # equals kron value by value (a zero's sign may differ), and the even
+    # one is |kron|, never negative
+    spec = SURFACE_GRIDS[name]
+    kron = field(FieldExpr.KRON, spec).values
+    odd = field(FieldExpr.JR_POW, spec, 10**400 + 1).values
+    assert len(odd) == len(kron) and all(a == b for a, b in zip(odd, kron))
+    even = field(FieldExpr.JR_POW, spec, 10**400).values
+    assert all_bits(even) == all_bits([abs(v) for v in kron])
+    if name.startswith("symmetric"):  # the crests are lattice points
+        assert kron.count(1.0) > 1 and kron.count(-1.0) > 1
+
+
+@pytest.mark.parametrize("value, exponent, want", [
+    (1e200, 2, math.inf), (-1e200, 2, math.inf), (-1e200, 3, -math.inf),
+    (-2.0, 2000, math.inf), (-2.0, 2001, -math.inf), (1.5, 10**400, math.inf),
+    (-1.5, 10**400 + 1, -math.inf), (-1.0, 10**400 + 1, -1.0), (-1.0, 10**400, 1.0),
+    (-0.5, 10**400 + 1, -0.0), (-0.5, 10**400, 0.0),
+], ids=lambda v: f"10**400+{v % 2}" if type(v) is int and v > 10**400 - 1 else None)
+def test_signed_power_is_total_past_the_float_range(value, exponent, want):
+    # a power past the float range overflows to inf, as a product does
+    # (1e200 * 1e200 is inf), negative for a negative value and an odd
+    # exponent, and an exponent past 2**1023 gives each |value| <= 1 its
+    # closed form, 0 or 1 with the sign kept for odd exponents; until this
+    # rule, each raised OverflowError
+    assert bits(signed_power(value, exponent)) == bits(want)
+
+
 OVERFLOWING = GridSpec(-1e308, 1e308, -1e308, 1e308, 5, 5)
 
 
 @pytest.mark.parametrize("expr", list(FieldExpr))
 def test_surface_rejects_lattice_whose_blend_overflows(expr):
     # the endpoint blend of +-1e308 gives (-1e308, -inf, nan, inf, 1e308);
-    # before the lattice was checked, a3 returned inf and nan cells here
-    xs = OVERFLOWING.xs()
-    assert any(x != x for x in xs) and float("inf") in xs
+    # before the lattice was checked, a3 returned inf and nan cells here,
+    # and until GridSpec checked its own axes, xs() returned those points
+    blend = [(-1e308 * (4 - i) + 1e308 * i) / 4 for i in range(5)]
+    assert any(x != x for x in blend) and float("inf") in blend
+    tall = GridSpec(-1.0, 1.0, -1e308, 1e308, 3, 5)
+    assert len(tall.xs()) == 3
+    with pytest.raises(ValueError, match="^the x lattice from -1e\\+308 to 1e\\+308 "):
+        OVERFLOWING.xs()
+    with pytest.raises(ValueError, match="^the y lattice from -1e\\+308 to 1e\\+308 "):
+        tall.ys()
     with pytest.raises(ValueError, match="the x lattice"):
         field(expr, OVERFLOWING, d=3)
     with pytest.raises(ValueError, match="the y lattice"):
-        field(expr, GridSpec(-1.0, 1.0, -1e308, 1e308, 3, 5), d=3)
+        field(expr, tall, d=3)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import msetsim.io
 from msetsim.fields import FieldExpr, GridSpec, ScalarField, field
-from msetsim.io import HeatmapRange, fmt, read_csv, write_field_csv, write_pgm
+from msetsim.io import HeatmapRange, export_field, fmt, read_csv, write_field_csv, write_pgm
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -1062,6 +1062,32 @@ class TestDistinctValueMemo:
         write_field_csv(field(FieldExpr.A3, as_floats), b)
         assert a.read_bytes() == b.read_bytes()
         assert "-1,0,-0" in a.read_text().splitlines()
+
+
+@pytest.mark.parametrize("axis, spec", [
+    ("x", GridSpec(-1e308, 1e308, -1.0, 1.0, 4, 2)),
+    ("y", GridSpec(-1.0, 1.0, -1e308, 1e308, 2, 4)),
+])
+@pytest.mark.parametrize("writer", ["write_field_csv", "write_pgm", "export_field"])
+def test_writers_refuse_a_lattice_with_non_finite_points(tmp_path, axis, spec, writer):
+    # the endpoint blend of +-1e308 over 4 points overflows to -inf and inf;
+    # the writers read the lattice through GridSpec, which refuses it, so
+    # write_field_csv no longer writes those coordinates
+    fld = ScalarField(spec, [0.0] * 8)
+    rng = HeatmapRange(-1.0, 1.0)
+    write = {
+        "write_field_csv": lambda out, _: write_field_csv(fld, out),
+        "write_pgm": lambda out, _: write_pgm(fld, rng, out),
+        "export_field": lambda out, pgm: export_field(spec, [[0.0] * spec.nx] * spec.ny,
+                                                      out, pgm, rng),
+    }[writer]
+    kept, new = tmp_path / "kept", tmp_path / "new"
+    kept.write_bytes(b"old bytes\n")
+    for out, pgm in ((new, kept), (kept, new)):
+        with pytest.raises(ValueError, match=f"^the {axis} lattice from -1e\\+308 to 1e\\+308 "):
+            write(out, pgm)
+        assert os.listdir(tmp_path) == ["kept"]
+        assert kept.read_bytes() == b"old bytes\n"
 
 
 @pytest.fixture

@@ -4,19 +4,21 @@ rules in ``msetops``: a real number, a count, or a member of a table.
 Each site below gets the same hostile values.  A site refuses each of them
 with a ValueError whose message names its parameter, except where a value
 is a valid one for the site (a count takes any int of at least its least
-value, so ``10**400`` is a count; a column selector that is text is a
-header name; ``has_header`` takes True, False and None).  Reals of every
-numeric type (``Fraction``, ``Decimal``, ``int``) are taken, and a type that
-stores the parameter stores a float.
+value, so ``10**400`` is a count, and a power that large gives its closed
+form; a column selector that is text is a header name; ``has_header``
+takes True, False and None).  Reals of every numeric type (``Fraction``,
+``Decimal``, ``int``) are taken, and a type that stores the parameter
+stores a float.
 """
 
 import math
+from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from msetsim.fields import FieldExpr, GridSpec, PolarProbe, field, field_rows
+from msetsim.fields import FieldExpr, GridSpec, PolarProbe, ScalarField, field, field_rows
 from msetsim.indices import jaccard_power, signed_power, split_intersection
 from msetsim.io import HeatmapRange, read_csv
 from msetsim.msetops import Signal, aggregate, kernel
@@ -97,31 +99,39 @@ def _real_cases():
             yield pytest.param(call, v, message or f"{refused}, got {v!r}", id=f"{site}-{v!r}")
 
 
+# jrpow on TINY (x, y in -2, 0, 2): jr is +-1 on the four corners, where
+# |x| = |y| != 0, and 0 elsewhere, so every even power is 1 at the corners
+CORNERS = [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]]
+
 # (site, call, the requirement a value that is not a count is reported
-# with, the least count, and the message of the value just below it, None
-# for the requirement's); a count takes any int of at least its least
-# value, 10**400 included, so that value is left out here
+# with, the least count, the message of the value just below it, None for
+# the requirement's, and what the call gives for the count 10**400, None
+# where that is not a closed-form value); a count takes any int of at least
+# its least value, 10**400 included
 COUNTS = [
     ("GridSpec.nx", _grid("nx"), "nx must be an integer", 2,
-     "grids need at least 2 points per axis"),
+     "grids need at least 2 points per axis", None),
     ("GridSpec.ny", _grid("ny"), "ny must be an integer", 2,
-     "grids need at least 2 points per axis"),
+     "grids need at least 2 points per axis", None),
     ("field_rows.d", lambda v, _: field_rows(FieldExpr.JR_POW, TINY, v),
-     "JR_POW needs a positive integer power", 1, None),
+     "JR_POW needs a positive integer power", 1, None, CORNERS),
     ("field.d", lambda v, _: field(FieldExpr.JR_POW, TINY, v),
-     "JR_POW needs a positive integer power", 1, None),
+     "JR_POW needs a positive integer power", 1, None,
+     ScalarField(TINY, [v for row in CORNERS for v in row])),
+    # 0.5 ** d is 0 from d = 1075 on: 2**-1075 rounds to 0, half the least subnormal
     ("signed_power.exponent", lambda v, _: signed_power(0.5, v),
-     "exponent must be a positive integer", 1, None),
+     "exponent must be a positive integer", 1, None, 0.0),
+    # jaccard(F, G) is (1 - 1 - 0.5) / (2 + 2 + 0.5) = -1/9, inside (-1, 1)
     ("jaccard_power.d", lambda v, _: jaccard_power(F, G, v),
-     "exponent must be a positive integer", 1, None),
+     "exponent must be a positive integer", 1, None, 0.0),
     # text is a header name, so "1" is left out of the selector's values
     ("read_csv.selector", lambda v, p: read_csv(p, [0, v]),
-     "column index must be an integer >= 0", 0, None),
+     "column index must be an integer >= 0", 0, None, None),
 ]
 
 
 def _count_cases():
-    for site, call, refused, least, below in COUNTS:
+    for site, call, refused, least, below, _ in COUNTS:
         values = [v for v in NOT_REAL + [math.nan, math.inf]
                   if not (site == "read_csv.selector" and isinstance(v, str))]
         for v in [*values, 1.9, float(least + 1), Fraction(least + 1)]:
@@ -200,8 +210,22 @@ def test_read_csv_spacing_of_every_real_type_is_a_float(csv_path):
 
 
 def test_counts_past_the_float_range_are_counts():
-    # any int of at least 2 is a point count; the lattice is built on demand
-    assert GridSpec(nx=10**400).nx == 10**400
+    # any int of at least 2 is a point count; the lattice is built on demand,
+    # where a count whose blend cannot be computed in floats is refused
+    spec = GridSpec(nx=10**400, ny=10**400)
+    assert spec.nx == spec.ny == 10**400
+    for axis, build in (("x", spec.xs), ("y", spec.ys)):
+        with pytest.raises(ValueError, match=f"^the {axis} lattice cannot be computed in floats"):
+            build()
+
+
+@pytest.mark.parametrize("call, closed_form", [
+    pytest.param(call, value, id=site) for site, call, *_, value in COUNTS if value is not None])
+def test_powers_past_the_float_range_take_their_closed_forms(csv_path, call, closed_form):
+    got = call(10**400, csv_path)
+    # field_rows gives its rows as they come; repr tells +0.0 from -0.0, and
+    # an even power is never negative
+    assert repr(list(got) if isinstance(got, Iterator) else got) == repr(closed_form)
 
 
 def test_slide_with_a_bad_index_raises_rather_than_flagging_every_lag():
