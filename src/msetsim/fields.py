@@ -10,6 +10,7 @@ writes rows as they come (the CLI's export) holds one row, not the field;
 :func:`field` collects the same rows into a :class:`ScalarField`.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,7 +53,10 @@ class GridSpec:
     axis with a ValueError naming it when a point is not finite (a range
     so wide that the endpoint blend overflows) or its count is past the
     float range, where no blend can be computed.  Every reader of the
-    lattice goes through them: the surfaces and the field writers.
+    lattice goes through them: the surfaces and the field writers.  Each
+    axis is built once per instance and kept on it, so an export that reads
+    a lattice several times builds it once; a refused axis keeps nothing
+    and raises again.
     """
 
     x_min: float = -2.0
@@ -77,9 +81,20 @@ class GridSpec:
                 raise ValueError("grids need at least 2 points per axis")
 
     def xs(self) -> tuple[float, ...]:
-        return _lattice("x", self.x_min, self.x_max, self.nx)
+        return self._xs
 
     def ys(self) -> tuple[float, ...]:
+        return self._ys
+
+    # cached_property stores in the instance __dict__, which a frozen
+    # dataclass's __setattr__ does not guard; the fields, and so equality
+    # and hashing, are unchanged
+    @functools.cached_property
+    def _xs(self) -> tuple[float, ...]:
+        return _lattice("x", self.x_min, self.x_max, self.nx)
+
+    @functools.cached_property
+    def _ys(self) -> tuple[float, ...]:
         return _lattice("y", self.y_min, self.y_max, self.ny)
 
 

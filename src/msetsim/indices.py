@@ -5,6 +5,14 @@ Zero-denominator conventions keep every index total: a ratio over two
 identically zero signals is 0 for the Jaccard family and 1 for interiority
 (vacuous containment), so coincidence stays 0 through its Jaccard factor.
 
+The normalised indices (Jaccard, interiority, coincidence, cosine and the
+Jaccard power) are ratios of two sums over the same samples, so the
+spacing ``dx`` cancels: each is taken over the raw sums and does not depend
+on ``dx``.  Only the values that scale with the spacing multiply by it:
+:func:`inner`, :func:`norm`, :func:`euclidean`, :func:`jaccard_alt`,
+:func:`split_intersection`, the aggregations and absolute mass of
+:mod:`msetsim.msetops`, and :func:`msetsim.stats.split_inner`.
+
 The sums an index needs are taken in fused left-to-right passes over the
 validated sample tuples, several accumulators to a loop, with each
 accumulator adding the same terms in the same order as the single-sum
@@ -31,10 +39,10 @@ is undefined exactly when :func:`cosine` would raise on it.
 import math
 from dataclasses import dataclass
 
-# kernel is no longer called here; it stays importable from this module,
-# where the benchmark's tracer (perfbench/spans.py) wraps it.
-from .msetops import (MsetOpKind, Signal, _alpha_weights, _gated_sum, _whole,  # noqa: F401
-                      abs_mass, aggregate, kernel, require_compatible)
+# kernel and abs_mass are no longer called here; they stay importable from
+# this module, where the benchmark's tracer (perfbench/spans.py) wraps them.
+from .msetops import (MsetOpKind, Signal, _alpha_weights, _gated_sum, _raw_mass, _real,  # noqa: F401
+                      _whole, abs_mass, aggregate, kernel, require_compatible)
 
 _positive = (0.0).__lt__  # v > 0 for a float v
 
@@ -69,21 +77,20 @@ class SimilarityReport:
 # whichever side it lands on, and each accumulator adds the same terms in
 # the same order.
 
-def _jaccard_value(dx: float, scap: float, acup: float) -> float:
-    """The Jaccard index from its signed-intersection and union sums: 0
-    when the union is 0, that is, for two identically zero operands."""
-    den = dx * acup
-    return 0.0 if den == 0.0 else dx * scap / den
+def _jaccard_value(scap: float, acup: float) -> float:
+    """The Jaccard index from its raw signed-intersection and union sums:
+    0 when the union is 0, that is, for two identically zero operands."""
+    return 0.0 if acup == 0.0 else scap / acup
 
 
-def _interiority_value(dx: float, acap: float, fmass: float, gmass: float) -> float:
-    """Interiority from the sign-blind intersection sum and the operands'
-    absolute masses (dx included): 1 when the smaller mass is 0."""
+def _interiority_value(acap: float, fmass: float, gmass: float) -> float:
+    """Interiority from the raw sign-blind intersection sum and the
+    operands' raw absolute masses: 1 when the smaller mass is 0."""
     den = min(fmass, gmass)
-    return 1.0 if den == 0.0 else dx * acap / den
+    return 1.0 if den == 0.0 else acap / den
 
 
-def _jaccard_samples(dx: float, fv, gv) -> float:
+def _jaccard_samples(fv, gv) -> float:
     """The real-valued Jaccard index of two sample tuples."""
     scap = acup = 0.0
     for x, y in zip(fv, gv):
@@ -107,10 +114,10 @@ def _jaccard_samples(dx: float, fv, gv) -> float:
             else:
                 acup += x
                 scap -= y
-    return _jaccard_value(dx, scap, acup)
+    return _jaccard_value(scap, acup)
 
 
-def _jaccard_interiority_samples(dx: float, fv, gv) -> tuple[float, float]:
+def _jaccard_interiority_samples(fv, gv) -> tuple[float, float]:
     """Jaccard and interiority of two sample tuples; the loop also sums
     both operands' absolute masses, adding the terms of :func:`abs_mass`
     in its order."""
@@ -141,11 +148,10 @@ def _jaccard_interiority_samples(dx: float, fv, gv) -> tuple[float, float]:
                 acup += x
                 acap += y
                 scap -= y
-    return (_jaccard_value(dx, scap, acup),
-            _interiority_value(dx, acap, dx * fmass, dx * gmass))
+    return _jaccard_value(scap, acup), _interiority_value(acap, fmass, gmass)
 
 
-def _jaccard_gates(dx: float, fp, fa, gp, ga) -> float:
+def _jaccard_gates(fp, fa, gp, ga) -> float:
     """The real-valued Jaccard index of two operands' gate tuples."""
     scap = acup = 0.0
     for xp, ax, yp, ay in zip(fp, fa, gp, ga):
@@ -161,12 +167,12 @@ def _jaccard_gates(dx: float, fp, fa, gp, ga) -> float:
                 scap += ay
             else:
                 scap -= ay
-    return _jaccard_value(dx, scap, acup)
+    return _jaccard_value(scap, acup)
 
 
-def _jaccard_interiority_gates(dx: float, fmass: float, fp, fa, gp, ga) -> tuple[float, float]:
+def _jaccard_interiority_gates(fmass: float, fp, fa, gp, ga) -> tuple[float, float]:
     """Jaccard and interiority of two operands' gate tuples, given the
-    first operand's :func:`abs_mass`; the loop also sums the second
+    first operand's raw absolute mass; the loop also sums the second
     operand's mass."""
     scap = acup = acap = gmass = 0.0
     for xp, ax, yp, ay in zip(fp, fa, gp, ga):
@@ -185,7 +191,7 @@ def _jaccard_interiority_gates(dx: float, fmass: float, fp, fa, gp, ga) -> tuple
                 scap += ay
             else:
                 scap -= ay
-    return _jaccard_value(dx, scap, acup), _interiority_value(dx, acap, fmass, dx * gmass)
+    return _jaccard_value(scap, acup), _interiority_value(acap, fmass, gmass)
 
 
 def _dot(fv, gv) -> float:
@@ -228,16 +234,22 @@ def euclidean(f: Signal, g: Signal) -> float:
     return math.sqrt(f.dx * total)
 
 
-def _cosine(dx: float, fg: float, nf: float, ng: float) -> float:
-    """Cosine from the cross-product sum and the two norms: the one place
-    that decides cosine is undefined, for a zero norm, and raises."""
+def _cosine(fg: float, nf: float, ng: float) -> float:
+    """Cosine from the raw cross-product sum and the square roots of the
+    raw sums of squares: the one place that decides cosine is undefined,
+    for a zero norm, and raises."""
     if nf == 0.0 or ng == 0.0:
         raise ValueError("cosine similarity is undefined for a zero-norm operand")
-    return dx * fg / (nf * ng)
+    return fg / (nf * ng)
 
 
 def cosine(f: Signal, g: Signal) -> float:
     """Cosine similarity; undefined (raises) for a zero-norm operand.
+
+    The spacing cancels, so the ratio is taken over the raw sums and does
+    not depend on ``dx``: an operand has a zero norm here only when its raw
+    sum of squares is 0, that is, when its samples are all zero or all so
+    small that their squares underflow.
 
     The ratio is not clamped, so rounding can take it past +-1 by an ulp:
     ``cosine((2, 4, -2), (1, 2, -1))`` is 1.0000000000000002.  (Pearson
@@ -245,7 +257,7 @@ def cosine(f: Signal, g: Signal) -> float:
     """
     require_compatible(f, g)
     ff, gg, fg, _ = _products(f.values, g.values)
-    return _cosine(f.dx, fg, math.sqrt(f.dx * ff), math.sqrt(f.dx * gg))
+    return _cosine(fg, math.sqrt(ff), math.sqrt(gg))
 
 
 def jaccard(f: Signal, g: Signal) -> float:
@@ -257,7 +269,7 @@ def jaccard(f: Signal, g: Signal) -> float:
     sum-of-max multiset ratio.
     """
     require_compatible(f, g)
-    return _jaccard_samples(f.dx, f.values, g.values)
+    return _jaccard_samples(f.values, g.values)
 
 
 def jaccard_alt(f: Signal, g: Signal) -> float:
@@ -280,7 +292,7 @@ def jaccard_alt(f: Signal, g: Signal) -> float:
 
 def _pair_jaccard_interiority(f: Signal, g: Signal) -> tuple[float, float]:
     require_compatible(f, g)
-    return _jaccard_interiority_samples(f.dx, f.values, g.values)
+    return _jaccard_interiority_samples(f.values, g.values)
 
 
 def interiority(f: Signal, g: Signal) -> float:
@@ -317,7 +329,10 @@ def _signed_powers(values, d: int) -> list[float]:
 def signed_power(value: float, exponent: int) -> float:
     """|value| ** exponent, keeping the sign of value for odd exponents.
 
-    Every int of at least 1 is an exponent, and every float has a power:
+    ``value`` is a real parameter, taken as a float by the rule of
+    :mod:`msetsim.msetops`: text and bools raise ValueError, and an int past
+    the float range is +-inf, so the result is always a float.  Every int
+    of at least 1 is an exponent, and every float has a power:
 
     - for an odd exponent a zero keeps its sign too, as IEEE 754 ``pow``
       does: ``signed_power(-0.0, 3)`` is ``-0.0``, like ``(-0.0) ** 3``;
@@ -329,6 +344,7 @@ def signed_power(value: float, exponent: int) -> float:
       |value| = 1 gives 1, signed as above: the closed forms that the
       powers of a Jaccard value, never above 1 in magnitude, converge to.
     """
+    value = _real(value, "value must be a real number")
     try:
         return _signed_powers((value,), _whole(exponent, "exponent must be a positive integer"))[0]
     except OverflowError:  # past the float range
@@ -362,18 +378,16 @@ def report(f: Signal, g: Signal) -> SimilarityReport:
     """Compute every index for one operand pair."""
     require_compatible(f, g)
     fv, gv, dx = f.values, g.values, f.dx
-    j, i = _jaccard_interiority_samples(dx, fv, gv)
+    j, i = _jaccard_interiority_samples(fv, gv)
     ff, gg, fg, ee = _products(fv, gv)
-    norm_f = math.sqrt(dx * ff)
-    norm_g = math.sqrt(dx * gg)
     return SimilarityReport(
         jaccard=j,
         interiority=i,
         coincidence=j * i,
-        cosine=_cosine(dx, fg, norm_f, norm_g),
+        cosine=_cosine(fg, math.sqrt(ff), math.sqrt(gg)),
         inner=dx * fg,
-        norm_f=norm_f,
-        norm_g=norm_g,
+        norm_f=math.sqrt(dx * ff),
+        norm_g=math.sqrt(dx * gg),
         euclidean=math.sqrt(dx * ee),
     )
 
@@ -394,32 +408,32 @@ def _inner_windows(template: Signal, signal: Signal):
 
 
 def _jaccard_windows(template: Signal, signal: Signal):
-    m, dx = len(template.values), signal.dx
+    m = len(template.values)
     tp, ta = _window_gates(template.values)
     sp, sa = _window_gates(signal.values)
-    return lambda k: _jaccard_gates(dx, tp, ta, sp[k:k + m], sa[k:k + m])
+    return lambda k: _jaccard_gates(tp, ta, sp[k:k + m], sa[k:k + m])
 
 
 def _coincidence_windows(template: Signal, signal: Signal):
-    m, dx = len(template.values), signal.dx
+    m = len(template.values)
     tp, ta = _window_gates(template.values)
     sp, sa = _window_gates(signal.values)
-    tmass = abs_mass(template)
+    tmass = _raw_mass(template.values)
 
     def score(k):
-        j, i = _jaccard_interiority_gates(dx, tmass, tp, ta, sp[k:k + m], sa[k:k + m])
+        j, i = _jaccard_interiority_gates(tmass, tp, ta, sp[k:k + m], sa[k:k + m])
         return j * i
     return score
 
 
 def _cosine_windows(template: Signal, signal: Signal):
-    tv, sv, dx, m = template.values, signal.values, signal.dx, len(template.values)
-    nt = norm(template)
+    tv, sv, m = template.values, signal.values, len(template.values)
+    nt = math.sqrt(_dot(tv, tv))
 
     def score(k):
         tw = ww = 0.0
         for a, b in zip(tv, sv[k:k + m]):
             tw += a * b
             ww += b * b
-        return _cosine(dx, tw, nt, math.sqrt(dx * ww))
+        return _cosine(tw, nt, math.sqrt(ww))
     return score

@@ -247,9 +247,14 @@ def _alpha_weights(alpha: float) -> tuple[float, float]:
     return 2.0 * alpha, 2.0 * (1.0 - alpha)
 
 
+def _raw_mass(values) -> float:
+    """The left-to-right sum of the absolute sample values, without dx."""
+    total = 0.0
+    for v in values:
+        total += v if v > 0 else -v
+    return total
+
+
 def abs_mass(f: Signal) -> float:
     """dx times the sum of absolute sample values; the operand's total magnitude."""
-    total = 0.0
-    for v in f.values:
-        total += v if v > 0 else -v
-    return f.dx * total
+    return f.dx * _raw_mass(f.values)

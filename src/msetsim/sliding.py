@@ -6,9 +6,9 @@ padding, so window scores are exactly the index values they claim to be.
 
 One engine, :func:`slide`, scores every index.  Each index supplies only a
 preparation, ``(template, signal) -> score``, which does the template's
-share of the work once (its norm, statistics or absolute mass, and the
-sign and magnitude tuples to slice) and returns ``score(k)``, the value of
-the window at lag k.  Windows are tuple slices, not new :class:`Signal`
+share of the work once (its raw norm, statistics or raw absolute mass, and
+the sign and magnitude tuples to slice) and returns ``score(k)``, the value
+of the window at lag k.  Windows are tuple slices, not new :class:`Signal`
 objects, and a window costs O(M) for a template of M samples: one fused
 pass (two for pearson, whose window mean comes first).  Consecutive
 windows share M - 1 samples, but each window's sums are taken afresh,
@@ -51,8 +51,10 @@ class MatchProfile:
     <msetsim.indices.cosine>` would raise on (template, window), because
     each window is scored through the pair function's own rule: for
     pearson, fewer than 2 samples, or a template or window variance that
-    is zero or overflows to inf; for cosine, a zero norm.  The other
-    indices are total and list none.
+    is zero or overflows to inf; for cosine, a template or window whose
+    raw sum of squares is 0.  The other indices are total and list none.
+    Only the inner product depends on the spacing: the scores and flags of
+    the other indices are the same at every ``dx``.
     """
 
     lags: tuple[int, ...]

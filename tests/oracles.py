@@ -5,6 +5,13 @@ Python lists, with the same left-to-right accumulation shape as the
 library, so comparisons may demand exact equality.  Absolute values are
 written in the sign-times-value form (s*x) rather than abs(x) to keep the
 code paths distinct.
+
+The spacing cancels in every normalised index (Jaccard, interiority,
+coincidence, cosine and the Jaccard power), so those oracles take no ``dx``:
+each is the ratio of the raw sums, and cosine's norms are the square roots
+of the raw sums of squares.  The values that scale with the spacing (the
+aggregations, the inner product, the norm, the distance and the split
+intersection) take it.
 """
 
 import math
@@ -79,15 +86,15 @@ def oeuclidean(fv, gv, dx=1.0):
     return math.sqrt(dx * acc)
 
 
-def ocosine(fv, gv, dx=1.0):
-    return oinner(fv, gv, dx) / (onorm(fv, dx) * onorm(gv, dx))
+def ocosine(fv, gv):
+    return oinner(fv, gv) / (onorm(fv) * onorm(gv))
 
 
-def ojaccard(fv, gv, dx=1.0):
-    den = oaggregate("acup", fv, gv, dx)
+def ojaccard(fv, gv):
+    den = oaggregate("acup", fv, gv)
     if den == 0.0:
         return 0.0
-    return oaggregate("scap", fv, gv, dx) / den
+    return oaggregate("scap", fv, gv) / den
 
 
 def ojaccard_alt(fv, gv, dx=1.0):
@@ -97,19 +104,19 @@ def ojaccard_alt(fv, gv, dx=1.0):
     return oinner(fv, gv, dx) / (den * den)
 
 
-def ointeriority(fv, gv, dx=1.0):
-    den = min(oabs_mass(fv, dx), oabs_mass(gv, dx))
+def ointeriority(fv, gv):
+    den = min(oabs_mass(fv), oabs_mass(gv))
     if den == 0.0:
         return 1.0
-    return oaggregate("acap", fv, gv, dx) / den
+    return oaggregate("acap", fv, gv) / den
 
 
-def ocoincidence(fv, gv, dx=1.0):
-    return ojaccard(fv, gv, dx) * ointeriority(fv, gv, dx)
+def ocoincidence(fv, gv):
+    return ojaccard(fv, gv) * ointeriority(fv, gv)
 
 
-def ojaccard_power(fv, gv, d, dx=1.0):
-    j = ojaccard(fv, gv, dx)
+def ojaccard_power(fv, gv, d):
+    j = ojaccard(fv, gv)
     p = abs(j) ** d
     # for odd d a zero keeps its sign, as IEEE 754 pow: (-0.0) ** 3 is -0.0
     if math.copysign(1.0, j) < 0 and d % 2 == 1:
@@ -166,36 +173,38 @@ def osplit_inner(fv, gv, dx=1.0):
     return dx * plus, dx * minus
 
 
-def _window_degenerate(index, wv, dx):
+def _window_degenerate(index, wv):
     if index == "pearson":
         # pearson raises for a zero variance and for one that overflows
         return len(wv) < 2 or not 0.0 < ovariance(wv) < math.inf
     if index == "cosine":
-        return onorm(wv, dx) == 0.0
+        # cosine raises when a raw sum of squares is 0, whatever the spacing
+        return onorm(wv) == 0.0
     return False
 
 
 def oslide(tv, sv, index, dx=1.0):
-    """Valid-mode profile: (lags, scores, best_lag, best_score, flagged)."""
+    """Valid-mode profile: (lags, scores, best_lag, best_score, flagged).
+    Only the inner product scales with ``dx``."""
     scorers = {
-        "inner": oinner,
+        "inner": lambda a, b: oinner(a, b, dx),
         "jaccard": ojaccard,
         "coincidence": ocoincidence,
-        "pearson": lambda a, b, _dx: opearson(a, b),
+        "pearson": opearson,
         "cosine": ocosine,
     }
     score = scorers[index]
-    t_bad = _window_degenerate(index, tv, dx)
+    t_bad = _window_degenerate(index, tv)
     lags = list(range(len(sv) - len(tv) + 1))
     scores = []
     flagged = []
     for k in lags:
         window = list(sv[k:k + len(tv)])
-        if t_bad or _window_degenerate(index, window, dx):
+        if t_bad or _window_degenerate(index, window):
             scores.append(0.0)
             flagged.append(k)
         else:
-            scores.append(score(tv, window, dx))
+            scores.append(score(tv, window))
     # the best lag is the smallest attaining the maximum of the scores that
     # are not NaN; lag 0, with its NaN, only when every score is NaN
     best_lag = lags[0]

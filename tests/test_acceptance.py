@@ -302,18 +302,18 @@ def test_criterion_10_oracle_equivalence():
             (inner(f, g), oracles.oinner(fv, gv, dx)),
             (norm(f), oracles.onorm(fv, dx)),
             (euclidean(f, g), oracles.oeuclidean(fv, gv, dx)),
-            (jaccard(f, g), oracles.ojaccard(fv, gv, dx)),
+            (jaccard(f, g), oracles.ojaccard(fv, gv)),
             (jaccard_alt(f, g), oracles.ojaccard_alt(fv, gv, dx)),
-            (interiority(f, g), oracles.ointeriority(fv, gv, dx)),
-            (coincidence(f, g), oracles.ocoincidence(fv, gv, dx)),
-            (jaccard_power(f, g, 1 + trial % 3), oracles.ojaccard_power(fv, gv, 1 + trial % 3, dx)),
+            (interiority(f, g), oracles.ointeriority(fv, gv)),
+            (coincidence(f, g), oracles.ocoincidence(fv, gv)),
+            (jaccard_power(f, g, 1 + trial % 3), oracles.ojaccard_power(fv, gv, 1 + trial % 3)),
             (split_intersection(f, g, alphas[trial % 5]),
              oracles.osplit_intersection(fv, gv, alphas[trial % 5], dx)),
         ]
         sp = split_inner(f, g)
         pairs.append(((sp.same_sign, sp.opposite_sign), oracles.osplit_inner(fv, gv, dx)))
         if norm(f) > 0 and norm(g) > 0:
-            pairs.append((cosine(f, g), oracles.ocosine(fv, gv, dx)))
+            pairs.append((cosine(f, g), oracles.ocosine(fv, gv)))
         if n >= 2:
             if max(fv) > min(fv) and max(gv) > min(gv):
                 pairs.append((pearson(f, g), oracles.opearson(fv, gv)))

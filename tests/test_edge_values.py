@@ -144,9 +144,9 @@ def test_pair_indices_bits_match_oracle(dx):
         for alpha in (0.0, 0.3, 1.0):
             assert bits(split_intersection(f, g, alpha)) == \
                 bits(osplit_intersection(fv, gv, alpha, dx)), where
-        assert bits(jaccard(f, g)) == bits(ojaccard(fv, gv, dx)), where
-        assert bits(interiority(f, g)) == bits(ointeriority(fv, gv, dx)), where
-        assert bits(coincidence(f, g)) == bits(ocoincidence(fv, gv, dx)), where
+        assert bits(jaccard(f, g)) == bits(ojaccard(fv, gv)), where
+        assert bits(interiority(f, g)) == bits(ointeriority(fv, gv)), where
+        assert bits(coincidence(f, g)) == bits(ocoincidence(fv, gv)), where
         if len(fv) >= 2:
             assert bits(covariance(f, g)) == bits(ocovariance(fv, gv)), where
             var_f, var_g = ovariance(fv), ovariance(gv)
@@ -160,11 +160,11 @@ def test_pair_indices_bits_match_oracle(dx):
                 overflows += 1
             else:
                 assert bits(pearson(f, g)) == bits(opearson(fv, gv)), where
-        if onorm(fv, dx) == 0.0 or onorm(gv, dx) == 0.0:
+        if onorm(fv) == 0.0 or onorm(gv) == 0.0:
             continue  # report raises with cosine
         rep = report(f, g)
-        want = (ojaccard(fv, gv, dx), ointeriority(fv, gv, dx), ocoincidence(fv, gv, dx),
-                ocosine(fv, gv, dx), oinner(fv, gv, dx), onorm(fv, dx), onorm(gv, dx),
+        want = (ojaccard(fv, gv), ointeriority(fv, gv), ocoincidence(fv, gv),
+                ocosine(fv, gv), oinner(fv, gv, dx), onorm(fv, dx), onorm(gv, dx),
                 oeuclidean(fv, gv, dx))
         assert all_bits(astuple(rep)) == all_bits(want), where
     # guards the edge pairs: some pearson variances overflow
@@ -310,30 +310,55 @@ def test_slide_overflow_cases_produce_nan():
     assert profile.scores[0] == float("inf")
 
 
-UNDERFLOWING_NORMS = [
-    # the squared norm 5e-324 of the first window is nonzero, but dx times
-    # it is 0, so its norm is 0 and the window is flagged
-    ((2e-160, 1e-160), (2.2e-162, 0.0, 1e-160), 0.5, (0,)),
-    # at a spacing of 1e-300 windows of ordinary small samples underflow
-    ((1.0, -2.0), (1e-13, 0.0, 1.0, 2.0, 0.0, -1e-12), 1e-300, (0, 4)),
-    # and so does the template, which flags every lag
-    ((1e-13, 2e-13), (1.0, 2.0, 3.0), 1e-300, (0, 1)),
+# Cosine cancels the spacing, so a window is undefined only when a raw sum
+# of squares is 0, and the profile at any spacing is the profile at dx = 1.
+SCALED_NORMS = [
+    # the window's squared norm 5e-324 is nonzero, and stays so at any dx
+    ((2e-160, 1e-160), (2.2e-162, 0.0, 1e-160), 0.5),
+    # windows and templates of ordinary small samples at a tiny spacing
+    ((1.0, -2.0), (1e-13, 0.0, 1.0, 2.0, 0.0, -1e-12), 1e-300),
+    ((1e-13, 2e-13), (1.0, 2.0, 3.0), 1e-300),
 ]
 
 
-def test_cosine_flags_window_whose_norm_underflows_with_spacing():
-    for tv, sv, dx, flagged in UNDERFLOWING_NORMS:
-        profile = slide(Signal(tv, dx), Signal(sv, dx), SlideIndex.COSINE)
-        where = (tv, sv, dx)
-        assert profile.degenerate_lags == flagged, where
-        assert all(bits(profile.scores[k]) == bits(0.0) for k in flagged), where
-        if len(flagged) < len(profile.lags):
-            assert profile.best_score > 0.0, where
-        lags, scores, best_lag, best_score, oflagged = oslide(list(tv), list(sv), "cosine", dx)
-        assert profile.lags == tuple(lags), where
-        assert all_bits(profile.scores) == all_bits(scores), where
-        assert (profile.best_lag, bits(profile.best_score)) == (best_lag, bits(best_score)), where
-        assert profile.degenerate_lags == tuple(oflagged), where
+def assert_cosine_profile(tv, sv, dx, flagged):
+    """The cosine profile at ``dx`` flags ``flagged``, has the bits of the
+    profile at dx = 1, and equals the oracle's."""
+    profile = slide(Signal(tv, dx), Signal(sv, dx), SlideIndex.COSINE)
+    at_one = slide(Signal(tv), Signal(sv), SlideIndex.COSINE)
+    where = (tv, sv, dx)
+    assert profile.degenerate_lags == at_one.degenerate_lags == flagged, where
+    assert all_bits(profile.scores) == all_bits(at_one.scores), where
+    assert (profile.best_lag, bits(profile.best_score)) == \
+        (at_one.best_lag, bits(at_one.best_score)), where
+    lags, scores, best_lag, best_score, oflagged = oslide(list(tv), list(sv), "cosine", dx)
+    assert profile.lags == tuple(lags), where
+    assert all_bits(profile.scores) == all_bits(scores), where
+    assert (profile.best_lag, bits(profile.best_score)) == (best_lag, bits(best_score)), where
+    assert profile.degenerate_lags == tuple(oflagged), where
+    return profile
+
+
+def test_cosine_scores_window_whose_dx_scaled_norm_would_underflow():
+    for tv, sv, dx in SCALED_NORMS:
+        profile = assert_cosine_profile(tv, sv, dx, ())
+        assert profile.best_score > 0.0, (tv, sv, dx)
+
+
+UNDERFLOWING_NORMS = [
+    # every |w| of windows 0 and 4 is below about 1e-162, so their raw sums
+    # of squares are 0
+    ((1.0, -2.0), (1e-163, 0.0, 1.0, 2.0, 0.0, -1e-170), (0, 4)),
+    # and so is the template's, which flags every lag
+    ((1e-163, -1e-165), (1.0, 2.0, 3.0), (0, 1)),
+]
+
+
+@pytest.mark.parametrize("dx", [1e-300, 0.5, 1.0, 1e300])
+def test_cosine_flags_window_whose_raw_sum_of_squares_underflows(dx):
+    for tv, sv, flagged in UNDERFLOWING_NORMS:
+        profile = assert_cosine_profile(tv, sv, dx, flagged)
+        assert all(bits(profile.scores[k]) == bits(0.0) for k in flagged), (tv, sv, dx)
 
 
 PAIR_FUNCTIONS = {SlideIndex.COSINE: cosine, SlideIndex.PEARSON: pearson}

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from msetsim import fields
+from msetsim.cli import main
 from msetsim.fields import FieldExpr, GridSpec, PolarProbe, ScalarField, field, jr_value, probe
+from msetsim.fields import _lattice as lattice
 from msetsim.signs import gen_kronecker
 
 SMALL = GridSpec(nx=101, ny=101)  # same [-2, 2]^2 domain, crests still on-lattice
@@ -57,6 +60,16 @@ class TestGridSpec:
         with pytest.raises(ValueError) as err:
             GridSpec(**kwargs)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("heatmap", [[], ["--pgm", "a1.pgm"]], ids=["csv", "auto-ranged"])
+    def test_export_builds_each_axis_once(self, tmp_path, monkeypatch, heatmap):
+        # an auto-ranged heatmap reads the rows twice, and the writer reads
+        # the axes again: each axis is still built once
+        built = []
+        monkeypatch.setattr(fields, "_lattice", lambda *a: built.append(a[0]) or lattice(*a))
+        monkeypatch.chdir(tmp_path)
+        main(["field", "--expr", "a1", "--nx", "5", "--ny", "4", "--out", "a1.csv", *heatmap])
+        assert sorted(built) == ["x", "y"]
 
     @pytest.mark.parametrize("kwargs, message", [
         # float() would parse text and turn True into 1.0; both are refused

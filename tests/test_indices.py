@@ -1,9 +1,11 @@
 import math
 import random
 import sys
+from dataclasses import astuple
+from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from msetsim.indices import (
@@ -20,6 +22,7 @@ from msetsim.indices import (
     split_intersection,
 )
 from msetsim.msetops import MsetOpKind, Signal, aggregate
+from msetsim.sliding import SlideIndex, slide
 
 from oracles import (
     ocoincidence,
@@ -30,6 +33,7 @@ from oracles import (
     ojaccard,
     ojaccard_alt,
     ojaccard_power,
+    oaggregate,
     onorm,
     osplit_intersection,
 )
@@ -274,15 +278,15 @@ def test_indices_match_oracles_on_random_signals():
         assert inner(f, g) == oinner(fv, gv, dx)
         assert norm(f) == onorm(fv, dx)
         assert euclidean(f, g) == oeuclidean(fv, gv, dx)
-        assert jaccard(f, g) == ojaccard(fv, gv, dx)
+        assert jaccard(f, g) == ojaccard(fv, gv)
         assert jaccard_alt(f, g) == ojaccard_alt(fv, gv, dx)
-        assert interiority(f, g) == ointeriority(fv, gv, dx)
-        assert coincidence(f, g) == ocoincidence(fv, gv, dx)
-        assert jaccard_power(f, g, 3) == ojaccard_power(fv, gv, 3, dx)
+        assert interiority(f, g) == ointeriority(fv, gv)
+        assert coincidence(f, g) == ocoincidence(fv, gv)
+        assert jaccard_power(f, g, 3) == ojaccard_power(fv, gv, 3)
         alpha = rng.random()
         assert split_intersection(f, g, alpha) == osplit_intersection(fv, gv, alpha, dx)
         if norm(f) > 0 and norm(g) > 0:
-            assert cosine(f, g) == ocosine(fv, gv, dx)
+            assert cosine(f, g) == ocosine(fv, gv)
 
 
 def test_report_fields_consistent():
@@ -296,3 +300,66 @@ def test_report_fields_consistent():
     assert rep.norm_f == norm(f)
     assert rep.norm_g == norm(g)
     assert rep.euclidean == euclidean(f, g)
+
+
+# The normalised indices are ratios of two sums over the same samples, so
+# the spacing cancels: each is taken over the raw sums and has the same
+# bits, raises and flagged windows at every dx.
+SPACINGS = (1e-300, 0.00628, 0.1, 3.0, 1e300)
+# samples with decimal exponents of about +-150, and zeros of both signs
+spaced_values = st.one_of(
+    st.sampled_from((0.0, -0.0)),
+    st.builds(lambda m, e, s: s * math.ldexp(m, e),
+              st.floats(0.5, 1.0), st.integers(-500, 500), st.sampled_from((1.0, -1.0))),
+)
+spaced_cases = st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.lists(spaced_values, min_size=n, max_size=n),
+    st.lists(spaced_values, min_size=n, max_size=n),
+    st.integers(1, n)))
+
+
+def outcome(call):
+    """repr of the call's result, which tells every float's bits apart (-0.0
+    from 0.0 included), or the type and message of its ValueError."""
+    try:
+        return repr(call())
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+def normalised_outcomes(fv, gv, m, dx):
+    f, g, t = Signal(fv, dx), Signal(gv, dx), Signal(fv[:m], dx)
+    out = {fn.__name__: outcome(lambda: fn(f, g))
+           for fn in (jaccard, interiority, coincidence, cosine)}
+    out["jaccard_power"] = outcome(lambda: jaccard_power(f, g, 3))
+    # jaccard, interiority, coincidence and cosine
+    out["report"] = outcome(lambda: astuple(report(f, g))[:4])
+    for index in (SlideIndex.JACCARD, SlideIndex.COINCIDENCE, SlideIndex.COSINE,
+                  SlideIndex.PEARSON):
+        # scores, best lag and score, and degenerate lags
+        out[index] = outcome(lambda: astuple(slide(t, g, index))[1:])
+    return out
+
+
+@given(spaced_cases)
+@example(([1e-30, 2e-30, -1e-30], [1e-30, 2e-30, -1e-30], 3))
+def test_normalised_indices_do_not_depend_on_the_spacing(case):
+    fv, gv, m = case
+    at_one = normalised_outcomes(fv, gv, m, 1.0)
+    for dx in SPACINGS:
+        assert normalised_outcomes(fv, gv, m, dx) == at_one, dx
+
+
+def test_jaccard_is_one_rounded_division_of_the_raw_sums():
+    rng = random.Random(2626)
+    for dx in SPACINGS:
+        for _ in range(400):
+            n = rng.randint(1, 20)
+            fv = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+            gv = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+            scap, acup = oaggregate("scap", fv, gv), oaggregate("acup", fv, gv)
+            want = float(Fraction(scap) / Fraction(acup))
+            got = jaccard(Signal(fv, dx), Signal(gv, dx))
+            assert repr(got) == repr(want), (fv, gv, dx)
+    f = Signal((1e-30, 2e-30, -1e-30), dx=1e-300)
+    assert (jaccard(f, f), coincidence(f, f)) == (1.0, 1.0)

@@ -157,6 +157,13 @@ def _member_cases():
             yield pytest.param(call, v, f"unknown {what}: {v!r}", id=f"{site}-{str(v)[:8]}")
 
 
+def _signed_power_value_cases():
+    # every other value of the hostile list is a real, whose power is total
+    for v in NOT_REAL:
+        yield pytest.param(lambda v, _: signed_power(v, 3), v,
+                           f"value must be a real number, got {v!r}", id=f"signed_power.value-{v!r}")
+
+
 def _read_with_header(v, p):
     return read_csv(p, [0], has_header=v)
 
@@ -168,7 +175,8 @@ def _has_header_cases():
 
 
 @pytest.mark.parametrize("call, value, message",
-                         [*_real_cases(), *_count_cases(), *_member_cases(), *_has_header_cases()])
+                         [*_real_cases(), *_count_cases(), *_member_cases(), *_has_header_cases(),
+                          *_signed_power_value_cases()])
 def test_hostile_value_is_a_value_error_naming_the_parameter(csv_path, call, value, message):
     # field_rows checks its arguments when called, before the first row
     with pytest.raises(ValueError) as err:
@@ -203,6 +211,25 @@ def test_alpha_of_every_real_type_mixes_as_its_float(alpha):
     assert double_pearson(F, G, alpha) == double_pearson(F, G, float(alpha))
 
 
+@pytest.mark.parametrize("value, exponent, want", [
+    # an even power of an int, a Fraction or a Decimal stays of its type
+    # without the real rule
+    (2, 2, 4.0),
+    (Fraction(1, 2), 2, 0.25),
+    (Decimal("-0.5"), 2, 0.25),
+    # an int power past the float range is inf, not a big int
+    (2, 10**6, math.inf),
+    # an int value past the float range is +-inf, and so is its power
+    (10**400, 3, math.inf),
+    (-10**400, 3, -math.inf),
+    (-10**400, 2, math.inf),
+], ids=["int", "fraction", "decimal", "huge power", "huge int",
+        "huge negative int, odd power", "huge negative int, even power"])
+def test_signed_power_of_every_real_type_is_a_float(value, exponent, want):
+    got = signed_power(value, exponent)
+    assert type(got) is float and got == want
+
+
 def test_read_csv_spacing_of_every_real_type_is_a_float(csv_path):
     for dx in (Fraction(1, 2), Decimal("0.5"), 2):
         (f,) = read_csv(csv_path, [0], dx=dx)
@@ -211,10 +238,11 @@ def test_read_csv_spacing_of_every_real_type_is_a_float(csv_path):
 
 def test_counts_past_the_float_range_are_counts():
     # any int of at least 2 is a point count; the lattice is built on demand,
-    # where a count whose blend cannot be computed in floats is refused
+    # where a count whose blend cannot be computed in floats is refused, and
+    # refused again when asked again: a refused axis is not kept
     spec = GridSpec(nx=10**400, ny=10**400)
     assert spec.nx == spec.ny == 10**400
-    for axis, build in (("x", spec.xs), ("y", spec.ys)):
+    for axis, build in (("x", spec.xs), ("y", spec.ys)) * 2:
         with pytest.raises(ValueError, match=f"^the {axis} lattice cannot be computed in floats"):
             build()
 
