@@ -22,7 +22,7 @@ import sys
 from . import fields, indices, io, sliding, stats
 from .fields import FieldExpr, GridSpec
 from .io import HeatmapRange, fmt
-from .signs import conjoint_signs
+from .signs import _conjoint
 from .sliding import SlideIndex
 
 BOUNDED_EXPRS = ("jr", "jrpow", "kron")  # default heatmap range [-1, 1]
@@ -227,8 +227,9 @@ def _cmd_standardize(args) -> None:
 
 def _cmd_signs(args) -> None:
     f, g = io.read_csv(args.input, args.cols)
+    # the samples are validated by Signal, so the gates are taken unchecked
     io.write_csv(args.out, ("s_hp", "s_hm", "s_xy"),
-                 ((s.s_hp, s.s_hm, s.s_xy) for s in map(conjoint_signs, f.values, g.values)))
+                 ((s.s_hp, s.s_hm, s.s_xy) for s in map(_conjoint, f.values, g.values)))
 
 
 def main(argv=None) -> int:

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Iterator, NamedTuple
 
 from .indices import _signed_powers
-from .msetops import MsetOpKind, _member, _positive_finite, _real, _whole, kernel
+from .msetops import _member, _operands, _positive_finite, _real, _whole
 
 
 class FieldExpr(Enum):
@@ -155,15 +155,6 @@ def _below_crest(alpha: float) -> bool:
     return 0.0 <= alpha < math.pi / 4
 
 
-def jr_value(x: float, y: float) -> float:
-    """The scalar Jaccard surface: signed min over max of absolutes, 0 at
-    the origin."""
-    den = max(abs(x), abs(y))
-    if den == 0.0:
-        return 0.0
-    return kernel(MsetOpKind.SCAP, x, y) / den
-
-
 class _Columns(NamedTuple):
     """The x side of the lattice, prepared once per field: the coordinates,
     their magnitudes, and the sign product sx*sy for a row with y > 0
@@ -183,11 +174,12 @@ def _columns(xs: tuple[float, ...]) -> _Columns:
 
 # Row evaluators: (columns, y, d) -> the row's values, x from x_min upward.
 # Each one gives, bit for bit, what the public per-cell definitions give:
-# kernel()'s gate table for the min/max surfaces, jr_value, signed_power
-# of jr_value and gen_kronecker.  The sign product s is exact and applied
-# last: s*m is m, -m or +0.0 (x == 0), as kernel()'s weight gives, and
-# s*(m/den) equals (s*m)/den.  A row with y == 0 lies on the zero gate of
-# the signed surfaces and is +0.0 throughout.
+# kernel()'s gate table for the min/max surfaces, kernel(SCAP) over
+# kernel(ACUP), 0 at the origin, for jr (jr_value is its one cell),
+# signed_power of that, and gen_kronecker.  The sign product s is exact and
+# applied last: s*m is m, -m or +0.0 (x == 0), as kernel()'s weight gives,
+# and s*(m/den) equals (s*m)/den.  A row with y == 0 lies on the zero gate
+# of the signed surfaces and is +0.0 throughout.
 
 def _a1_row(c, y, d):
     if y == 0:
@@ -223,6 +215,15 @@ def _jr_row(c, y, d):
     # min(|x|, |y|) / max(|x|, |y|), signed
     return [s * (a / ay if a < ay else ay / a)
             for s, a in zip(c.pos if y > 0 else c.neg, c.mag)]
+
+
+def jr_value(x: float, y: float) -> float:
+    """The scalar Jaccard surface at (x, y): signed min over max of
+    absolutes, 0 where x or y is 0.  It is the ``jr`` surface's one cell,
+    by the row evaluator the surface uses, after the operand rule of
+    :mod:`msetsim.msetops`: x and y must be finite real numbers."""
+    x, y = _operands(x, y)
+    return _jr_row(_columns((x,)), y, None)[0]
 
 
 def _jr_pow_row(c, y, d):

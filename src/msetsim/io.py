@@ -34,7 +34,7 @@ from io import StringIO
 from typing import Iterable, Sequence, Union
 
 from .fields import GridSpec, ScalarField
-from .msetops import Signal, _real, _spacing, _whole
+from .msetops import Signal, _real, _shown, _spacing, _whole
 
 # a column is picked either by 0-based index or by header name
 ColumnSelector = Union[int, str]
@@ -236,7 +236,7 @@ def read_csv(path, selectors: Sequence[ColumnSelector],
     if not selectors:
         raise ValueError("at least one column selector is required")
     if has_header is not None and type(has_header) is not bool:
-        raise ValueError(f"has_header must be None, True or False, got {has_header!r}")
+        raise ValueError(f"has_header must be None, True or False, got {_shown(has_header)}")
     dx = _spacing(dx)
     try:
         return [Signal(col, dx) for col in _columns_in_bulk(path, selectors, has_header)]
@@ -538,7 +538,7 @@ def export_field(spec: GridSpec, rows: Iterable[Sequence[float]], path,
     before either is opened.
     """
     if pgm_path is not None and not isinstance(rng, HeatmapRange):
-        raise ValueError(f"a heatmap needs a HeatmapRange, got {rng!r}")
+        raise ValueError(f"a heatmap needs a HeatmapRange, got {_shown(rng)}")
     xs, ys = spec.xs(), spec.ys()
     with _outputs((path, "w"), (pgm_path, "wb")) as (fh, pgm):
         write = None if fh is None else _csv_row_writer(fh, xs)

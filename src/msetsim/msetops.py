@@ -24,15 +24,19 @@ count, a heatmap level, a probe angle or radius, a column index, an
 operation, surface or slide index) goes through one of three rules:
 :func:`_real` for a real number, :func:`_whole` for a count or an index,
 and :func:`_member` for a key of the table it picks from.  Each failure is
-a ValueError that names the parameter.  A real is stored as a float, and
-text and bools are refused, though ``float()`` takes them; a bool is not a
-count, though it is an int.  Samples are not parameters: the pointwise
-kernels check their operands with ``math.isfinite``, which costs them less
-than a call, and :class:`Signal` converts each sample with ``float()``, so
-a text sample such as ``Signal(["1"])`` is still read as a number.
+a ValueError that names the parameter and shows the refused value by
+:func:`_shown`.  A real is stored as a float, and text and bools are
+refused, though ``float()`` takes them; a bool is not a count, though it is
+an int.  The operands x and y of the public pointwise functions
+(:func:`kernel`, ``sign``, ``conjoint_signs``, ``gen_kronecker`` and
+``jr_value``) go through one rule too, :func:`_operands`: a finite real
+number, taken as a float.  Only :class:`Signal` reads its samples its own
+way: it converts each with ``float()``, so a text sample such as
+``Signal(["1"])`` is still read as a number.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,22 +64,29 @@ class Signal:
     one type.  Samples must be finite and the signal nonempty; ``values``
     is a sequence of numbers, so text and bytes are refused whole rather
     than read one character or byte at a time, and sets and dicts are
-    refused rather than read in their iteration order.  Two signals enter a
-    binary operation only with equal length and equal dx.
+    refused rather than read in their iteration order.  Each sample is
+    converted with ``float()``; one it refuses or that is not finite raises
+    a ValueError naming the first such sample.  Two signals enter a binary
+    operation only with equal length and equal dx.
     """
 
     values: tuple[float, ...]
     dx: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.values, (str, bytes, bytearray, set, frozenset, dict)):
-            raise ValueError(f"signal samples must be numbers, got {type(self.values).__name__}")
-        vals = tuple(map(float, self.values))
+        values = self.values
+        if isinstance(values, (str, bytes, bytearray, set, frozenset, dict)):
+            raise ValueError(f"signal samples must be numbers, got {type(values).__name__}")
+        if iter(values) is values:  # a one-shot iterator: keep it, to find a refused sample again
+            values = tuple(values)
+        try:
+            vals = tuple(map(float, values))
+        except (TypeError, ValueError, OverflowError):  # a sample float() refuses
+            vals = None
+        if vals is None or not all(map(math.isfinite, vals)):
+            raise ValueError(f"signal samples must be finite, got {_shown(_first_refused(values))}")
         if not vals:
             raise ValueError("signal needs at least one sample")
-        if not all(map(math.isfinite, vals)):
-            bad = next(v for v in vals if not math.isfinite(v))
-            raise ValueError(f"signal samples must be finite, got {bad!r}")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "dx", _spacing(self.dx))
 
@@ -83,10 +94,34 @@ class Signal:
         return len(self.values)
 
 
+def _first_refused(values):
+    """The first of ``values`` that ``float()`` refuses, or the first
+    conversion that is not finite: the sample a :class:`Signal` names."""
+    for v in values:
+        try:
+            number = float(v)
+        except (TypeError, ValueError, OverflowError):
+            return v
+        if not math.isfinite(number):
+            return number
+
+
+def _shown(value) -> str:
+    """``repr(value)``, the refused value a message shows, or where repr
+    raises, as it does for an int past the interpreter's limit on digits
+    converted to text (4,300 by default) and for a number holding one, a
+    description of it: the message then still names what was refused."""
+    try:
+        return repr(value)
+    except ValueError:
+        sign = "a negative" if value < 0 else "a"
+        return f"{sign} number of more than {sys.get_int_max_str_digits()} digits"
+
+
 def _real(value, requirement: str, test=None) -> float:
     """``value`` as a float, raising ValueError(f"{requirement}, got
-    {value!r}") unless it is a real number that passes ``test``: the one
-    rule for a real parameter.  Text and bools are refused, though
+    {_shown(value)}") unless it is a real number that passes ``test``: the
+    one rule for a real parameter.  Text and bools are refused, though
     ``float()`` takes them, and so is anything ``float()`` refuses.  An int
     past the float range becomes +-inf, for ``test`` or the caller's
     finiteness check to report.  ``test`` is a module-level predicate on
@@ -102,26 +137,35 @@ def _real(value, requirement: str, test=None) -> float:
             number = None
         if number is not None and (test is None or test(number)):
             return number
-    raise ValueError(f"{requirement}, got {value!r}")
+    raise ValueError(f"{requirement}, got {_shown(value)}")
 
 
 def _whole(value, requirement: str, least: int | None = 1) -> int:
-    """``value``, raising ValueError(f"{requirement}, got {value!r}")
+    """``value``, raising ValueError(f"{requirement}, got {_shown(value)}")
     unless it is an int, not a bool, and at least ``least`` (None for no
     lower bound): the one rule for a count or an index."""
     if type(value) is bool or not isinstance(value, int) or least is not None and value < least:
-        raise ValueError(f"{requirement}, got {value!r}")
+        raise ValueError(f"{requirement}, got {_shown(value)}")
     return value
 
 
 def _member(table, key, what: str):
-    """``table[key]``, raising ValueError(f"unknown {what}: {key!r}") for a
-    key the table does not hold or cannot hash: the one lookup of an
+    """``table[key]``, raising ValueError(f"unknown {what}: {_shown(key)}")
+    for a key the table does not hold or cannot hash: the one lookup of an
     operation, surface or slide index in its table."""
     try:
         return table[key]
     except (KeyError, TypeError):
-        raise ValueError(f"unknown {what}: {key!r}") from None
+        raise ValueError(f"unknown {what}: {_shown(key)}") from None
+
+
+def _operands(x, y=0.0) -> tuple[float, float]:
+    """``x`` and ``y`` as floats, each by :func:`_real` with a finiteness
+    test: the one rule for the operands of a public pointwise function,
+    whose ValueError names the refused operand.  A function of one operand
+    takes the first."""
+    return (_real(x, "x must be a finite real number", math.isfinite),
+            _real(y, "y must be a finite real number", math.isfinite))
 
 
 def _positive_finite(v: float) -> bool:
@@ -214,10 +258,11 @@ def kernel(kind: MsetOpKind, x: float, y: float) -> float:
     opposite-sign gate, so SCAP == SCAP_PLUS - SCAP_MINUS pointwise (and
     likewise for SCUP).  Every kind but CAP and CUP is the gated sum over
     the single pair, so a zero result is +0.0: a weight of -1 needs two
-    nonzero operands, whose magnitude is then nonzero.
+    nonzero operands, whose magnitude is then nonzero.  The operands go
+    through the operand rule, so the result is a float for an int or
+    ``Fraction`` operand too.
     """
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"kernel() requires finite operands, got ({x!r}, {y!r})")
+    x, y = _operands(x, y)
     if kind is MsetOpKind.CAP:
         return min(x, y)
     if kind is MsetOpKind.CUP:

@@ -1,8 +1,16 @@
 """Pointwise sign kernels: the plain sign, the five pairwise sign gates of a
-sample pair, and the generalized (signed) Kronecker delta."""
+sample pair, and the generalized (signed) Kronecker delta.
 
-import math
+Each public function takes its operands by the operand rule of
+:mod:`msetsim.msetops`: a finite real number, read as a float, or a
+ValueError that names the operand.  :func:`_conjoint` is the gate function
+without that rule, for samples a :class:`~msetsim.msetops.Signal` has
+already validated.
+"""
+
 from typing import NamedTuple
+
+from .msetops import _operands
 
 
 class SignTuple(NamedTuple):
@@ -23,14 +31,9 @@ class SignTuple(NamedTuple):
 
 
 def sign(x: float) -> int:
-    """Return -1, 0, or +1 for a finite value; -0.0 counts as zero."""
-    if not math.isfinite(x):
-        raise ValueError(f"sign() requires a finite value, got {x!r}")
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+    """Return -1, 0, or +1 for a finite real value; -0.0 counts as zero."""
+    x = _operands(x)[0]
+    return (x > 0) - (x < 0)
 
 
 def conjoint_signs(x: float, y: float) -> SignTuple:
@@ -41,8 +44,13 @@ def conjoint_signs(x: float, y: float) -> SignTuple:
     == 1) and s_xy == s_p - 1 == 1 - s_m; a single zero operand puts 0.5 in
     both gates.
     """
-    sx = sign(x)
-    sy = sign(y)
+    return _conjoint(*_operands(x, y))
+
+
+def _conjoint(x: float, y: float) -> SignTuple:
+    """The five sign gates of a pair of floats, unchecked."""
+    sx = (x > 0) - (x < 0)
+    sy = (y > 0) - (y < 0)
     s_p = float(abs(sx + sy))
     s_m = float(abs(sx - sy))
     return SignTuple(s_p, s_m, s_p / 2.0, s_m / 2.0, float(sx * sy))
@@ -51,8 +59,7 @@ def conjoint_signs(x: float, y: float) -> SignTuple:
 def gen_kronecker(x: float, y: float) -> int:
     """Signed Kronecker delta: +1 when x == y != 0, -1 when x == -y != 0,
     0 at the origin and everywhere off both crests."""
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError("gen_kronecker() requires finite values")
+    x, y = _operands(x, y)
     if x == y:
         return 1 if x != 0 else 0
     if x == -y:

@@ -80,7 +80,7 @@ def standardize(v: Signal) -> Signal:
     be correct.
     """
     m, s = _location_scale(v)
-    return Signal(((x - m) / s for x in v.values), v.dx)
+    return Signal([(x - m) / s for x in v.values], v.dx)
 
 
 def _centred_sums(x: Signal, y: Signal) -> tuple[float, float, float]:

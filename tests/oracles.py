@@ -28,6 +28,14 @@ def osign(v):
     return 0
 
 
+def ogates(x, y):
+    """The half gates s_hp = |sx + sy| / 2 and s_hm = |sx - sy| / 2 and the
+    sign product s_xy = sx*sy of the pair (x, y), as floats."""
+    sx = osign(x)
+    sy = osign(y)
+    return abs(sx + sy) / 2, abs(sx - sy) / 2, float(sx * sy)
+
+
 def okernel(op, x, y):
     sx = osign(x)
     sy = osign(y)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msetsim.fields import FieldExpr, GridSpec, field
+from msetsim.fields import FieldExpr, GridSpec, field, jr_value
 from msetsim.indices import (
     coincidence,
     cosine,
@@ -45,6 +45,7 @@ from oracles import (
     omean,
     onorm,
     opearson,
+    osign,
     oslide,
     osplit_inner,
     osplit_intersection,
@@ -441,6 +442,19 @@ def _ref_a4(x, y):
 def _ref_jr(x, y):
     den = kernel(MsetOpKind.ACUP, x, y)
     return 0.0 if den == 0 else kernel(MsetOpKind.SCAP, x, y) / den
+
+
+def _oracle_jr(x, y):
+    # from the oracle kernels: the signed intersection over the union of
+    # absolutes, and +0.0 on the zero gate, where x or y is 0
+    if osign(x) * osign(y) == 0:
+        return 0.0
+    return okernel("scap", x, y) / okernel("acup", x, y)
+
+
+def test_jr_value_bits_match_oracle():
+    for x, y in itertools.product(EDGE, repeat=2):
+        assert bits(jr_value(x, y)) == bits(_oracle_jr(x, y)), (x, y)
 
 
 _REF_CELL = {

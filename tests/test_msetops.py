@@ -40,6 +40,23 @@ class TestSignal:
         with pytest.raises(ValueError, match=f"finite, got {shown}$"):
             Signal([str(bad)])
 
+    @pytest.mark.parametrize("values, shown", [
+        ([1.0, None], "None"), ([1j], "1j"), ([2.0, 10**400, None], repr(10**400)),
+        (["1", "one"], "'one'"), ([[1.0]], "[1.0]"),
+        # the first refused sample, whether float() refuses it or it is not finite
+        ([1.0, math.inf, None], "inf"), ([None, math.nan], "None"),
+        # a one-shot iterator is read once, so its refused sample is found
+        (iter([1.0, None, "x"]), "None"), ((v for v in (2.0, 1j)), "1j"),
+    ], ids=["None", "complex", "huge int", "text", "list", "inf first", "None first",
+            "iterator", "generator"])
+    def test_names_the_first_sample_it_refuses(self, values, shown):
+        with pytest.raises(ValueError) as err:
+            Signal(values)
+        assert str(err.value) == f"signal samples must be finite, got {shown}"
+
+    def test_reads_a_one_shot_iterator(self):
+        assert Signal(iter([1, "2.5", -0.0])).values == (1.0, 2.5, -0.0)
+
     # text and bools too, as for a GridSpec bound, though float() takes
     # "0.5", b"1" and True
     @pytest.mark.parametrize("dx", [0.0, -1.0, math.nan, math.inf, "0.5", b"1", True, False])

@@ -9,19 +9,35 @@ form; a column selector that is text is a header name; ``has_header``
 takes True, False and None).  Reals of every numeric type (``Fraction``,
 ``Decimal``, ``int``) are taken, and a type that stores the parameter
 stores a float.
+
+The operands x and y of the public pointwise functions are checked by one
+more rule, a finite real number, and a refused one is a ValueError naming
+it.  A refused value too long for ``repr`` (an int past the interpreter's
+limit on digits converted to text) is described in the message instead.
 """
 
+import itertools
 import math
+import sys
 from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from msetsim.fields import FieldExpr, GridSpec, PolarProbe, ScalarField, field, field_rows
+from msetsim.fields import (
+    FieldExpr,
+    GridSpec,
+    PolarProbe,
+    ScalarField,
+    field,
+    field_rows,
+    jr_value,
+)
 from msetsim.indices import jaccard_power, signed_power, split_intersection
 from msetsim.io import HeatmapRange, read_csv
-from msetsim.msetops import Signal, aggregate, kernel
+from msetsim.msetops import MsetOpKind, Signal, aggregate, kernel
+from msetsim.signs import conjoint_signs, gen_kronecker, sign
 from msetsim.sliding import slide
 from msetsim.stats import SplitProduct, double_pearson
 
@@ -269,3 +285,76 @@ def test_bad_selector_is_reported_before_the_file_is_opened(tmp_path):
             read_csv(tmp_path / "missing.csv", [selector])
     with pytest.raises(ValueError, match="^has_header must be None, True or False, got 'no'$"):
         read_csv(tmp_path / "missing.csv", [0], has_header="no")
+
+
+# The operands x and y of the public pointwise functions go through one
+# rule, a finite real number: the values below are refused in each operand
+# position with a ValueError naming that operand.
+NOT_OPERANDS = [math.nan, math.inf, -math.inf, "1", b"1", True, None, 10**400, 1j]
+
+# (function, call(x, y)); a function of one operand ignores y
+POINTWISE = [
+    *[(f"kernel.{kind.value}", (lambda kind: lambda x, y: kernel(kind, x, y))(kind))
+      for kind in MsetOpKind],
+    ("sign", lambda x, y: sign(x)),
+    ("conjoint_signs", conjoint_signs),
+    ("gen_kronecker", gen_kronecker),
+    ("jr_value", jr_value),
+]
+
+
+def _operand_cases():
+    for site, call in POINTWISE:
+        for name in ("x", "y") if site != "sign" else ("x",):
+            for v in NOT_OPERANDS:
+                args = (v, 0.5) if name == "x" else (-2.0, v)
+                yield pytest.param(call, args, f"{name} must be a finite real number, got {v!r}",
+                                   id=f"{site}.{name}-{str(v)[:8]}")
+
+
+@pytest.mark.parametrize("call, args, message", _operand_cases())
+def test_refused_operand_is_a_value_error_naming_it(call, args, message):
+    with pytest.raises(ValueError) as err:
+        call(*args)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("site, call", POINTWISE, ids=[p[0] for p in POINTWISE])
+def test_int_and_fraction_operands_give_the_float_operands_result(site, call):
+    # sign and gen_kronecker return ints by their contract; every other
+    # result is a float, with the float operands' bits
+    want_type = int if site in ("sign", "gen_kronecker") else float
+    for fx, fy in itertools.product((-3, 0, 2), (-2, 0, 1, 3)):
+        for x, y in ((fx, fy), (Fraction(fx), Fraction(fy)), (Fraction(fx, 4), Fraction(fy, 8))):
+            want = call(float(x), float(y))
+            got = call(x, y)
+            assert repr(got) == repr(want) and type(got) is type(want), (x, y)
+            assert all(type(v) is want_type for v in (got if site == "conjoint_signs" else [got]))
+
+
+# an int of 5,001 digits, past the 4,300 that repr converts by default: the
+# message describes it in place of its digits, where repr would raise
+HUGE_INT = 10**5000
+SHOWN = f"number of more than {sys.get_int_max_str_digits()} digits"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p: Signal((1.0,), HUGE_INT),
+     f"sample spacing must be a positive finite real, got a {SHOWN}"),
+    (lambda p: signed_power(0.5, -HUGE_INT),
+     f"exponent must be a positive integer, got a negative {SHOWN}"),
+    (lambda p: kernel(HUGE_INT, 1.0, 2.0), f"unknown operation kind: a {SHOWN}"),
+    (lambda p: read_csv(p, [-HUGE_INT]),
+     f"column index must be an integer >= 0, got a negative {SHOWN}"),
+    (lambda p: read_csv(p, [0], has_header=HUGE_INT),
+     f"has_header must be None, True or False, got a {SHOWN}"),
+    (lambda p: sign(HUGE_INT), f"x must be a finite real number, got a {SHOWN}"),
+    (lambda p: jr_value(1.0, Fraction(-HUGE_INT, 3)),
+     f"y must be a finite real number, got a negative {SHOWN}"),
+    (lambda p: Signal([1.0, HUGE_INT]), f"signal samples must be finite, got a {SHOWN}"),
+], ids=["real", "whole", "member", "read_csv.selector", "read_csv.has_header", "operand",
+        "operand fraction", "Signal sample"])
+def test_a_number_too_long_to_show_is_described(csv_path, call, message):
+    with pytest.raises(ValueError) as err:
+        call(csv_path)
+    assert str(err.value) == message

@@ -23,7 +23,12 @@ One parameter rule: what counts as a valid parameter is decided in
 parameter picks from (``_GATED``, ``_ROWS`` and ``_SCORERS``) are
 subscripted only inside ``msetops._member``, and only ``msetops`` calls
 ``isinstance`` with ``bool`` among its types, the test that refuses a bool
-where a number is meant."""
+where a number is meant.
+
+One operand rule: each public pointwise function takes its operands by
+``msetops._operands`` and tests no finiteness of its own, and the CLI's
+per-sample loop calls no checked pointwise function: its samples are
+validated by ``Signal``."""
 
 import ast
 from pathlib import Path
@@ -262,3 +267,26 @@ def test_parameter_rule_allows_the_rules(tmp_path):
     p.write_text("def _member(key):\n    return _GATED[key]\n"
                  "def _real(v):\n    return isinstance(v, (str, bool))\n")
     assert parameter_decisions(p) == []
+
+
+POINTWISE = ["msetops.kernel", "signs.sign", "signs.conjoint_signs", "signs.gen_kronecker",
+             "fields.jr_value"]
+
+
+def names_in(where: str) -> set[str]:
+    """The plain and attribute names that the function ``module.name`` uses."""
+    module, name = where.split(".")
+    tree = ast.parse((Path(msetsim.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+    func = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(func)}
+
+
+@pytest.mark.parametrize("where", POINTWISE)
+def test_pointwise_operands_are_taken_by_the_operand_rule(where):
+    used = names_in(where)
+    assert "_operands" in used and "isfinite" not in used
+
+
+def test_signs_command_maps_the_unchecked_gates():
+    used = names_in("cli._cmd_signs")
+    assert "_conjoint" in used and "conjoint_signs" not in used
