@@ -9,8 +9,9 @@ output is a data error that names it and prints nothing.  Files are read
 and written by :mod:`msetsim.io`.
 
 ``field`` evaluates each row of the surface once and writes it as it comes
-(an auto-ranged heatmap first takes the min and max in a pass of its own),
-so an export holds O(nx) values plus nx*ny bytes of image, not the field.
+(an auto-ranged heatmap first takes the min and max over the few lattice
+cells where the surface takes them), so an export holds O(nx) values plus
+nx*ny bytes of image, not the field.
 """
 
 import argparse
@@ -185,13 +186,15 @@ def _cmd_field(args) -> None:
             rng = HeatmapRange(-1.0, 1.0)
     expr = FieldExpr(args.expr)
     if args.pgm is not None and rng is None:
-        # the auto-range is taken before any file is opened, in a pass of
-        # its own over the rows.  No surface is NaN on a finite lattice, so
-        # folding min and max over the values in row-major order from
-        # +-inf gives the range, signed zeros and messages of min(values)
-        # and max(values) over the whole field
+        # the auto-range (a1-a5 only: the others are bounded) is taken
+        # before any file is opened, over the rows of the sub-lattice of
+        # each axis's extreme points (fields._extreme_points), where each
+        # of these surfaces takes its extremes.  No surface is NaN on a
+        # finite lattice, so folding min and max over those rows in
+        # row-major order from +-inf gives the range, signed zeros and
+        # messages of min(values) and max(values) over the whole field
         lo, hi = math.inf, -math.inf
-        for row in fields.field_rows(expr, spec, d=args.power):
+        for row in fields._rows(expr, spec, args.power, fields._extreme_points):
             lo, hi = min(lo, *row), max(hi, *row)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"cannot scale the heatmap: the field holds a non-finite value "

@@ -262,11 +262,38 @@ def field_rows(expr: FieldExpr, spec: GridSpec, d: int | None = None) -> Iterato
     Each row is evaluated when it is asked for, so a caller that writes
     rows as they come holds one row, not the field.
     """
+    return _rows(expr, spec, d)
+
+
+def _rows(expr: FieldExpr, spec: GridSpec, d, points=tuple) -> Iterator[list[float]]:
+    """The rows of :func:`field_rows`, with its checks, over the
+    sub-lattice of the points that ``points`` picks from each axis in the
+    axis's order; ``tuple`` picks them all."""
     row = _member(_ROWS, expr, "field expression")
     if expr is FieldExpr.JR_POW:
         _whole(d, "JR_POW needs a positive integer power")
-    c = _columns(spec.xs())
-    return (row(c, y, d) for y in spec.ys())  # spec.ys() is built here, not at the first row
+    c = _columns(points(spec.xs()))
+    ys = points(spec.ys())  # built here, not at the first row
+    return (row(c, y, d) for y in ys)
+
+
+def _extreme_points(axis: tuple[float, ...]) -> tuple[float, ...]:
+    """The points of ``axis``, in its order, that are zero or are the least
+    or greatest of its negative or of its positive points: five at most,
+    but for repeated points.
+
+    Each of a1-a5 is monotone in x and in y within a sign quadrant, and so
+    is its rounding, so its least and greatest values over the lattice lie
+    on the sub-lattice of these points of both axes.  The sub-lattice keeps
+    the lattice's order and its first cell, (x_min, y_min), so folding
+    min and max over its rows in row-major order gives, bit for bit, the
+    fold over the whole field: the extremes, and the sign of a zero one.
+    """
+    ends = set()
+    for side in ([x for x in axis if x < 0], [x for x in axis if x > 0]):
+        if side:
+            ends.update((min(side), max(side)))
+    return tuple(x for x in axis if x == 0 or x in ends)
 
 
 def field(expr: FieldExpr, spec: GridSpec, d: int | None = None) -> ScalarField:

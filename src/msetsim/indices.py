@@ -312,18 +312,25 @@ def coincidence(f: Signal, g: Signal) -> float:
 
 
 def _signed_powers(values, d: int) -> list[float]:
-    """:func:`signed_power` of each of the sequence ``values``, for a
+    """:func:`signed_power` of each of the float sequence ``values``, for a
     checked int ``d`` of at least 1: the one home of the sign-kept power.
 
-    An exponent past 2**1023 is capped there, its parity kept: from there
-    on every |v| < 1 gives 0, |v| = 1 gives 1 and |v| > 1 overflows, so the
-    cap changes no result.  A power past the float range raises
-    OverflowError; none of a value in [-1, 1] (a Jaccard value) is.
+    Below 2**53, ``float(d)`` keeps d's parity, and CPython's float power
+    takes an integral power of a negative base as that of its magnitude,
+    negated for an odd one, with the sign of a zero and an inf kept the
+    same way: so for an odd d, ``v ** d`` is ``copysign(abs(v) ** d, v)``
+    bit for bit.  An even d takes ``abs(v) ** d``, so a NaN power is
+    never negative.  An exponent past 2**1023 is capped, its parity kept:
+    from there on every |v| < 1 gives 0, |v| = 1 gives 1 and |v| > 1
+    overflows, so the cap changes no result.  A power past the float range
+    raises OverflowError; none of a value in [-1, 1] (a Jaccard value) is.
     """
     d = min(d, (1 << 1023) + d % 2)
-    if d % 2:
-        return [math.copysign(abs(v) ** d, v) for v in values]
-    return [abs(v) ** d for v in values]
+    if d % 2 == 0:
+        return [abs(v) ** d for v in values]
+    if d < 1 << 53:
+        return [v ** d for v in values]
+    return [math.copysign(abs(v) ** d, v) for v in values]
 
 
 def signed_power(value: float, exponent: int) -> float:

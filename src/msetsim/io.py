@@ -34,7 +34,7 @@ from io import StringIO
 from typing import Iterable, Sequence, Union
 
 from .fields import GridSpec, ScalarField
-from .msetops import Signal, _real, _shown, _spacing, _whole
+from .msetops import Signal, _real, _sequence, _shown, _spacing, _whole
 
 # a column is picked either by 0-based index or by header name
 ColumnSelector = Union[int, str]
@@ -200,9 +200,11 @@ def read_csv(path, selectors: Sequence[ColumnSelector],
     raises with the reader's line number.
 
     The parameters are checked before the file is opened, so a bad one is
-    reported ahead of a missing file or a bad cell: each selector must be a
-    name or an int of at least 0 (not a bool), ``has_header`` None or a
-    bool, and ``dx`` a positive finite real.
+    reported ahead of a missing file or a bad cell: ``selectors`` must be
+    an ordered collection that is not text (so ``"xy"`` is refused, not
+    read as the names ``x`` and ``y``), each selector a name or an int of
+    at least 0 (not a bool), ``has_header`` None or a bool, and ``dx`` a
+    positive finite real.
 
     The rows up to the first that is not empty are parsed by the csv
     module, and the rest of the file is read in blocks: 32,768 characters,
@@ -232,7 +234,7 @@ def read_csv(path, selectors: Sequence[ColumnSelector],
     is read by the fallback.
     """
     selectors = [s if isinstance(s, str) else _whole(s, "column index must be an integer >= 0", 0)
-                 for s in selectors]
+                 for s in _sequence(selectors, "column selectors must be a sequence")]
     if not selectors:
         raise ValueError("at least one column selector is required")
     if has_header is not None and type(has_header) is not bool:
@@ -395,14 +397,40 @@ def _pgm_row_renderer(rng: HeatmapRange):
     pixel = round(255 * clamp((v - lo)/(hi - lo), 0, 1)), with halves
     rounded away from zero (so the midpoint value maps to 128), as
     ``math.floor(255.0 * t + 0.5)``; a NaN raises ValueError.
+
+    A row is first rendered with no clamp: inside [lo, hi] the two rules
+    compute the same expression, and just outside it ``floor`` gives 0 or
+    255, as the clamp does.  Only a row holding a pixel outside 0..255,
+    which ``bytes`` refuses, or a NaN or inf, which ``floor`` refuses, is
+    rendered again through the clamp, which raises on a NaN.
+
+    With h = nx // 2, a row whose left h values equal its right h values
+    in reverse, as every row of ``a2``, ``a4``, ``a5`` and an even
+    ``jrpow`` does on a range symmetric about zero, renders its centre and
+    right half and takes its left half from them, reversed.  ``==`` takes
+    -0.0 for 0.0, which renders the same pixel, and a NaN never equals
+    itself, so such a row is rendered whole (or, compared as the same
+    object, has it in its right half too) and still raises.
     """
     lo = rng.lo
     span = rng.hi - lo
     floor = math.floor
 
+    def pixels(row: Sequence[float]) -> bytes:
+        try:
+            return bytes([floor(255.0 * ((v - lo) / span) + 0.5) for v in row])
+        except (ValueError, OverflowError):
+            return bytes([0 if t < 0.0 else 255 if t > 1.0 else floor(255.0 * t + 0.5)
+                          for v in row for t in [(v - lo) / span]])
+
     def render(row: Sequence[float]) -> bytes:
-        return bytes([0 if t < 0.0 else 255 if t > 1.0 else floor(255.0 * t + 0.5)
-                      for v in row for t in [(v - lo) / span]])
+        h = len(row) // 2
+        # the ends first: a row that does not mirror seldom has equal
+        # ends, and is then told by one comparison, with no slices
+        if row[0] == row[-1] and row[:h] == row[:len(row) - h - 1:-1]:
+            right = pixels(row[h:])
+            return right[:-h - 1:-1] + right
+        return pixels(row)
 
     return render
 

@@ -25,11 +25,13 @@ operation, surface or slide index) goes through one of three rules:
 :func:`_real` for a real number, :func:`_whole` for a count or an index,
 and :func:`_member` for a key of the table it picks from.  Each failure is
 a ValueError that names the parameter and shows the refused value by
-:func:`_shown`.  A real is stored as a float, and text and bools are
-refused, though ``float()`` takes them; a bool is not a count, though it is
-an int.  The operands x and y of the public pointwise functions
-(:func:`kernel`, ``sign``, ``conjoint_signs``, ``gen_kronecker`` and
-``jr_value``) go through one rule too, :func:`_operands`: a finite real
+:func:`_shown`.  A sequence parameter (a :class:`Signal`'s samples,
+``read_csv``'s column selectors) goes through :func:`_sequence`, whose
+message names the refused value's type.  A real is stored as a float, and
+text and bools are refused, though ``float()`` takes them; a bool is not a
+count, though it is an int.  The operands x and y of the public pointwise
+functions (:func:`kernel`, ``sign``, ``conjoint_signs``, ``gen_kronecker``
+and ``jr_value``) go through one rule too, :func:`_operands`: a finite real
 number, taken as a float.  Only :class:`Signal` reads its samples its own
 way: it converts each with ``float()``, so a text sample such as
 ``Signal(["1"])`` is still read as a number.
@@ -62,9 +64,10 @@ class Signal:
 
     ``dx`` defaults to 1 so plain vectors and discretized functions share
     one type.  Samples must be finite and the signal nonempty; ``values``
-    is a sequence of numbers, so text and bytes are refused whole rather
-    than read one character or byte at a time, and sets and dicts are
-    refused rather than read in their iteration order.  Each sample is
+    is a sequence of numbers, by the rule of :func:`_sequence`: a value
+    that is not iterable is refused, text and bytes are refused whole
+    rather than read one character or byte at a time, and sets and dicts
+    rather than read in their iteration order.  Each sample is
     converted with ``float()``; one it refuses or that is not finite raises
     a ValueError naming the first such sample.  Two signals enter a binary
     operation only with equal length and equal dx.
@@ -74,11 +77,7 @@ class Signal:
     dx: float = 1.0
 
     def __post_init__(self):
-        values = self.values
-        if isinstance(values, (str, bytes, bytearray, set, frozenset, dict)):
-            raise ValueError(f"signal samples must be numbers, got {type(values).__name__}")
-        if iter(values) is values:  # a one-shot iterator: keep it, to find a refused sample again
-            values = tuple(values)
+        values = _sequence(self.values, "signal samples must be numbers")
         try:
             vals = tuple(map(float, values))
         except (TypeError, ValueError, OverflowError):  # a sample float() refuses
@@ -138,6 +137,23 @@ def _real(value, requirement: str, test=None) -> float:
         if number is not None and (test is None or test(number)):
             return number
     raise ValueError(f"{requirement}, got {_shown(value)}")
+
+
+def _sequence(values, requirement: str):
+    """``values``, or its items in a tuple when it is a one-shot iterator,
+    so that they can be read again, raising ValueError(f"{requirement},
+    got {type name}") unless it is an ordered iterable that is not text:
+    the one rule for a sequence parameter.  Text and bytes are refused
+    whole rather than read a character or a byte at a time, and sets and
+    dicts rather than read in their iteration order.  The message names
+    the refused value's type, not the value, which may be long."""
+    try:
+        once = iter(values) is values
+    except TypeError:  # not iterable
+        once = None
+    if once is None or isinstance(values, (str, bytes, bytearray, set, frozenset, dict)):
+        raise ValueError(f"{requirement}, got {type(values).__name__}")
+    return tuple(values) if once else values
 
 
 def _whole(value, requirement: str, least: int | None = 1) -> int:

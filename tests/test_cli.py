@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import msetsim.io
+from msetsim import fields
 from msetsim.cli import BOUNDED_EXPRS, cli, main
 from msetsim.fields import FieldExpr, GridSpec, field, field_rows
 from msetsim.io import HeatmapRange, export_field, read_csv, write_field_csv, write_pgm
@@ -499,6 +500,25 @@ class TestHeatmapFlags:
         payload = bytes(p for row in reversed(image_rows) for p in row)
         assert (tmp_path / "f.pgm").read_bytes() == b"P5\n9 7\n255\n" + payload
         assert 0 in payload and 255 in payload and 179 in payload
+
+    def test_auto_range_evaluates_each_row_once(self, tmp_path, monkeypatch):
+        # the range is folded over the sub-lattice of each axis's extreme
+        # points, -2, -0.01, 0, 0.01 and 2 here, not over a second pass:
+        # 401 * 401 cells for the outputs and 5 * 5 for the range
+        cells = []
+        a1 = fields._ROWS[FieldExpr.A1]
+
+        def counted(c, y, d):
+            cells.append(len(c.xs))
+            return a1(c, y, d)
+
+        monkeypatch.setitem(fields._ROWS, FieldExpr.A1, counted)
+        out, pgm = tmp_path / "a1.csv", tmp_path / "a1.pgm"
+        assert cli(["field", "--expr", "a1", "--out", str(out), "--pgm", str(pgm)]) == 0
+        assert sum(cells) == 401 * 401 + 5 * 5
+        # the fold gave the whole field's range: -2 renders black, 2 white
+        payload = pgm.read_bytes()[len(b"P5\n401 401\n255\n"):]
+        assert (min(payload), max(payload)) == (0, 255)
 
 
 # (xmin, xmax, ymin, ymax, nx, ny): the 5x5 grid with its zero row and

@@ -12,11 +12,13 @@ import struct
 from dataclasses import astuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from msetsim.fields import FieldExpr, GridSpec, field, jr_value
+from msetsim import fields
+from msetsim.fields import FieldExpr, GridSpec, field, field_rows, jr_value
 from msetsim.indices import (
+    _signed_powers,
     coincidence,
     cosine,
     interiority,
@@ -557,3 +559,66 @@ def test_surface_rejects_lattice_whose_blend_overflows(expr):
         field(expr, OVERFLOWING, d=3)
     with pytest.raises(ValueError, match="the y lattice"):
         field(expr, tall, d=3)
+
+
+# An auto-ranged heatmap folds min and max over the sub-lattice of each
+# axis's extreme points (fields._extreme_points), in row-major order, where
+# the whole field's fold would take every cell: the two folds must agree bit
+# for bit, a zero extreme's sign and an inf included.
+def _fold(rows):
+    lo, hi = math.inf, -math.inf
+    for row in rows:
+        lo, hi = min(lo, *row), max(hi, *row)
+    return lo, hi
+
+
+def _signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda m: -m[0] if m[1] else m[0])
+
+
+# bounds of every scale at which a fold can go wrong: signed zeros,
+# subnormals, where products underflow to +-0, and magnitudes from 1e154,
+# where a3 and a4 overflow to inf
+grid_bounds = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    _signed(st.floats(5e-324, 2.2250738585072014e-308)),
+    _signed(st.floats(1e154, 1e300)),
+    _signed(st.floats(1e-3, 1e3)),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(grid_bounds, grid_bounds, grid_bounds, grid_bounds,
+       st.integers(2, 40), st.integers(2, 40))
+def test_extreme_point_fold_is_the_whole_field_fold(x0, x1, y0, y1, nx, ny):
+    xs, ys = sorted((x0, x1)), sorted((y0, y1))
+    assume(xs[0] < xs[1] and ys[0] < ys[1])
+    spec = GridSpec(*xs, *ys, nx, ny)
+    for expr in (FieldExpr.A1, FieldExpr.A2, FieldExpr.A3, FieldExpr.A4, FieldExpr.A5):
+        sub = fields._rows(expr, spec, None, fields._extreme_points)
+        assert all_bits(_fold(sub)) == all_bits(_fold(field_rows(expr, spec))), expr
+
+
+def _outcome(power):
+    try:
+        return bits(power())
+    except OverflowError as exc:
+        return str(exc)
+
+
+POWER_EDGE = EDGE + (math.inf, -math.inf, math.nan, -math.nan, 0.5, -0.5, 1e154, -1e154,
+                     math.nextafter(1.0, 2.0), -math.nextafter(1.0, 2.0),
+                     math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0))
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.one_of(st.sampled_from(POWER_EDGE), st.floats()),
+       st.sampled_from([*range(1, 65), 2**53 - 2, 2**53 - 1, 2**53 + 1, 2**53 + 2]))
+def test_signed_powers_are_the_copysign_rule(value, d):
+    # below 2**53 an odd power is taken as value ** d, which CPython
+    # computes on the magnitude and negates; the rule it must equal keeps
+    # the sign by copysign, and an overflow raises the same error
+    def rule():
+        return math.copysign(abs(value) ** d, value) if d % 2 else abs(value) ** d
+
+    assert _outcome(lambda: _signed_powers([value], d)[0]) == _outcome(rule)

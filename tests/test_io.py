@@ -856,6 +856,54 @@ class TestPgm:
             write_pgm(fld, HeatmapRange(lo, hi), out)
             assert out.read_bytes() == reference_pgm(fld, lo, hi), (lo, hi)
 
+    def test_mirrored_rows_compute_half_of_their_pixels(self, tmp_path, monkeypatch):
+        # every row of a2 on a range symmetric about x = 0 mirrors, so each
+        # computes its centre and right half, (h + 1) * ny pixels in all,
+        # where one pixel per cell would be nx * ny
+        nx, ny = 9, 5
+        fld = field(FieldExpr.A2, GridSpec(-2.0, 2.0, -1.0, 3.0, nx, ny))
+        want = reference_pgm(fld, 0.0, 3.0)
+        computed = []
+        floor = math.floor
+
+        def counted(v):
+            computed.append(v)
+            return floor(v)
+
+        monkeypatch.setattr(math, "floor", counted)  # before the renderer is built
+        out = tmp_path / "a2.pgm"
+        write_pgm(fld, HeatmapRange(0.0, 3.0), out)
+        assert len(computed) == (nx // 2 + 1) * ny
+        assert out.read_bytes() == want
+
+    @pytest.mark.parametrize("row", [
+        [-0.0, 1.0, 2.0, 1.0, 0.0],         # mirrors: -0.0 == 0.0
+        [0.0, 1.0, 2.0, 1.0, -0.0],
+        [9.0, -9.0, 0.5, -9.0, 9.0],        # mirrors, outside the range: clamped
+        [math.inf, 0.5, 0.5, 0.5, math.inf],  # floor refuses inf: clamped
+        [-math.inf, 2.0, 2.0, 2.0, -math.inf],
+        [0.25, 0.5, 0.75, 1.0, 1.25],       # does not mirror, one pixel past 255
+        [1e-300, -1e-300, 0.0, -1e-300, 1e-300],
+    ], ids=repr)
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-0.0, 1.0), (-1.0, -0.0), (0.25, 1.0)])
+    def test_mirrored_and_unclamped_rows_render_the_clamped_formula(self, tmp_path, row, lo, hi):
+        for width in (5, 4):  # an even row drops the centre
+            cells = row[:2] + row[-width + 2:]
+            fld = ScalarField(GridSpec(-1.0, 1.0, -1.0, 1.0, width, 2), cells + cells[::-1])
+            out = tmp_path / "f.pgm"
+            write_pgm(fld, HeatmapRange(lo, hi), out)
+            assert out.read_bytes() == reference_pgm(fld, lo, hi), width
+
+    def test_a_nan_in_a_mirrored_row_still_raises(self, tmp_path):
+        # the halves compare equal because both hold the same NaN object,
+        # which the rendered right half holds too
+        row = [0.5, math.nan, 0.25, math.nan, 0.5]
+        fld = ScalarField(GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 2), row + row)
+        out = tmp_path / "f.pgm"
+        with pytest.raises(ValueError, match="^cannot convert float NaN to integer$"):
+            write_pgm(fld, HeatmapRange(0.0, 1.0), out)
+        assert not out.exists()
+
     def test_range_validation(self):
         with pytest.raises(ValueError):
             HeatmapRange(1.0, 1.0)

@@ -358,3 +358,22 @@ def test_a_number_too_long_to_show_is_described(csv_path, call, message):
     with pytest.raises(ValueError) as err:
         call(csv_path)
     assert str(err.value) == message
+
+
+# A sequence parameter (a Signal's samples, read_csv's column selectors) is
+# an ordered collection that is not text: what is not iterable is refused
+# with a ValueError naming the parameter, not a TypeError from iter(), and
+# text is refused whole rather than read as one-character names
+@pytest.mark.parametrize("call, message", [
+    (lambda p: Signal(5), "signal samples must be numbers, got int"),
+    (lambda p: Signal(None), "signal samples must be numbers, got NoneType"),
+    (lambda p: Signal(1.5), "signal samples must be numbers, got float"),
+    (lambda p: read_csv(p, 0), "column selectors must be a sequence, got int"),
+    # a file with the columns x and y, which the text would select
+    (lambda p: read_csv(p.with_name("xy.csv"), "xy"), "column selectors must be a sequence, got str"),
+], ids=["Signal-5", "Signal-None", "Signal-1.5", "read_csv.selectors-0", "read_csv.selectors-'xy'"])
+def test_sequence_parameter_refuses_text_and_non_iterables(csv_path, call, message):
+    csv_path.with_name("xy.csv").write_text("x,y\n1,4\n2,5\n")
+    with pytest.raises(ValueError) as err:
+        call(csv_path)
+    assert str(err.value) == message
