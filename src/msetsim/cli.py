@@ -10,7 +10,8 @@ and written by :mod:`msetsim.io`.
 
 ``field`` evaluates each row of the surface once and writes it as it comes
 (an auto-ranged heatmap first takes the min and max over the few lattice
-cells where the surface takes them), so an export holds O(nx) values plus
+cells where the surface takes them), so an export holds O(nx + ny) values,
+at most 512 KiB of CSV texts kept for rows whose y mirror comes later, and
 nx*ny bytes of image, not the field.
 """
 

@@ -18,7 +18,8 @@ from enum import Enum
 from typing import Iterator, NamedTuple
 
 from .indices import _signed_powers
-from .msetops import _member, _operands, _positive_finite, _real, _whole
+from .msetops import (_first_refused, _member, _operands, _positive_finite, _real,
+                      _shown, _whole)
 
 
 class FieldExpr(Enum):
@@ -118,7 +119,12 @@ def _lattice(axis: str, lo: float, hi: float, n: int) -> tuple[float, ...]:
 class ScalarField:
     """Row-major field values: rows run y_min upward, columns x_min upward.
 
-    ``values`` is stored as a tuple and must hold exactly nx * ny values.
+    ``values`` must hold exactly nx * ny values, and is stored as a tuple
+    of floats: each value is converted with ``float()``, as a
+    :class:`~msetsim.msetops.Signal` sample is, and one it refuses (such
+    as ``None``, ``"x"`` or an int past the float range) raises a
+    ValueError naming the first such value.  NaN and +-inf are kept: the
+    CSV writer prints them, and a heatmap clamps an inf and refuses a NaN.
     """
 
     spec: GridSpec
@@ -129,7 +135,12 @@ class ScalarField:
         nx, ny = self.spec.nx, self.spec.ny
         if len(values) != nx * ny:
             raise ValueError(f"a {nx}x{ny} grid needs {nx * ny} values, got {len(values)}")
-        object.__setattr__(self, "values", values)
+        try:
+            floats = tuple(map(float, values))
+        except (TypeError, ValueError, OverflowError):  # a value float() refuses
+            refused = _shown(_first_refused(values, finite=False))
+            raise ValueError(f"field values must be numbers, got {refused}") from None
+        object.__setattr__(self, "values", floats)
 
     def at(self, ix: int, iy: int) -> float:
         return self.values[iy * self.spec.nx + ix]

@@ -93,15 +93,16 @@ class Signal:
         return len(self.values)
 
 
-def _first_refused(values):
-    """The first of ``values`` that ``float()`` refuses, or the first
-    conversion that is not finite: the sample a :class:`Signal` names."""
+def _first_refused(values, finite: bool = True):
+    """The first of ``values`` that ``float()`` refuses, or with ``finite``
+    the first conversion that is not finite: the sample a :class:`Signal`
+    names, and without it the value a field names."""
     for v in values:
         try:
             number = float(v)
         except (TypeError, ValueError, OverflowError):
             return v
-        if not math.isfinite(number):
+        if finite and not math.isfinite(number):
             return number
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from msetsim import fields
 from msetsim.cli import main
 from msetsim.fields import FieldExpr, GridSpec, PolarProbe, ScalarField, field, jr_value, probe
 from msetsim.fields import _lattice as lattice
+from msetsim.io import write_field_csv
 from msetsim.signs import gen_kronecker
 
 SMALL = GridSpec(nx=101, ny=101)  # same [-2, 2]^2 domain, crests still on-lattice
@@ -259,6 +261,28 @@ def test_scalar_field_stores_values_as_a_tuple():
     fld = ScalarField(GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2), [1.0, -0.0, 3.0, 4.0])
     assert type(fld.values) is tuple
     assert fld.values == (1.0, -0.0, 3.0, 4.0)
+
+
+@pytest.mark.parametrize("value, shown", [
+    ("x", "'x'"), (None, "None"), ([1.0], "[1.0]"), (10**400, "1" + "0" * 400),
+    (-10**5000, "a negative number of more than 4300 digits"),
+], ids=["text", "None", "list", "10**400", "-10**5000"])
+def test_scalar_field_refuses_a_value_float_refuses(value, shown):
+    # the first refused value is named; the writers' struct packing would
+    # otherwise meet it and raise struct.error, TypeError or OverflowError
+    with pytest.raises(ValueError, match=f"^field values must be numbers, got {re.escape(shown)}$"):
+        ScalarField(GridSpec(-1.0, 1.0, -1.0, 1.0, 2, 2), [1.0, value, 3.0, "later"])
+
+
+def test_scalar_field_converts_each_value_with_float(tmp_path):
+    # as a Signal sample is: a bool or an int becomes a float, and NaN and
+    # +-inf are kept as field values
+    fld = ScalarField(GridSpec(-1.0, 1.0, -1.0, 1.0, 2, 2), [True, 2, math.nan, -math.inf])
+    assert [type(v) for v in fld.values] == [float] * 4
+    assert repr(fld.values) == "(1.0, 2.0, nan, -inf)"
+    write_field_csv(fld, tmp_path / "f.csv")
+    assert (tmp_path / "f.csv").read_text().splitlines()[1:] == [
+        "-1,-1,1", "1,-1,2", "-1,1,nan", "1,1,-inf"]
 
 
 def test_scalar_field_at_indexing():

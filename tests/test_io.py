@@ -1154,6 +1154,21 @@ def formatted(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def formatted_values(monkeypatch):
+    """The values of each call of ``io._texts``, as their reprs, so that a
+    NaN equals a NaN and -0.0 differs from 0.0."""
+    calls = []
+    texts = msetsim.io._texts
+
+    def spy(values):
+        calls.append(tuple(map(repr, values)))
+        return texts(values)
+
+    monkeypatch.setattr(msetsim.io, "_texts", spy)
+    return calls
+
+
 SURFACES = [(e, None) for e in FieldExpr if e is not FieldExpr.JR_POW] + [
     (FieldExpr.JR_POW, d) for d in (1, 2, 3, 4)]
 
@@ -1182,9 +1197,11 @@ class TestMirroredRows:
     def test_jr_formats_half_of_each_row(self, tmp_path, formatted):
         # the guard that the mirrored path is taken: row 0 goes to the memo
         # (401 new values, under its cap of 405), which row 1 would pass, so
-        # from row 1 on each row formats its right half and centre
+        # from row 1 on each row formats its right half and centre, but for
+        # the mirrors 201..281 of the 81 rows 119..199 nearest the centre,
+        # which take those rows' texts
         assert_writes_reference(tmp_path, field(FieldExpr.JR, GridSpec(nx=401, ny=401)))
-        assert formatted == [401] + [201] * 400
+        assert formatted == [401] + [201] * (400 - 81)
 
     def test_asymmetric_lattice_formats_rows_directly(self, tmp_path, formatted):
         spec = GridSpec(-2.0, math.nextafter(2.0, 3.0), -2.0, 2.0, 401, 5)
@@ -1196,10 +1213,11 @@ class TestMirroredRows:
     def test_a3_rows_holding_signed_zeros(self, tmp_path, formatted):
         # y < 0: the left half is positive and the centre is -0.0; y = 0:
         # -0.0 left of the centre and +0.0 from it; rows holding -0.0 never
-        # go to the memo.  y = 1 goes to the memo, and y = 2 would pass it
+        # go to the memo.  y = 1 goes to the memo, and y = 2 would pass it;
+        # it takes the texts kept by its mirror y = -2
         fld = field(FieldExpr.A3, GridSpec(-2.0, 2.0, -2.0, 2.0, 401, 5))
         assert_writes_reference(tmp_path, fld)
-        assert formatted == [201, 201, 201, 401, 201]
+        assert formatted == [201, 201, 201, 401]
         lines = (tmp_path / "f.csv").read_text().splitlines()
         assert lines[1:4] == ["-2,-2,4", "-1.99,-2,3.98", "-1.98,-2,3.96"]
         assert lines[201] == "0,-2,-0" and lines[401] == "2,-2,-4"
@@ -1256,7 +1274,8 @@ class TestMirroredRows:
     @pytest.mark.parametrize("nx", [2, 3, 4, 5])
     def test_small_rows_of_each_shape(self, tmp_path, formatted, nx):
         # even, odd with either half clear, and not mirrored, on each width;
-        # rows hold -0.0, so none goes to the memo
+        # rows hold -0.0, so none goes to the memo.  Row 2 has the
+        # magnitudes of its mirror, row 1, and takes its texts
         spec = GridSpec(-1.0, 1.0, -1.0, 1.0, nx, 4)
         h = nx // 2
         neg = [-0.0, -2.5][:h]
@@ -1265,4 +1284,81 @@ class TestMirroredRows:
         values = (neg + centre + neg[::-1] + neg + centre + pos[::-1]
                   + pos + centre + neg[::-1] + [-0.0] + [3.0] * (nx - 1))
         assert_writes_reference(tmp_path, ScalarField(spec, values))
-        assert formatted == [nx - h] * 3
+        assert formatted == [nx - h] * 2
+
+    # rows 0-2 of the fields below: the memo takes rows 0 and 1, row 2
+    # would pass its cap, and none of them mirrors, so none keeps texts
+    FRESH = [[i / 7 for i in range(k, k + 5)] for k in (1, 6, 11)]
+
+    @staticmethod
+    def half(row):
+        """The reprs of what a mirrored row formats: its centre and right
+        half, in magnitude."""
+        return tuple(repr(abs(v)) for v in row[2:])
+
+    # (row 3, row 4, the rows formatted from them): on the 5x8 grid of
+    # y = -1..1, row 4 is the y mirror of row 3, which lies below the
+    # centre and keeps its texts for it
+    PAIRS = [
+        ([1.0, -2.0, 0.5, 2.0, -1.0], [-1.0, 2.0, -0.5, -2.0, 1.0], [0]),  # other signs
+        ([1.0, -2.0, 0.5, 2.0, -1.0], [1.0, 2.0, 0.5, 2.0, 1.0], [0]),
+        ([-0.0, 3.0, 0.0, 3.0, -0.0], [0.0, -3.0, -0.0, -3.0, 0.0], [0]),  # -0.0 against 0.0
+        ([0.0, 3.0, -0.0, -3.0, -0.0], [-0.0, -3.0, 0.0, 3.0, 0.0], [0]),
+        # one magnitude one ulp off, at the centre or in both halves
+        ([1.0, 2.0, 3.0, 2.0, 1.0], [1.0, 2.0, math.nextafter(3.0, 4.0), 2.0, 1.0], [0, 1]),
+        ([1.0, 2.0, 3.0, 2.0, 1.0],
+         [1.0, -2.0000000000000004, 3.0, 2.0000000000000004, 1.0], [0, 1]),
+        # a NaN at the centre: the row holding it is formatted whole and
+        # keeps nothing, and a row it mirrors formats its own texts
+        ([1.0, -2.0, NAN, 2.0, -1.0], [-1.0, 2.0, NAN, -2.0, 1.0], [0, 1]),
+        ([1.0, -2.0, 0.5, 2.0, -1.0], [-1.0, 2.0, NAN, -2.0, 1.0], [0, 1]),
+        ([1.0, -2.0, NAN, 2.0, -1.0], [-1.0, 2.0, 0.5, -2.0, 1.0], [0, 1]),
+        ([-math.inf, -5e-324, 7.0, 5e-324, math.inf],
+         [math.inf, 5e-324, -7.0, -5e-324, -math.inf], [0]),
+    ]
+
+    @pytest.mark.parametrize("below, above, rows", PAIRS, ids=repr)
+    def test_y_mirror_takes_kept_texts(self, tmp_path, formatted_values, below, above, rows):
+        spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 8)
+        assert spec.ys()[4] == -spec.ys()[3]
+        fld = ScalarField(spec, [v for row in (*self.FRESH, below, above, *self.FRESH)
+                                 for v in row])
+        assert_writes_reference(tmp_path, fld)
+        assert [len(call) for call in formatted_values[:2]] == [5, 5]  # the memo's
+        assert formatted_values[2:] == [self.half((below, above)[i]) for i in rows]
+
+    def test_asymmetric_y_lattice_keeps_no_texts(self, tmp_path, formatted_values):
+        # the same magnitudes, but y = 1.5 tops the lattice, so row 4's y
+        # is not the negation of row 3's: row 3 keeps nothing
+        row = [1.0, -2.0, 0.5, 2.0, -1.0]
+        spec = GridSpec(-1.0, 1.0, -1.0, 1.5, 5, 8)
+        assert spec.ys()[4] != -spec.ys()[3]
+        fld = ScalarField(spec, [v for r in (*self.FRESH, row, row[::-1], *self.FRESH)
+                                 for v in r])
+        assert_writes_reference(tmp_path, fld)
+        assert formatted_values[2:] == [self.half(row)] * 2
+
+    @pytest.mark.parametrize("budget, kept", [(2 * 96, 2), (2 * 96 - 1, 1), (0, 0)])
+    def test_only_rows_nearest_the_centre_keep_texts(self, tmp_path, monkeypatch,
+                                                     formatted_values, budget, kept):
+        # rows 3-5 lie below the centre row 6, and rows 9, 8 and 7 are their
+        # mirrors; a 5-wide row is charged 32 bytes for each of its 3
+        # values, so the budget covers the ``kept`` rows nearest the centre
+        monkeypatch.setattr(msetsim.io, "_KEPT", budget)
+        below = [[1.0, -k, 0.5, k, -1.0] for k in (2.0, 3.0, 4.0)]
+        centre = [5.0, 6.0, 7.0, -6.0, -5.0]
+        rows = [*self.FRESH, *below, centre, *[[-v for v in r] for r in below[::-1]],
+                *self.FRESH]
+        fld = ScalarField(GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 13), [v for r in rows for v in r])
+        assert_writes_reference(tmp_path, fld)
+        formats = [*below, centre, *below[::-1][kept:]]
+        assert formatted_values[2:] == [self.half(r) for r in formats]
+
+    def test_jr_keeps_as_many_rows_as_the_budget_covers(self, tmp_path, formatted):
+        # a 401-wide row is charged 32 * 201 bytes, so 512 KiB cover 81
+        # rows: rows 2..82 below the centre row 83 keep their texts, and
+        # rows 84..164 take them.  Row 0 goes to the memo, and rows 1 and
+        # 83 and the mirrors 165 and 166 of rows 1 and 0 format their own
+        assert msetsim.io._KEPT // (32 * 201) == 81
+        assert_writes_reference(tmp_path, field(FieldExpr.JR, GridSpec(nx=401, ny=167)))
+        assert formatted == [401] + [201] * (167 - 1 - 81)
