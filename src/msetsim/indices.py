@@ -26,14 +26,16 @@ interiority and coincidence also sums both operands' absolute masses, so
 :func:`report` takes every sum in two passes.  The ``_*_windows``
 functions are window preparations for :func:`msetsim.sliding.slide`,
 which alone loops over the lags: each does the template's share of the
-work once and returns the score of the window at a given lag.  The
-Jaccard and coincidence preparations build each operand's sign-flag and
-magnitude tuples once, because each sample's gates are shared by the m
-windows that hold it, and each window slices them.  Both shapes turn
-their sums into an index through the same rule, ``_jaccard_value`` or
-``_interiority_value``, so each ratio and its zero-denominator convention
-are written once; the cosine windows go through ``_cosine``, so a window
-is undefined exactly when :func:`cosine` would raise on it.
+work once and returns the scores of the windows at a given lag and the
+next, from one slice and one pass that carries the first window's
+sample.  The Jaccard and coincidence preparations build each operand's
+sign-flag and magnitude tuples once, because each sample's gates are
+shared by the m windows that hold it, and each pair of windows slices
+them once.  Both shapes turn their sums into an index through the same
+rule, ``_jaccard_value`` or ``_interiority_value``, so each ratio and its
+zero-denominator convention are written once; the cosine windows go
+through ``_cosine``, by ``_defined``, so a window is undefined exactly
+when :func:`cosine` would raise on it.
 """
 
 import math
@@ -148,49 +150,6 @@ def _jaccard_interiority_samples(fv, gv) -> tuple[float, float]:
                 acup += x
                 acap += y
                 scap -= y
-    return _jaccard_value(scap, acup), _interiority_value(acap, fmass, gmass)
-
-
-def _jaccard_gates(fp, fa, gp, ga) -> float:
-    """The real-valued Jaccard index of two operands' gate tuples."""
-    scap = acup = 0.0
-    for xp, ax, yp, ay in zip(fp, fa, gp, ga):
-        if ay > ax:
-            acup += ay
-            if xp is yp:
-                scap += ax
-            else:
-                scap -= ax
-        else:
-            acup += ax
-            if xp is yp:
-                scap += ay
-            else:
-                scap -= ay
-    return _jaccard_value(scap, acup)
-
-
-def _jaccard_interiority_gates(fmass: float, fp, fa, gp, ga) -> tuple[float, float]:
-    """Jaccard and interiority of two operands' gate tuples, given the
-    first operand's raw absolute mass; the loop also sums the second
-    operand's mass."""
-    scap = acup = acap = gmass = 0.0
-    for xp, ax, yp, ay in zip(fp, fa, gp, ga):
-        gmass += ay
-        if ay > ax:
-            acup += ay
-            acap += ax
-            if xp is yp:
-                scap += ax
-            else:
-                scap -= ax
-        else:
-            acup += ax
-            acap += ay
-            if xp is yp:
-                scap += ay
-            else:
-                scap -= ay
     return _jaccard_value(scap, acup), _interiority_value(acap, fmass, gmass)
 
 
@@ -399,10 +358,30 @@ def report(f: Signal, g: Signal) -> SimilarityReport:
     )
 
 
+
+
 # Window preparations for slide (see sliding._SCORERS).  The caller has
 # checked that the template fits in the signal and that the spacings agree.
-# Cosine windows are scored through _cosine, the pair function's own rule,
-# so score(k) raises exactly when cosine() would raise on the window.
+# Each returns score(k), the scores of the windows at lags k and k + 1
+# together.  The two windows share every sample but one, so one pass over
+# the template serves both: it slices the signal once, as [k + 1 : k + 1 +
+# m], the samples of window k + 1, and carries window k's sample in a local,
+# the sample window k + 1 held one pass earlier.  Each window's accumulators
+# add the same terms in the same order as a loop over that window alone, so
+# every score is the pair function's value, bit for bit; only the two
+# windows' terms interleave.  The signal is padded with one zero sample, so
+# that window k + 1 exists at the last lag too; slide drops its score.  A
+# window on which the index is undefined scores None: the cosine windows go
+# through _cosine, the pair function's own rule, by _defined.
+
+def _defined(rule, *sums):
+    """rule(*sums), or None where the rule refuses (raises ValueError): the
+    score of a window on which the index is undefined."""
+    try:
+        return rule(*sums)
+    except ValueError:
+        return None
+
 
 def _window_gates(values):
     """The sign-flag and magnitude tuples of a sample sequence, for slicing."""
@@ -410,37 +389,116 @@ def _window_gates(values):
 
 
 def _inner_windows(template: Signal, signal: Signal):
-    tv, sv, dx, m = template.values, signal.values, signal.dx, len(template.values)
-    return lambda k: dx * _dot(tv, sv[k:k + m])
+    tv, sv, dx, m = template.values, signal.values + (0.0,), signal.dx, len(template.values)
+
+    def score(k):
+        s0 = s1 = 0.0
+        x = sv[k]
+        for a, y in zip(tv, sv[k + 1:k + 1 + m]):
+            s0 += a * x
+            s1 += a * y
+            x = y
+        return dx * s0, dx * s1
+    return score
 
 
 def _jaccard_windows(template: Signal, signal: Signal):
     m = len(template.values)
     tp, ta = _window_gates(template.values)
-    sp, sa = _window_gates(signal.values)
-    return lambda k: _jaccard_gates(tp, ta, sp[k:k + m], sa[k:k + m])
+    sp, sa = _window_gates(signal.values + (0.0,))
+
+    def score(k):
+        scap0 = acup0 = scap1 = acup1 = 0.0
+        p0, a0 = sp[k], sa[k]
+        for pt, at, p1, a1 in zip(tp, ta, sp[k + 1:k + 1 + m], sa[k + 1:k + 1 + m]):
+            if a0 > at:
+                acup0 += a0
+                if pt is p0:
+                    scap0 += at
+                else:
+                    scap0 -= at
+            else:
+                acup0 += at
+                if pt is p0:
+                    scap0 += a0
+                else:
+                    scap0 -= a0
+            if a1 > at:
+                acup1 += a1
+                if pt is p1:
+                    scap1 += at
+                else:
+                    scap1 -= at
+            else:
+                acup1 += at
+                if pt is p1:
+                    scap1 += a1
+                else:
+                    scap1 -= a1
+            p0, a0 = p1, a1
+        return _jaccard_value(scap0, acup0), _jaccard_value(scap1, acup1)
+    return score
 
 
 def _coincidence_windows(template: Signal, signal: Signal):
     m = len(template.values)
     tp, ta = _window_gates(template.values)
-    sp, sa = _window_gates(signal.values)
+    sp, sa = _window_gates(signal.values + (0.0,))
     tmass = _raw_mass(template.values)
 
     def score(k):
-        j, i = _jaccard_interiority_gates(tmass, tp, ta, sp[k:k + m], sa[k:k + m])
-        return j * i
+        scap0 = acup0 = acap0 = mass0 = scap1 = acup1 = acap1 = mass1 = 0.0
+        p0, a0 = sp[k], sa[k]
+        for pt, at, p1, a1 in zip(tp, ta, sp[k + 1:k + 1 + m], sa[k + 1:k + 1 + m]):
+            mass0 += a0
+            if a0 > at:
+                acup0 += a0
+                acap0 += at
+                if pt is p0:
+                    scap0 += at
+                else:
+                    scap0 -= at
+            else:
+                acup0 += at
+                acap0 += a0
+                if pt is p0:
+                    scap0 += a0
+                else:
+                    scap0 -= a0
+            mass1 += a1
+            if a1 > at:
+                acup1 += a1
+                acap1 += at
+                if pt is p1:
+                    scap1 += at
+                else:
+                    scap1 -= at
+            else:
+                acup1 += at
+                acap1 += a1
+                if pt is p1:
+                    scap1 += a1
+                else:
+                    scap1 -= a1
+            p0, a0 = p1, a1
+        return (_jaccard_value(scap0, acup0) * _interiority_value(acap0, tmass, mass0),
+                _jaccard_value(scap1, acup1) * _interiority_value(acap1, tmass, mass1))
     return score
 
 
 def _cosine_windows(template: Signal, signal: Signal):
-    tv, sv, m = template.values, signal.values, len(template.values)
+    tv, sv, m = template.values, signal.values + (0.0,), len(template.values)
     nt = math.sqrt(_dot(tv, tv))
 
     def score(k):
-        tw = ww = 0.0
-        for a, b in zip(tv, sv[k:k + m]):
-            tw += a * b
-            ww += b * b
-        return _cosine(tw, nt, math.sqrt(ww))
+        tw0 = ww0 = tw1 = ww1 = 0.0
+        x = sv[k]
+        for a, y in zip(tv, sv[k + 1:k + 1 + m]):
+            tw0 += a * x
+            ww0 += x * x
+            tw1 += a * y
+            ww1 += y * y
+            x = y
+        return (_defined(_cosine, tw0, nt, math.sqrt(ww0)),
+                _defined(_cosine, tw1, nt, math.sqrt(ww1)))
     return score

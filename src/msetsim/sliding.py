@@ -7,14 +7,21 @@ padding, so window scores are exactly the index values they claim to be.
 One engine, :func:`slide`, scores every index.  Each index supplies only a
 preparation, ``(template, signal) -> score``, which does the template's
 share of the work once (its raw norm, statistics or raw absolute mass, and
-the sign and magnitude tuples to slice) and returns ``score(k)``, the value
-of the window at lag k.  Windows are tuple slices, not new :class:`Signal`
-objects, and a window costs O(M) for a template of M samples: one fused
-pass (two for pearson, whose window mean comes first).  Consecutive
-windows share M - 1 samples, but each window's sums are taken afresh,
-left to right, so the scores are bit-identical to calling the index on
-each window.  The engine alone loops over the lags, applies the rule for
-an undefined window and takes the argmax, the same for every index.
+the sign and magnitude tuples to slice) and returns ``score(k)``, the
+values of the windows at lags k and k + 1 together.  Windows are tuple
+slices, not new :class:`Signal` objects.  Consecutive windows share M - 1
+samples of a template of M, so one pass over the template serves two: it
+slices the signal once, for window k + 1, and carries window k's sample,
+the one window k + 1 held a pass earlier.  A window still costs O(M), but
+two windows share a slice and a loop pass (two passes for pearson, whose
+window means come first).  Each window's sums are still taken afresh, left
+to right, with its own accumulators, so the scores are bit-identical to
+calling the index on each window.  The preparations append one zero
+sample to the signal, only so that window k + 1 exists when k is the last
+lag; that window is not a valid one, and the engine drops its score, so it
+never reaches the profile or its flags.  The engine
+alone steps over the lags, applies the rule for an undefined window (a
+score of None) and takes the argmax, the same for every index.
 """
 
 from dataclasses import dataclass
@@ -64,10 +71,11 @@ class MatchProfile:
     degenerate_lags: tuple[int, ...] = ()
 
 
-# Window preparations: (template, signal) -> score, where score(k) is the
-# value of the window at lag k, or raises ValueError where the index is
-# undefined on that window.  A preparation raises ValueError where the index
-# is undefined on the template alone, and so on every window.
+# Window preparations: (template, signal) -> score, where score(k) gives
+# the values of the windows at lags k and k + 1, each None where the index
+# is undefined on that window, for every even k below the lag count.  A
+# preparation raises ValueError where the index is undefined on the
+# template alone, and so on every window.
 _SCORERS = {
     SlideIndex.INNER: _inner_windows,
     SlideIndex.JACCARD: _jaccard_windows,
@@ -97,15 +105,15 @@ def slide(template: Signal, signal: Signal, index: SlideIndex) -> MatchProfile:
     try:
         score = prepare(template, signal)
     except ValueError:
-        scores, flagged = [0.0] * len(lags), list(lags)
+        scores = [None] * len(lags)
     else:
-        scores, flagged = [], []
-        for k in lags:
-            try:
-                scores.append(score(k))
-            except ValueError:
-                scores.append(0.0)
-                flagged.append(k)
+        scores = []
+        for k in lags[::2]:
+            scores += score(k)
+        del scores[len(lags):]  # the padded window past the last lag
+    flagged = tuple(k for k in lags if scores[k] is None)
+    if flagged:
+        scores = [0.0 if s is None else s for s in scores]
     # max replaces its pick only on a strict >, so ties keep the smallest lag;
     # no score is > NaN, so a NaN at lag 0 stays the pick and the argmax is
     # taken again over the scores that are not NaN
@@ -113,5 +121,4 @@ def slide(template: Signal, signal: Signal, index: SlideIndex) -> MatchProfile:
     if scores[best_lag] != scores[best_lag]:
         best_lag = max((k for k, s in enumerate(scores) if s == s),
                        key=scores.__getitem__, default=0)
-    return MatchProfile(tuple(lags), tuple(scores), best_lag, scores[best_lag],
-                        tuple(flagged))
+    return MatchProfile(tuple(lags), tuple(scores), best_lag, scores[best_lag], flagged)

@@ -11,8 +11,8 @@ the samples, ``double_pearson`` those of the standardized samples, taken
 as they stream.  Every pair function refuses operands whose lengths or
 sample spacings differ.  ``_pearson_windows`` is the Pearson window
 preparation for :func:`msetsim.sliding.slide`: it takes the template's
-statistics once and scores each window through ``_pearson``, the rule
-that decides where :func:`pearson` is undefined.
+statistics once and scores two adjacent windows per call through
+``_pearson``, the rule that decides where :func:`pearson` is undefined.
 """
 
 import math
@@ -20,6 +20,7 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .indices import _defined
 from .msetops import Signal, _alpha_weights, require_compatible
 
 
@@ -221,22 +222,39 @@ def double_pearson(x: Signal, y: Signal, alpha: float) -> DoublePearson:
 
 
 def _pearson_windows(template: Signal, signal: Signal):
-    """The window preparation of pearson for slide: score(k) is the Pearson
-    coefficient of (template, window at lag k), through _pearson, the pair
-    function's own rule, so it raises exactly when pearson() would raise on
-    the window.  A template of fewer than 2 samples raises here, in
-    sample_stats, as pearson() would on every window."""
-    tv, sv, m = template.values, signal.values, len(template.values)
+    """The window preparation of pearson for slide: score(k) gives the
+    Pearson coefficients of the template with the windows at lags k and
+    k + 1, from one slice of the zero-padded signal and two passes that
+    carry window k's sample, as the preparations in :mod:`msetsim.indices`
+    do: the window means, then the centred sums.  Each window goes through
+    _pearson, the pair function's own rule, by _defined, so it is None
+    exactly where pearson() would raise on it.  A template of fewer than 2
+    samples raises here, in sample_stats, as pearson() would on every
+    window."""
+    tv, sv, m = template.values, signal.values + (0.0,), len(template.values)
     st = sample_stats(template)
     tdev = tuple(a - st.mean for a in tv)
 
     def score(k):
-        window = sv[k:k + m]
-        mw = _total(window) / m
-        sww = stw = 0.0
-        for da, b in zip(tdev, window):
-            db = b - mw
-            sww += db * db
-            stw += da * db
-        return _pearson(stw, st.std, math.sqrt(sww / (m - 1)), m)
+        window = sv[k + 1:k + 1 + m]
+        s0 = s1 = 0.0
+        x = sv[k]
+        for y in window:
+            s0 += x
+            s1 += y
+            x = y
+        m0 = s0 / m
+        m1 = s1 / m
+        sww0 = stw0 = sww1 = stw1 = 0.0
+        x = sv[k]
+        for da, y in zip(tdev, window):
+            d = x - m0
+            sww0 += d * d
+            stw0 += da * d
+            d = y - m1
+            sww1 += d * d
+            stw1 += da * d
+            x = y
+        return (_defined(_pearson, stw0, st.std, math.sqrt(sww0 / (m - 1)), m),
+                _defined(_pearson, stw1, st.std, math.sqrt(sww1 / (m - 1)), m))
     return score

@@ -3,9 +3,13 @@ naive oracles, bit for bit.
 
 The pair functions (``jaccard``, ``interiority``, ``coincidence``,
 ``report``) walk the raw samples and branch on their signs; ``slide``'s
-Jaccard and coincidence scorers walk per-sample gate tuples.  For
-equal-length operands ``slide`` scores exactly one window, so its score
-must be the pair function's value.  The gate loop behind ``aggregate``,
+window scorers take two adjacent windows per pass, the Jaccard and
+coincidence ones over per-sample gate tuples, each over a signal padded
+with one zero sample.  For equal-length operands ``slide`` scores exactly
+one window, and drops the padded one, so its score must be the pair
+function's value for every index (the inner product times ``dx``), and
+where ``cosine`` or ``pearson`` raises, its one lag must be flagged and
+score +0.0.  The gate loop behind ``aggregate``,
 ``kernel`` and ``split_intersection`` is checked against the oracles of
 every kind.  Every sign-aware value is also checked to be unchanged when
 both operands are negated, the symmetry the sign-branch loops fold on.
@@ -34,6 +38,7 @@ from msetsim.indices import (
 )
 from msetsim.msetops import MsetOpKind, Signal, aggregate, kernel
 from msetsim.sliding import SlideIndex, slide
+from msetsim.stats import pearson
 
 from oracles import (
     OP_NAMES,
@@ -102,9 +107,16 @@ def test_loop_shapes_agree_bit_for_bit(dx, seed):
         where = (fv, gv, dx)
         j, i, c = jaccard(f, g), interiority(f, g), coincidence(f, g)
         nan_results += math.isnan(j) + math.isnan(i)
-        # the window loops score the one window of equal-length operands
-        assert same(slide(f, g, SlideIndex.JACCARD).scores[0], j), where
-        assert same(slide(f, g, SlideIndex.COINCIDENCE).scores[0], c), where
+        # the window loops score the one window of equal-length operands,
+        # and flag it exactly where the pair function raises
+        for index, value in ((SlideIndex.JACCARD, j), (SlideIndex.COINCIDENCE, c),
+                             (SlideIndex.INNER, inner(f, g)),
+                             (SlideIndex.COSINE, outcome(lambda: cosine(f, g))),
+                             (SlideIndex.PEARSON, outcome(lambda: pearson(f, g)))):
+            profile = slide(f, g, index)
+            raised = isinstance(value, tuple)
+            assert profile.degenerate_lags == ((0,) if raised else ()), (index, where)
+            assert same(profile.scores[0], 0.0 if raised else value), (index, where)
         # the pair loops against the oracles
         assert same(j, ojaccard(fv, gv)), where
         assert same(i, ointeriority(fv, gv)), where

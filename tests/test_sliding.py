@@ -1,6 +1,10 @@
+import math
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msetsim.msetops import Signal
 from msetsim.sliding import SlideIndex, slide
@@ -125,3 +129,48 @@ def test_template_longer_than_signal_errors():
 def test_spacing_mismatch_errors():
     with pytest.raises(ValueError, match="spacings"):
         slide(Signal((1,), 1.0), Signal((1, 2), 0.5), SlideIndex.INNER)
+
+
+def key(v: float) -> bytes:
+    """The bit pattern of v, with every NaN mapped to one key."""
+    return b"nan" if math.isnan(v) else struct.pack("<d", v)
+
+
+# signed zeros, subnormals and values near the float limit, where sums
+# overflow to inf and some scores are NaN
+EDGE_SAMPLES = st.one_of(
+    st.floats(-5.0, 5.0),
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                     1e308, -1e308, 1.7e308, -1.7e308)),
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.sampled_from(SlideIndex), st.integers(1, 6),
+       st.one_of(st.sampled_from((1, 2, 3)), st.integers(4, 13)),
+       st.sampled_from(("plain", "zero tail", "zero stretch", "zero template")),
+       st.sampled_from((1.0, 0.5, 1e-300)), st.data())
+def test_slide_matches_the_oracle_bit_for_bit(index, m, lag_count, shape, dx, data):
+    """slide scores two adjacent windows per pass over a signal padded with
+    one zero sample; every lag count, odd and even, must give the oracle's
+    profile, and the padded window past an odd count must neither appear nor
+    be flagged, even when it is undefined (a signal ending in m - 1 zeros
+    makes it all zero).  A one-sample pearson template and an all-zero
+    cosine template flag every lag."""
+    n = m + lag_count - 1
+    tv = data.draw(st.lists(EDGE_SAMPLES, min_size=m, max_size=m))
+    sv = data.draw(st.lists(EDGE_SAMPLES, min_size=n, max_size=n))
+    if shape == "zero tail":
+        sv[n - (m - 1):] = [0.0] * (m - 1)
+    elif shape == "zero stretch":
+        at = data.draw(st.integers(0, n - 1))
+        sv[at:at + m + 1] = [0.0] * len(sv[at:at + m + 1])
+    elif shape == "zero template":
+        tv = data.draw(st.lists(st.sampled_from((0.0, -0.0)), min_size=m, max_size=m))
+    profile = slide(Signal(tv, dx), Signal(sv, dx), index)
+    lags, scores, best_lag, best_score, flagged = oslide(tv, sv, index.value, dx)
+    where = (tv, sv, dx)
+    assert profile.lags == tuple(lags), where
+    assert list(map(key, profile.scores)) == list(map(key, scores)), where
+    assert (profile.best_lag, key(profile.best_score)) == (best_lag, key(best_score)), where
+    assert profile.degenerate_lags == tuple(flagged), where
