@@ -70,13 +70,19 @@ _axis_points = _checked(int, _AT_LEAST_1,
 
 
 def _selector(token: str):
+    """A column name, or an index that :func:`io._column` accepts, so a
+    negative index is a usage error, with read_csv's message."""
     token = token.strip()
     if not token:
         raise argparse.ArgumentTypeError("empty column selector")
     try:
-        return int(token)
+        index = int(token)
     except ValueError:
         return token
+    try:
+        return io._column(index)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _two_selectors(text: str) -> list:

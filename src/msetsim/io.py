@@ -57,6 +57,13 @@ def _parses_as_number(cell: str) -> bool:
     return True
 
 
+def _column(s) -> ColumnSelector:
+    """``s`` if it is a header name, else ``s`` as a column index, which
+    must be an int of at least 0 and not a bool: the one selector rule, for
+    :func:`read_csv` and the CLI's column flags."""
+    return s if isinstance(s, str) else _whole(s, "column index must be an integer >= 0", 0)
+
+
 def _resolve(name: str, header: list[str], path) -> int:
     """The index of the column ``name`` in the stripped ``header``."""
     if name not in header:
@@ -113,9 +120,9 @@ def _extend_from_records(columns, indices, records) -> None:
 
 def _columns_in_bulk(path, selectors, has_header) -> list[list[float]]:
     """The selected columns, converted a block at a time with no Python code
-    per line or cell, plain blocks by ``str.split`` and the rest by the csv
-    module (see :func:`read_csv`); any fault raises whatever exception met
-    it."""
+    per line or cell: each block, its CRLF ends made LF, by ``str.split``
+    when it is plain, and as read by the csv module when it is not (see
+    :func:`read_csv`); any fault raises whatever exception met it."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         records, _, indices = _data_records(reader, path, selectors, has_header)
@@ -127,35 +134,32 @@ def _columns_in_bulk(path, selectors, has_header) -> list[list[float]]:
             if raw[-1] != "\n":  # the read stopped inside a line
                 raw += fh.readline()
             text = raw if raw[-1] == "\n" else raw + "\n"  # the file's last line
-            while text:  # the block as read, then with LF ends and no blank lines
-                width = text.count(",", 0, text.index("\n")) + 1
-                # plain: the csv module would split every line at every comma
-                # and raise on none, and every record holds every selected
-                # index; a text within the field limit has no line beyond it
-                if not ('"' in text or "\r" in text or "\x00" in text or last >= width
-                        or len(text) > limit and max(map(len, text.split("\n"))) > limit):
-                    # each line's "\n" becomes a cell of its own, so every line
-                    # holds width cells exactly when the "\n" cells fall at
-                    # every (width + 1)-th place, the last followed by one
-                    # empty cell; a blank line breaks that for every width
-                    # but 1, where it is an empty cell
-                    n, cells = text.count("\n"), text.replace("\n", ",\n,").split(",")
-                    if (len(cells) == n * (width + 1) + 1
-                            and cells[width::width + 1].count("\n") == n
-                            and (width > 1 or cells.count("") == 1)):
-                        for column, idx in zip(columns, indices):
-                            column.extend(map(float, cells[idx:-1:width + 1]))
-                        break
-                # a quoted block, or one with no CRLF or blank line to drop,
-                # goes to the csv module on its own; strict mode raises on a
-                # quoted cell still open at the block's end
-                if '"' in text or not ("\r\n" in text or text[0] == "\n" or "\n\n" in text):
-                    records = csv.reader(StringIO(raw, newline=""), strict=True)
-                    _extend_from_records(columns, indices, records)
-                    break
-                text = text.replace("\r\n", "\n").lstrip("\n")
-                while "\n\n" in text:  # each pass halves a run of blank lines
-                    text = text.replace("\n\n", "\n")
+            # only a block holding a "\r" has CRLF ends to make LF; a "\r"
+            # left after that is a lone CR
+            lone_cr = "\r" in text and "\r" in (text := text.replace("\r\n", "\n"))
+            width = text.count(",", 0, text.index("\n")) + 1
+            # plain: the csv module would split every line at every comma
+            # and raise on none, and every record holds every selected index;
+            # a text within the field limit has no line beyond it
+            if not ('"' in text or lone_cr or "\x00" in text or last >= width
+                    or len(text) > limit and max(map(len, text.split("\n"))) > limit):
+                # each line's "\n" becomes a cell of its own, so every line
+                # holds width cells exactly when the "\n" cells fall at every
+                # (width + 1)-th place, the last followed by one empty cell;
+                # a blank line breaks that for every width but 1, where it is
+                # an empty cell
+                n, cells = text.count("\n"), text.replace("\n", ",\n,").split(",")
+                if (len(cells) == n * (width + 1) + 1
+                        and cells[width::width + 1].count("\n") == n
+                        and (width > 1 or cells.count("") == 1)):
+                    for column, idx in zip(columns, indices):
+                        column.extend(map(float, cells[idx:-1:width + 1]))
+                    continue
+            # any other block, a blank line in it included, goes as read to
+            # the csv module on its own; strict mode raises on a quoted cell
+            # still open at the block's end
+            records = csv.reader(StringIO(raw, newline=""), strict=True)
+            _extend_from_records(columns, indices, records)
     return columns
 
 
@@ -216,35 +220,35 @@ def read_csv(path, selectors: Sequence[ColumnSelector],
     at least 0 (not a bool), ``has_header`` None or a bool, and ``dx`` a
     positive finite real.
 
-    The rows up to the first that is not empty are parsed by the csv
-    module, and the rest of the file is read in blocks: 32,768 characters,
-    completed to the end of the last line.
-    A block is *plain* when, as read or with its ``\\r\\n`` line ends made
-    ``\\n`` and its blank lines dropped, it holds no ``"``, ``\\r`` or NUL,
-    no line longer than ``csv.field_size_limit()``, and the same number of
-    commas on every line, enough for every selected index: the csv module
-    would then split each line at each comma, so the block is split by one
-    ``str.split``, each line's ``\\n`` a cell of its own, and each column
-    taken with a stride.  A block that is not plain goes to the csv module
-    on its own, in strict mode, each selected cell picked by one
-    ``operator.itemgetter``, and the next block is tried for the plain
-    split again.  A block starts at a record's start, and strict mode only
-    adds errors, so its records are those of the whole file; strict mode
-    raises on a quoted cell still open at the block's end.  Either way no
-    Python code runs per line or cell, and memory does not grow with the
-    file beyond the columns kept and one block.  ``float`` ignores the
+    The rows up to the first that is not empty are parsed by the csv module,
+    and the rest of the file is read in blocks: 32,768 characters, completed
+    to the end of the last line, and each block is read by one rule.  When
+    it holds a ``\\r``, its ``\\r\\n`` line ends are first made ``\\n``.
+    The block is then *plain* when it holds no ``"``, ``\\r``, NUL or blank
+    line, no line longer than ``csv.field_size_limit()``, and the same
+    number of commas on every line, enough for every selected index: the csv
+    module would then split each line at each comma, so the block is split
+    by one ``str.split``, each line's ``\\n`` a cell of its own, and each
+    column taken with a stride.  Any other block, one with a blank line
+    included, goes as read to the csv module on its own, in strict mode, its
+    blank records dropped and each selected cell picked by one
+    ``operator.itemgetter``; the next block is tried for the plain split
+    again.  A block starts at a record's start, and strict mode only adds
+    errors, so its records are those of the whole file; strict mode raises
+    on a quoted cell still open at the block's end.  Either way no Python
+    code runs per line or cell, and memory does not grow with the file
+    beyond the columns kept and one block.  ``float`` ignores the
     surrounding whitespace that ``str.strip`` removes, so the values are
     those of ``float(cell.strip())``, and :class:`Signal` is the only
-    finiteness check.  Any fault on that path (a short row, a cell
-    ``float`` rejects, a non-finite value, an empty column, a csv error)
-    reruns the whole file through the row-by-row reference loop, which
-    raises the first fault in file order with its row and column.  That
-    loop can also succeed: ``float`` rejects a cell padded with the ASCII
-    separators U+001C..U+001F, which ``str.strip`` removes, so such a file
-    is read by the fallback.
+    finiteness check.  Any fault on that path (a short row, a cell ``float``
+    rejects, a non-finite value, an empty column, a csv error) reruns the
+    whole file through the row-by-row reference loop, which raises the first
+    fault in file order with its row and column.  That loop can also
+    succeed: ``float`` rejects a cell padded with the ASCII separators
+    U+001C..U+001F, which ``str.strip`` removes, so such a file is read by
+    the fallback.
     """
-    selectors = [s if isinstance(s, str) else _whole(s, "column index must be an integer >= 0", 0)
-                 for s in _sequence(selectors, "column selectors must be a sequence")]
+    selectors = [*map(_column, _sequence(selectors, "column selectors must be a sequence"))]
     if not selectors:
         raise ValueError("at least one column selector is required")
     if has_header is not None and type(has_header) is not bool:

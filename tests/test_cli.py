@@ -371,6 +371,22 @@ class TestExitCodes:
                     "--dx", dx]) == 2
         assert "--dx" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag, index", [
+        (["compute", "--cols=-1,0"], "--cols", -1),
+        (["split", "--cols=0,-3", "--alpha", "0.5"], "--cols", -3),
+        (["standardize", "--col", "-2", "--out", "o.csv"], "--col", -2),
+        (["signs", "--cols=-1,1", "--out", "o.csv"], "--cols", -1),
+    ])
+    def test_negative_column_index_is_usage_error(self, tmp_path, capsys, argv, flag,
+                                                  index):
+        # refused while parsing, with read_csv's message, before the input
+        # is opened: the file named does not exist
+        argv = [a.replace("o.csv", str(tmp_path / "o.csv")) for a in argv]
+        assert cli([*argv, "--input", str(tmp_path / "missing.csv")]) == 2
+        want = f"argument {flag}: column index must be an integer >= 0, got {index}\n"
+        assert capsys.readouterr().err.endswith(want)
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("flag", ["--xmin", "--xmax", "--ymin", "--ymax", "--lo", "--hi"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
     def test_non_finite_field_flag_is_usage_error(self, tmp_path, capsys, flag, value):

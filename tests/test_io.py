@@ -411,11 +411,11 @@ class TestReadCsvEquivalence:
 
 # Plain blocks: after its first record, read_csv reads msetsim.io._HINT
 # characters at a time, completes each block to a line end, and splits it
-# with str.split when the block, its CRLF ends made LF, holds no quote, CR
-# or NUL, no line over the csv field limit, and the same comma count on
-# every line, enough for every selector; any other block goes to the csv
-# module alone.  The files below are mostly quote-free, so they reach that
-# path, and each fault sits in a later block.
+# with str.split when the block, its CRLF ends made LF, holds no quote, CR,
+# NUL or blank line, no line over the csv field limit, and the same comma
+# count on every line, enough for every selector; any other block goes as
+# read to the csv module alone.  The files below are mostly quote-free, so
+# they reach that path, and each fault sits in a later block.
 
 def line_chunks(path) -> list[list[str]]:
     """The blocks the bulk reader reads after the first line, each split
@@ -489,7 +489,8 @@ class TestPlainChunks:
                                               indices, has_header, width):
         # a run of blank lines longer than two chunks: one chunk is only
         # blank lines, and blank lines end the chunk before it and start the
-        # chunk after it
+        # chunk after it.  Exactly the chunks that hold (or start with) a
+        # blank line go to the csv module, which drops the blank records
         blanks = {7: 1, 1999: 2, 2500: 140_000, 2501: 1}
         p = tmp_path / "data.csv"
         write_rows(p, plain_rows(8102, width=width), "x,y,z"[:2 * width - 1] if has_header
@@ -503,7 +504,21 @@ class TestPlainChunks:
         assert any(set(c) == {"\n"} for c in chunks)
         signals = assert_reads_as_reference(p, selectors, indices, has_header)
         assert len(signals[0].values) == 8000
-        assert hand_offs == []
+        assert hand_offs == [list(csv.reader(c)) for c in chunks if "\n" in c]
+
+    def test_crlf_and_blank_lines_in_one_block(self, tmp_path, hand_offs):
+        # a CRLF file with a blank line in two of its blocks: those two go
+        # as read, CRLF ends and all, to the csv module, and every other
+        # block is split plainly once its ends are made LF
+        p = tmp_path / "data.csv"
+        write_rows(p, plain_rows(8111), "x,y,z", {1999: 2, 5000: 1})
+        p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+        chunks = line_chunks(p)
+        blank = [c for c in chunks if "\r\n" in c]
+        assert len(blank) == 2 < len(chunks)
+        assert all(line.endswith("\r\n") for c in chunks for line in c)
+        assert_reads_as_reference(p, ["y", "z"], [1, 2], True)
+        assert hand_offs == [list(csv.reader(c)) for c in blank]
 
     def test_one_quoted_cell_hands_off_its_block_alone(self, tmp_path, hand_offs):
         # a quoted cell in data row 10: the csv module yields the records of
