@@ -13,9 +13,11 @@ interpreter version.  There is one gate loop: every kind but CAP and CUP
 goes through the same gated sum, whose branches on the operands' signs
 give the gate and both magnitudes, and :func:`kernel` is that sum over the
 single pair (x, y); ``indices.split_intersection`` sums its
-alpha-weighted gates through it too.  A zero term leaves a left-to-right
-sum unchanged (the running total starts at +0.0 and can never become
--0.0), so the loop skips the pairs whose term is zero.  The sign-split
+alpha-weighted gates through it too.  The sum has one loop body per
+magnitude rule, min and max, each with no test of the weight: a zero term
+leaves a left-to-right sum unchanged (the running total starts at +0.0 and
+can never become -0.0), so a pair of weight 0, or one whose minimum is 0,
+adds its +-0 term.  The sign-split
 mixes take their alpha weights from one rule, :func:`_alpha_weights`.
 
 Parameters are checked once, here.  Every public parameter that is not a
@@ -231,39 +233,50 @@ _GATED = {
 def _gated_sum(weights, xs, ys) -> float:
     """Left-to-right sum over paired operands of a gate weight times the min
     or max of the magnitudes, for a weight row ``(same, opposite, zero,
-    use_max)`` as in :data:`_GATED`; a pair of weight 0 is skipped, which
-    leaves the sum as 0.0 * magnitude would.
+    use_max)`` as in :data:`_GATED`, with one loop body per magnitude rule.
 
     Negating both operands keeps their gate and their magnitudes, so a
-    negative x is folded onto a positive one first; then the sign branches
-    on x and y give the gate and both magnitudes, with no ``abs()`` call.
-    Only x < 0 is folded, because a zero x takes the zero gate whatever the
-    sign of y.  A zero operand's magnitude may come out as -0.0; its term
-    is then +-0, which leaves a sum that starts at +0.0 unchanged, as the
-    +0.0 term of ``abs()`` would."""
+    pair is folded onto a positive x first; then the sign branches on y
+    give the gate and y's magnitude, with no ``abs()`` call.  A pair with a
+    zero operand has a zero minimum, so the min body needs no zero gate: it
+    folds every x that is not positive, as ``indices._jaccard_samples``
+    does, and weighs such a pair by its same-sign or opposite-sign weight,
+    for a +-0 term.  The max body keeps the zero gate and folds only x < 0,
+    because a zero x takes the zero gate whatever the sign of y.  Every
+    weight is finite and every magnitude finite, so a weight of +-0, or a
+    zero magnitude, gives a +-0 term, which leaves a sum that starts at
+    +0.0 unchanged (the total can never become -0.0), as skipping the pair
+    or the +0.0 term of ``abs()`` would."""
     same, opposite, zero, use_max = weights
     total = 0.0
-    for x, y in zip(xs, ys):
-        if x < 0.0:
-            x = -x
-            y = -y
-        if x > 0.0:
-            if y > 0.0:
-                w = same
-            elif y < 0.0:
-                w = opposite
+    if use_max:
+        for x, y in zip(xs, ys):
+            if x < 0.0:
+                x = -x
                 y = -y
+            if x > 0.0:
+                if y > 0.0:
+                    w = same
+                elif y < 0.0:
+                    w = opposite
+                    y = -y
+                else:
+                    w = zero
             else:
                 w = zero
-        else:
-            w = zero
-            if y < 0.0:
+                if y < 0.0:
+                    y = -y
+            total += w * (y if y > x else x)
+    else:
+        for x, y in zip(xs, ys):
+            if not x > 0.0:
+                x = -x
                 y = -y
-        if w:
-            if use_max:
-                total += w * (y if y > x else x)
+            if y > 0.0:
+                total += same * (y if y < x else x)
             else:
-                total += w * (y if y < x else x)
+                y = -y
+                total += opposite * (y if y < x else x)
     return total
 
 

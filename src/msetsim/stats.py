@@ -6,10 +6,13 @@ so the double Pearson parts recombine to the plain coefficient at
 alpha = 0.5.  Each mean and variance is computed once per operand, with
 explicit left-to-right sums, and sums that share a pass share one loop:
 covariance and pearson take their centred sums from the same pass.  The
-sign splits sum one stream of products: ``split_inner`` the products of
-the samples, ``double_pearson`` those of the standardized samples, taken
-as they stream.  Every pair function refuses operands whose lengths or
-sample spacings differ.  ``_pearson_windows`` is the Pearson window
+sign splits sum the positive and the negative products apart:
+``split_inner`` streams the products of the samples through
+``_split_sums``, which also carries the 0 * inf term of a product that
+overflows, and ``double_pearson`` sums those of the standardized samples
+in its own loop, where no product can overflow.  Every pair function
+refuses operands whose lengths or sample spacings differ.
+``_pearson_windows`` is the Pearson window
 preparation for :func:`msetsim.sliding.slide`: it takes the template's
 statistics once and scores two adjacent windows per call through
 ``_pearson``, the rule that decides where :func:`pearson` is undefined.
@@ -153,7 +156,8 @@ class SplitProduct:
 
 def _split_sums(products) -> tuple[float, float]:
     """Sums of the positive and the negative terms of a stream of
-    products f*g: the same-sign and opposite-sign parts.
+    products f*g: the same-sign and opposite-sign parts of
+    :func:`split_inner`.
 
     Only a same-signed pair has a positive product and only an
     opposite-signed pair a negative one; a zero product (a zero sample, or
@@ -203,19 +207,33 @@ def double_pearson(x: Signal, y: Signal, alpha: float) -> DoublePearson:
     Pearson near 0 but a strongly negative p_minus, while a single branch
     has p_minus = 0.
 
-    The products of the standardized samples stream straight into the
-    split sums, with no new :class:`Signal`; like :func:`standardize`, this
-    raises ValueError when either variance is zero or overflows to inf,
-    checking x before y.
+    The products of the standardized samples are split and summed in the
+    function's own loop, with no new :class:`Signal`; like
+    :func:`standardize`, this raises ValueError when either variance is
+    zero or overflows to inf, checking x before y.
     """
     wp, wm = _alpha_weights(alpha)
     require_compatible(x, y)
     n = len(x.values)
     mx, sx = _location_scale(x)
     my, sy = _location_scale(y)
-    # unit spacing: the split is a vector statistic like the coefficient itself
-    plus, minus = _split_sums(((a - mx) / sx) * ((b - my) / sy)
-                              for a, b in zip(x.values, y.values))
+    # Unit spacing: the split is a vector statistic like the coefficient.
+    # No product below is infinite, so the split needs no 0 * inf term:
+    # each standardized sample is at most about 1.5 * sqrt(n - 1) in
+    # magnitude.  Its deviation d was squared into the variance sum, which
+    # never rounds below its term fl(d * d).  That term, and the variance's
+    # division by n - 1, keep at least 2/3 of their exact value when they
+    # land among the subnormals and not on 0, and all but an ulp of it
+    # above them; the variance is not 0 (it was refused), and a d whose
+    # square rounds to 0 standardizes below 1 in magnitude.  So every
+    # product is at most about 2.25 * (n - 1).
+    plus = minus = 0.0
+    for a, b in zip(x.values, y.values):
+        p = ((a - mx) / sx) * ((b - my) / sy)
+        if p > 0.0:
+            plus += p
+        elif p < 0.0:
+            minus += p
     p_plus = plus / (n - 1)
     p_minus = minus / (n - 1)
     return DoublePearson(p_plus, p_minus, wp * p_plus + wm * p_minus)
