@@ -92,6 +92,21 @@ def _interiority_value(acap: float, fmass: float, gmass: float) -> float:
     return 1.0 if den == 0.0 else acap / den
 
 
+def _scaled(power: int, *operands) -> list[tuple[float, ...]]:
+    """The operands' samples times 2**-k, for a pair loop to score again
+    when a sum of magnitudes (``power`` 1) or of squares (``power`` 2)
+    overflowed.  With every magnitude below 2**e (``math.frexp`` of the
+    largest) and n < 2**L samples an operand (``int.bit_length``), k = e -
+    (1023 - L) // power keeps each sum of n such terms below 2**1023, and k
+    >= 1 whenever one overflowed.  A ratio of sums is the same at either
+    scale, since the scaling is exact for every sample it leaves at or
+    above 2**-1022; those below lose low bits as subnormals, or become
+    zeros, but each is then far below the overflowing sum it would join."""
+    top = max(max(max(v), -min(v)) for v in operands)
+    k = math.frexp(top)[1] - (1023 - len(operands[0]).bit_length()) // power
+    return [tuple(math.ldexp(x, -k) for x in v) for v in operands]
+
+
 def _jaccard_samples(fv, gv) -> float:
     """The real-valued Jaccard index of two sample tuples."""
     scap = acup = 0.0
@@ -116,13 +131,17 @@ def _jaccard_samples(fv, gv) -> float:
             else:
                 acup += x
                 scap -= y
+    if acup == math.inf:  # the union overflows: score the scaled samples
+        return _jaccard_samples(*_scaled(1, fv, gv))
     return _jaccard_value(scap, acup)
 
 
 def _jaccard_interiority_samples(fv, gv) -> tuple[float, float]:
     """Jaccard and interiority of two sample tuples; the loop also sums
     both operands' absolute masses, adding the terms of :func:`abs_mass`
-    in its order."""
+    in its order.  Where the union overflows, Jaccard is scored again from
+    the scaled samples, and so is interiority where the smaller mass
+    overflows too (the union is never below either mass)."""
     scap = acup = acap = fmass = gmass = 0.0
     for x, y in zip(fv, gv):
         if not x > 0.0:  # a sign relation survives negating both samples
@@ -150,6 +169,9 @@ def _jaccard_interiority_samples(fv, gv) -> tuple[float, float]:
                 acup += x
                 acap += y
                 scap -= y
+    if acup == math.inf:
+        j, i = _jaccard_interiority_samples(*_scaled(1, fv, gv))
+        return j, i if min(fmass, gmass) == math.inf else _interiority_value(acap, fmass, gmass)
     return _jaccard_value(scap, acup), _interiority_value(acap, fmass, gmass)
 
 
@@ -202,6 +224,20 @@ def _cosine(fg: float, nf: float, ng: float) -> float:
     return fg / (nf * ng)
 
 
+def _pair_cosine(fv, gv, ff: float, gg: float, fg: float) -> float:
+    """Cosine of two sample tuples from their raw sums f*f, g*g and f*g;
+    an operand whose sum of squares overflows is scaled on its own first,
+    as the cosine does not change when one operand is scaled, and the sums
+    are taken again."""
+    if ff == math.inf or gg == math.inf:
+        if ff == math.inf:
+            fv, = _scaled(2, fv)
+        if gg == math.inf:
+            gv, = _scaled(2, gv)
+        ff, gg, fg, _ = _products(fv, gv)
+    return _cosine(fg, math.sqrt(ff), math.sqrt(gg))
+
+
 def cosine(f: Signal, g: Signal) -> float:
     """Cosine similarity; undefined (raises) for a zero-norm operand.
 
@@ -216,7 +252,7 @@ def cosine(f: Signal, g: Signal) -> float:
     """
     require_compatible(f, g)
     ff, gg, fg, _ = _products(f.values, g.values)
-    return _cosine(fg, math.sqrt(ff), math.sqrt(gg))
+    return _pair_cosine(f.values, g.values, ff, gg, fg)
 
 
 def jaccard(f: Signal, g: Signal) -> float:
@@ -350,7 +386,7 @@ def report(f: Signal, g: Signal) -> SimilarityReport:
         jaccard=j,
         interiority=i,
         coincidence=j * i,
-        cosine=_cosine(fg, math.sqrt(ff), math.sqrt(gg)),
+        cosine=_pair_cosine(fv, gv, ff, gg, fg),
         inner=dx * fg,
         norm_f=math.sqrt(dx * ff),
         norm_g=math.sqrt(dx * gg),

@@ -132,6 +132,55 @@ def ojaccard_power(fv, gv, d):
     return p
 
 
+# The pair indices score a pair again from its samples scaled by 2**-k when
+# a denominator overflows: the union for Jaccard, the smaller absolute mass
+# for interiority, an operand's raw sum of squares for cosine (that operand
+# alone is scaled).  Each oracle below states that law on the naive
+# oracles above; slide's window scores are not rescored, and keep them.
+
+def oscale_exponent(top, n, power):
+    """k of the rescore: top < 2**e and n < 2**L for the least such e and L
+    (top is at least 1 wherever a sum overflowed), k = e - (1023 - L) //
+    power."""
+    return int(top).bit_length() - (1023 - n.bit_length()) // power
+
+
+def oscaled(power, *operands):
+    top = max(osign(v) * v for vals in operands for v in vals)
+    k = oscale_exponent(top, len(operands[0]), power)
+    return [[v * 2.0 ** -k for v in vals] for vals in operands]
+
+
+def ojaccard_rescored(fv, gv):
+    if oaggregate("acup", fv, gv) == math.inf:
+        fv, gv = oscaled(1, fv, gv)
+    return ojaccard(fv, gv)
+
+
+def ointeriority_rescored(fv, gv):
+    if min(oabs_mass(fv), oabs_mass(gv)) == math.inf:
+        fv, gv = oscaled(1, fv, gv)
+    return ointeriority(fv, gv)
+
+
+def ocoincidence_rescored(fv, gv):
+    return ojaccard_rescored(fv, gv) * ointeriority_rescored(fv, gv)
+
+
+def ojaccard_power_rescored(fv, gv, d):
+    if oaggregate("acup", fv, gv) == math.inf:
+        fv, gv = oscaled(1, fv, gv)
+    return ojaccard_power(fv, gv, d)
+
+
+def ocosine_rescored(fv, gv):
+    if oinner(fv, fv) == math.inf:
+        fv, = oscaled(2, fv)
+    if oinner(gv, gv) == math.inf:
+        gv, = oscaled(2, gv)
+    return ocosine(fv, gv)
+
+
 def osplit_intersection(fv, gv, alpha, dx=1.0):
     acc = 0.0
     for a, b in zip(fv, gv):

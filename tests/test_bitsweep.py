@@ -21,7 +21,7 @@ _spec.loader.exec_module(bitsweep)
 
 SEED = 1812
 GOLDEN = {
-    "pairs": "bc2109419b6c15a5ce6ab73ab3d648c9cb834816abc34e70d9f963724aefdc2c",
+    "pairs": "656a04d23ca4094a6756699f57e3448ef74e49c51446defd5e30c05457c7ba19",
     "aggregate": "7c639d5c9a3ab4e509211dd93dc4abbd106ad859ecf0b1f2ab805b0f0decb6b1",
     "stats": "e9f71f93b106eda3084dc203ab8c496694de240eefbc549cabfcb17679979926",
 }

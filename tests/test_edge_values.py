@@ -37,12 +37,16 @@ from oracles import (
     oabs_mass,
     oaggregate,
     ocoincidence,
+    ocoincidence_rescored,
     ocosine,
+    ocosine_rescored,
     ocovariance,
     oeuclidean,
     oinner,
     ointeriority,
+    ointeriority_rescored,
     ojaccard,
+    ojaccard_rescored,
     okernel,
     omean,
     onorm,
@@ -138,7 +142,7 @@ def test_aggregate_overflow_reaches_inf():
 
 @pytest.mark.parametrize("dx", [1.0, 0.5])
 def test_pair_indices_bits_match_oracle(dx):
-    overflows = 0
+    overflows = rescored = 0
     for fv, gv in edge_pairs():
         f, g = Signal(fv, dx), Signal(gv, dx)
         where = (fv, gv, dx)
@@ -147,9 +151,12 @@ def test_pair_indices_bits_match_oracle(dx):
         for alpha in (0.0, 0.3, 1.0):
             assert bits(split_intersection(f, g, alpha)) == \
                 bits(osplit_intersection(fv, gv, alpha, dx)), where
-        assert bits(jaccard(f, g)) == bits(ojaccard(fv, gv)), where
-        assert bits(interiority(f, g)) == bits(ointeriority(fv, gv)), where
-        assert bits(coincidence(f, g)) == bits(ocoincidence(fv, gv)), where
+        # a pair whose union or smaller mass overflows is scored again from
+        # its scaled samples
+        rescored += oaggregate("acup", fv, gv) == math.inf
+        assert bits(jaccard(f, g)) == bits(ojaccard_rescored(fv, gv)), where
+        assert bits(interiority(f, g)) == bits(ointeriority_rescored(fv, gv)), where
+        assert bits(coincidence(f, g)) == bits(ocoincidence_rescored(fv, gv)), where
         if len(fv) >= 2:
             assert bits(covariance(f, g)) == bits(ocovariance(fv, gv)), where
             var_f, var_g = ovariance(fv), ovariance(gv)
@@ -166,12 +173,13 @@ def test_pair_indices_bits_match_oracle(dx):
         if onorm(fv) == 0.0 or onorm(gv) == 0.0:
             continue  # report raises with cosine
         rep = report(f, g)
-        want = (ojaccard(fv, gv), ointeriority(fv, gv), ocoincidence(fv, gv),
-                ocosine(fv, gv), oinner(fv, gv, dx), onorm(fv, dx), onorm(gv, dx),
-                oeuclidean(fv, gv, dx))
+        want = (ojaccard_rescored(fv, gv), ointeriority_rescored(fv, gv),
+                ocoincidence_rescored(fv, gv), ocosine_rescored(fv, gv), oinner(fv, gv, dx),
+                onorm(fv, dx), onorm(gv, dx), oeuclidean(fv, gv, dx))
         assert all_bits(astuple(rep)) == all_bits(want), where
-    # guards the edge pairs: some pearson variances overflow
+    # guards the edge pairs: some pearson variances and some unions overflow
     assert overflows > 0
+    assert rescored > 0
 
 
 ALPHAS = (0.0, 0.3, 0.5, 1.0)
@@ -391,6 +399,12 @@ def check_flags_match_pair_functions(tv, sv, dx) -> list[str]:
                 messages.append(str(exc))
             else:
                 assert k not in profile.degenerate_lags, where
+                window = sv[k:k + m]
+                if index is SlideIndex.COSINE and math.inf in (oinner(tv, tv),
+                                                               oinner(window, window)):
+                    # a raw sum of squares overflows: the pair function
+                    # scores the scaled samples, slide's window does not yet
+                    want = ocosine(tv, window)
                 assert bits(profile.scores[k]) == bits(want), where
     return messages
 

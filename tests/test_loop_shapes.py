@@ -15,7 +15,11 @@ every kind.  Every sign-aware value is also checked to be unchanged when
 both operands are negated, the symmetry the sign-branch loops fold on.
 Inputs reach every binade, from the subnormals to the largest
 float, with signed zeros, over three spacings; where a sum overflows and
-makes a result NaN, two NaN results match."""
+makes a result NaN, two NaN results match.  Where the union, the smaller
+absolute mass or a raw sum of squares overflows, the pair functions score
+the samples scaled by a power of two and match the oracles on those
+samples, while ``slide``'s windows are not rescored and keep the
+oracles' values of the samples as they are."""
 
 import math
 import random
@@ -44,9 +48,14 @@ from oracles import (
     OP_NAMES,
     oaggregate,
     ocoincidence,
-    ointeriority,
+    ocoincidence_rescored,
+    ocosine,
+    ocosine_rescored,
+    oinner,
+    ointeriority_rescored,
     ojaccard,
-    ojaccard_power,
+    ojaccard_power_rescored,
+    ojaccard_rescored,
     okernel,
     osplit_intersection,
 )
@@ -102,32 +111,42 @@ def same(a, b) -> bool:
 
 @pytest.mark.parametrize("dx, seed", [(1.0, 1401), (0.5, 1402), (1e-300, 1403)])
 def test_loop_shapes_agree_bit_for_bit(dx, seed):
-    nan_results = 0
+    rescored = 0
     for fv, gv, f, g, alpha in cases(dx, seed):
         where = (fv, gv, dx)
         j, i, c = jaccard(f, g), interiority(f, g), coincidence(f, g)
-        nan_results += math.isnan(j) + math.isnan(i)
+        union_overflows = oaggregate("acup", fv, gv) == math.inf
+        squares_overflow = math.inf in (oinner(fv, fv), oinner(gv, gv))
+        rescored += union_overflows
+        cos = outcome(lambda: cosine(f, g))
         # the window loops score the one window of equal-length operands,
-        # and flag it exactly where the pair function raises
-        for index, value in ((SlideIndex.JACCARD, j), (SlideIndex.COINCIDENCE, c),
+        # and flag it exactly where the pair function raises; where a
+        # denominator overflows, the pair function scores the scaled samples
+        # and the window keeps the oracle's value of the samples as they are
+        for index, value in ((SlideIndex.JACCARD, ojaccard(fv, gv) if union_overflows else j),
+                             (SlideIndex.COINCIDENCE,
+                              ocoincidence(fv, gv) if union_overflows else c),
                              (SlideIndex.INNER, inner(f, g)),
-                             (SlideIndex.COSINE, outcome(lambda: cosine(f, g))),
+                             (SlideIndex.COSINE, cos if isinstance(cos, tuple)
+                              or not squares_overflow else ocosine(fv, gv)),
                              (SlideIndex.PEARSON, outcome(lambda: pearson(f, g)))):
             profile = slide(f, g, index)
             raised = isinstance(value, tuple)
             assert profile.degenerate_lags == ((0,) if raised else ()), (index, where)
             assert same(profile.scores[0], 0.0 if raised else value), (index, where)
-        # the pair loops against the oracles
-        assert same(j, ojaccard(fv, gv)), where
-        assert same(i, ointeriority(fv, gv)), where
-        assert same(c, ocoincidence(fv, gv)), where
+        # the pair loops against the oracles, rescored where a denominator
+        # overflows
+        assert same(j, ojaccard_rescored(fv, gv)), where
+        assert same(i, ointeriority_rescored(fv, gv)), where
+        assert same(c, ocoincidence_rescored(fv, gv)), where
+        if not isinstance(cos, tuple):
+            assert same(cos, ocosine_rescored(fv, gv)), where
         # bit for bit: a Jaccard ratio of -0.0 gives -0.0 for odd d
-        assert same(jaccard_power(f, g, 3), ojaccard_power(fv, gv, 3)), where
+        assert same(jaccard_power(f, g, 3), ojaccard_power_rescored(fv, gv, 3)), where
         # every report field is its pair function's value; report raises
         # exactly when cosine does, with its message
         want = dict(jaccard=j, interiority=i, coincidence=c, inner=inner(f, g),
                     norm_f=norm(f), norm_g=norm(g), euclidean=euclidean(f, g))
-        cos = outcome(lambda: cosine(f, g))
         rep = outcome(lambda: report(f, g))
         if isinstance(cos, tuple):
             assert rep == cos, where
@@ -161,5 +180,5 @@ def test_loop_shapes_agree_bit_for_bit(dx, seed):
             assert same(aggregate(kind, nf, ng), aggregate(kind, f, g)), (kind, where)
         for a in (0.0, 0.5, 1.0, alpha):
             assert same(split_intersection(nf, ng, a), split_intersection(f, g, a)), (a, where)
-    # guards the inputs: some sums must overflow, as in the near-MAX cases
-    assert nan_results > 0
+    # guards the inputs: some unions must overflow, as in the near-MAX cases
+    assert rescored > 0
