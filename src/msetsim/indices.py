@@ -4,6 +4,12 @@ real-valued Jaccard family, interiority, and coincidence.
 Zero-denominator conventions keep every index total: a ratio over two
 identically zero signals is 0 for the Jaccard family and 1 for interiority
 (vacuous containment), so coincidence stays 0 through its Jaccard factor.
+An overflowing denominator gives no finite wrong answer in a pair
+function: where the union, the smaller absolute mass or an operand's raw
+sum of squares is inf, the pair loop scores the samples again scaled by a
+power of two (``_scaled``), one comparison per call and nothing per
+sample, so every result whose denominator is finite keeps its bits.
+``slide``'s window scores are not rescored.
 
 The normalised indices (Jaccard, interiority, coincidence, cosine and the
 Jaccard power) are ratios of two sums over the same samples, so the

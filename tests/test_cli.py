@@ -19,7 +19,7 @@ from msetsim.msetops import Signal
 from msetsim.sliding import SlideIndex, slide
 from msetsim.stats import double_pearson, pearson, standardize
 
-from oracles import ogates
+from oracles import ogates, omean, opearson, osplit_inner, ovariance
 
 
 def parse_kv(captured: str) -> dict:
@@ -231,6 +231,25 @@ class TestSplit:
         dp = double_pearson(Signal(xs), Signal(ys), 0.5)
         assert got["p_plus"] == dp.p_plus
         assert got["p_minus"] == dp.p_minus
+
+    def test_branch_mix_matches_the_oracle_composition(self, capsys):
+        # the committed file the CI smoke block pins: points on y = x and on
+        # y = -x, a weak pearson hiding a strongly negative p_minus
+        path = pathlib.Path(__file__).parent / "data" / "branch_mix.csv"
+        assert cli(["split", "--input", str(path), "--cols", "x,y", "--alpha", "0.3"]) == 0
+        xs, ys = (list(c) for c in zip(*(map(float, line.split(","))
+                                         for line in path.read_text().splitlines()[1:])))
+
+        def standardized(v):
+            m, s = omean(v), math.sqrt(ovariance(v))
+            return [(a - m) / s for a in v]
+
+        plus, minus = osplit_inner(standardized(xs), standardized(ys))
+        p_plus, p_minus = plus / (len(xs) - 1), minus / (len(xs) - 1)
+        want = {"p_plus": p_plus, "p_minus": p_minus,
+                "p_alpha": 2.0 * 0.3 * p_plus + 2.0 * 0.7 * p_minus, "pearson": opearson(xs, ys)}
+        assert capsys.readouterr().out == "".join(f"{k}={v:.17g}\n" for k, v in want.items())
+        assert p_minus < -0.5 and abs(want["pearson"]) < 0.2
 
     def test_overflowing_variance_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "d.csv"
