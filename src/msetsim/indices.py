@@ -177,7 +177,9 @@ def _jaccard_interiority_samples(fv, gv) -> tuple[float, float]:
                 scap -= y
     if acup == math.inf:
         j, i = _jaccard_interiority_samples(*_scaled(1, fv, gv))
-        return j, i if min(fmass, gmass) == math.inf else _interiority_value(acap, fmass, gmass)
+        if min(fmass, gmass) < math.inf:  # interiority's denominator is finite
+            i = _interiority_value(acap, fmass, gmass)
+        return j, i
     return _jaccard_value(scap, acup), _interiority_value(acap, fmass, gmass)
 
 

@@ -287,8 +287,8 @@ def kernel(kind: MsetOpKind, x: float, y: float) -> float:
     product; the half forms replace the sign product by the same-sign or
     opposite-sign gate, so SCAP == SCAP_PLUS - SCAP_MINUS pointwise (and
     likewise for SCUP).  Every kind but CAP and CUP is the gated sum over
-    the single pair, so a zero result is +0.0: a weight of -1 needs two
-    nonzero operands, whose magnitude is then nonzero.  The operands go
+    the single pair, so a zero result is +0.0: the sum starts at +0.0, and
+    a +-0 term leaves it so.  The operands go
     through the operand rule, so the result is a float for an int or
     ``Fraction`` operand too.
     """
