@@ -1,7 +1,8 @@
 """The golden digests of ``tools/bitsweep.py``: the value bits and error
 texts of the pair indices and ``report``, of ``aggregate`` and
-``split_intersection``, and of ``pearson``, ``double_pearson`` and
-``standardize``, over the sweep of seed 1812.
+``split_intersection``, of ``pearson``, ``double_pearson`` and
+``standardize``, and of ``slide``'s profiles under every index, over the
+sweep of seed 1812.
 
 A digest may change only with a stated change of contract, recorded in
 CHANGES.md with its old and new value and the families it moves.  The
@@ -24,6 +25,7 @@ GOLDEN = {
     "pairs": "656a04d23ca4094a6756699f57e3448ef74e49c51446defd5e30c05457c7ba19",
     "aggregate": "7c639d5c9a3ab4e509211dd93dc4abbd106ad859ecf0b1f2ab805b0f0decb6b1",
     "stats": "e9f71f93b106eda3084dc203ab8c496694de240eefbc549cabfcb17679979926",
+    "slide": "9aea4727632d131901e46886d868fb8110104ed4ec65433a3fde46511fe5eefc",
 }
 
 

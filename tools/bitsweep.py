@@ -19,18 +19,26 @@ each ``ValueError`` as its message.  The families are:
 - ``aggregate``: ``aggregate`` for all ten kinds, and
   ``split_intersection`` at alpha 0, 0.3, 0.5, 1 and a drawn alpha;
 - ``stats``: ``pearson``, ``double_pearson`` at the same alphas, and
-  ``standardize`` of both operands.
+  ``standardize`` of both operands;
+- ``slide``: the profile of ``slide`` under all five indices, its scores,
+  best lag and flagged lags.
 
 The inputs are drawn from ``random.Random(SEED)``: operands of 1 to 40
 samples and a few of up to 300, at the spacings 1, 0.1 and 1e-300, whose
 samples are signed zeros, subnormals, values of every binade, values near
 +-1e308, values whose variances come close to overflowing, and values
-whose squares or variances fall below the normal range; a second operand is often the first with its signs flipped, for
-ties and exact +-1 ratios.  A digest moves only when some result's bits or
-some error text move, so a change that must keep every result states that
-the digests are equal before and after it, and a change of contract names
-the families it moves.  ``tests/test_bitsweep.py`` pins the digests of one
-seed.
+whose squares or variances fall below the normal range; a second operand
+is often the first with its signs flipped, for ties and exact +-1 ratios.
+The ``slide`` family draws from ``random.Random(f"{SEED}:slide")``, so
+the other three do not depend on it: signals of 1 to 40 samples at the
+same spacings, with odd and even lag counts, stretches of zeros, samples
+near +-1e308 and subnormals, and templates that are often a slice of the
+signal, all zero, or of one sample or the signal's whole length.
+
+A digest moves only when some result's bits or some error text move, so a
+change that must keep every result states that the digests are equal
+before and after it, and a change of contract names the families it
+moves.  ``tests/test_bitsweep.py`` pins the digests of one seed.
 """
 
 import hashlib
@@ -44,9 +52,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from msetsim import indices, stats  # noqa: E402
 from msetsim.msetops import MsetOpKind, Signal, aggregate  # noqa: E402
+from msetsim.sliding import SlideIndex, slide  # noqa: E402
 
 SPACINGS = (1.0, 0.1, 1e-300)
 CASES_PER_SPACING = 2000
+SLIDES_PER_SPACING = 300
 MAX = sys.float_info.max
 SMALL_EDGE = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0, -1.0, 0.5, -3.0)
 HUGE_EDGE = (1e308, -1e308, 1.7e308, -MAX)
@@ -99,6 +109,27 @@ def _operands(rng: random.Random) -> tuple[list, list]:
     return fv, gv
 
 
+def _slide_operands(rng: random.Random) -> tuple[list, list]:
+    """A signal and a template no longer than it."""
+    n = rng.randint(1, 40)
+    regime = rng.choice(("plain", "huge", "tiny", "wide"))
+    sv = [_sample(rng, regime) for _ in range(n)]
+    if rng.random() < 0.3:  # a stretch of signed zeros
+        lo = rng.randrange(n)
+        for i in range(lo, rng.randint(lo + 1, n)):
+            sv[i] = rng.choice((0.0, -0.0))
+    m = rng.choice((1, n, max(1, n - 1), rng.randint(1, n), rng.randint(1, min(n, 8))))
+    r = rng.random()
+    if r < 0.3:
+        lo = rng.randint(0, n - m)
+        tv = [rng.choice((1.0, -1.0, 0.5)) * v for v in sv[lo:lo + m]]
+    elif r < 0.4:
+        tv = [rng.choice((0.0, -0.0)) for _ in range(m)]
+    else:
+        tv = [_sample(rng, rng.choice(("plain", regime))) for _ in range(m)]
+    return sv, tv
+
+
 def _put(digest, call) -> None:
     """Add the outcome of ``call()`` to ``digest``: a float or a tuple of
     floats by their bits, a ValueError by its message."""
@@ -136,8 +167,16 @@ def digests(seed: int) -> dict[str, str]:
                 _put(stat, lambda: tuple(stats.double_pearson(f, g, a)))
             for v in (f, g):
                 _put(stat, lambda: stats.standardize(v).values)
+    slides, rng = hashlib.sha256(), random.Random(f"{seed}:slide")
+    for dx in SPACINGS:
+        for _ in range(SLIDES_PER_SPACING):
+            sv, tv = _slide_operands(rng)
+            for index in SlideIndex:
+                profile = slide(Signal(tv, dx), Signal(sv, dx), index)
+                _put(slides, lambda: profile.scores)
+                slides.update(f"{profile.best_lag}{profile.degenerate_lags}".encode())
     return {"pairs": pairs.hexdigest(), "aggregate": aggs.hexdigest(),
-            "stats": stat.hexdigest()}
+            "stats": stat.hexdigest(), "slide": slides.hexdigest()}
 
 
 def main(argv=None) -> int:
