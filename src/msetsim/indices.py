@@ -30,11 +30,10 @@ first sample, and one branch on the second sample's sign then gives both
 magnitudes and the sign of the intersection term; the loop behind
 interiority and coincidence also sums both operands' absolute masses, so
 :func:`report` takes every sum in two passes.  The ``_*_windows``
-functions are window preparations for :func:`msetsim.sliding.slide`,
-which alone loops over the lags: each does the template's share of the
-work once and returns the scores of the windows at a given lag and the
-next, from one slice and one pass that carries the first window's
-sample.  The Jaccard and coincidence preparations build each operand's
+functions are window preparations for :func:`msetsim.sliding.slide`:
+each is a generator that does the template's share of the work once and
+then yields every window's score in lag order, two windows from each
+slice and pass, the pass carrying the first window's sample.  The Jaccard and coincidence preparations build each operand's
 sign-flag and magnitude tuples once, because each sample's gates are
 shared by the m windows that hold it, and each pair of windows slices
 them once.  Both shapes turn their sums into an index through the same
@@ -406,17 +405,19 @@ def report(f: Signal, g: Signal) -> SimilarityReport:
 
 # Window preparations for slide (see sliding._SCORERS).  The caller has
 # checked that the template fits in the signal and that the spacings agree.
-# Each returns score(k), the scores of the windows at lags k and k + 1
-# together.  The two windows share every sample but one, so one pass over
-# the template serves both: it slices the signal once, as [k + 1 : k + 1 +
-# m], the samples of window k + 1, and carries window k's sample in a local,
-# the sample window k + 1 held one pass earlier.  Each window's accumulators
-# add the same terms in the same order as a loop over that window alone, so
-# every score is the pair function's value, bit for bit; only the two
-# windows' terms interleave.  The signal is padded with one zero sample, so
-# that window k + 1 exists at the last lag too; slide drops its score.  A
-# window on which the index is undefined scores None: the cosine windows go
-# through _cosine, the pair function's own rule, by _defined.
+# Each is a generator that takes the lags k = 0, 2, 4, ... and yields the
+# score of the window at lag k, then that of the window at k + 1.  The two
+# windows share every sample but one, so one pass over the template serves
+# both: it slices the signal once, as [k + 1 : k + 1 + m], the samples of
+# window k + 1, and carries window k's sample in a local, the sample window
+# k + 1 held one pass earlier.  Each window's accumulators add the same
+# terms in the same order as a loop over that window alone, so every score
+# is the pair function's value, bit for bit; only the two windows' terms
+# interleave.  The signal is padded with one zero sample, so that window
+# k + 1 exists at the last lag too; slide stops before it asks for that
+# window's score.  A window on which the index is undefined scores None:
+# the cosine windows go through _cosine, the pair function's own rule, by
+# _defined.
 
 def _defined(rule, *sums):
     """rule(*sums), or None where the rule refuses (raises ValueError): the
@@ -434,24 +435,22 @@ def _window_gates(values):
 
 def _inner_windows(template: Signal, signal: Signal):
     tv, sv, dx, m = template.values, signal.values + (0.0,), signal.dx, len(template.values)
-
-    def score(k):
+    for k in range(0, len(sv) - m, 2):
         s0 = s1 = 0.0
         x = sv[k]
         for a, y in zip(tv, sv[k + 1:k + 1 + m]):
             s0 += a * x
             s1 += a * y
             x = y
-        return dx * s0, dx * s1
-    return score
+        yield dx * s0
+        yield dx * s1
 
 
 def _jaccard_windows(template: Signal, signal: Signal):
     m = len(template.values)
     tp, ta = _window_gates(template.values)
     sp, sa = _window_gates(signal.values + (0.0,))
-
-    def score(k):
+    for k in range(0, len(sp) - m, 2):
         scap0 = acup0 = scap1 = acup1 = 0.0
         p0, a0 = sp[k], sa[k]
         for pt, at, p1, a1 in zip(tp, ta, sp[k + 1:k + 1 + m], sa[k + 1:k + 1 + m]):
@@ -480,8 +479,8 @@ def _jaccard_windows(template: Signal, signal: Signal):
                 else:
                     scap1 -= a1
             p0, a0 = p1, a1
-        return _jaccard_value(scap0, acup0), _jaccard_value(scap1, acup1)
-    return score
+        yield _jaccard_value(scap0, acup0)
+        yield _jaccard_value(scap1, acup1)
 
 
 def _coincidence_windows(template: Signal, signal: Signal):
@@ -489,8 +488,7 @@ def _coincidence_windows(template: Signal, signal: Signal):
     tp, ta = _window_gates(template.values)
     sp, sa = _window_gates(signal.values + (0.0,))
     tmass = _raw_mass(template.values)
-
-    def score(k):
+    for k in range(0, len(sp) - m, 2):
         scap0 = acup0 = acap0 = mass0 = scap1 = acup1 = acap1 = mass1 = 0.0
         p0, a0 = sp[k], sa[k]
         for pt, at, p1, a1 in zip(tp, ta, sp[k + 1:k + 1 + m], sa[k + 1:k + 1 + m]):
@@ -525,16 +523,14 @@ def _coincidence_windows(template: Signal, signal: Signal):
                 else:
                     scap1 -= a1
             p0, a0 = p1, a1
-        return (_jaccard_value(scap0, acup0) * _interiority_value(acap0, tmass, mass0),
-                _jaccard_value(scap1, acup1) * _interiority_value(acap1, tmass, mass1))
-    return score
+        yield _jaccard_value(scap0, acup0) * _interiority_value(acap0, tmass, mass0)
+        yield _jaccard_value(scap1, acup1) * _interiority_value(acap1, tmass, mass1)
 
 
 def _cosine_windows(template: Signal, signal: Signal):
     tv, sv, m = template.values, signal.values + (0.0,), len(template.values)
     nt = math.sqrt(_dot(tv, tv))
-
-    def score(k):
+    for k in range(0, len(sv) - m, 2):
         tw0 = ww0 = tw1 = ww1 = 0.0
         x = sv[k]
         for a, y in zip(tv, sv[k + 1:k + 1 + m]):
@@ -543,6 +539,5 @@ def _cosine_windows(template: Signal, signal: Signal):
             tw1 += a * y
             ww1 += y * y
             x = y
-        return (_defined(_cosine, tw0, nt, math.sqrt(ww0)),
-                _defined(_cosine, tw1, nt, math.sqrt(ww1)))
-    return score
+        yield _defined(_cosine, tw0, nt, math.sqrt(ww0))
+        yield _defined(_cosine, tw1, nt, math.sqrt(ww1))

@@ -5,27 +5,29 @@ Valid mode only: every window lies fully inside the signal, no boundary
 padding, so window scores are exactly the index values they claim to be.
 
 One engine, :func:`slide`, scores every index.  Each index supplies only a
-preparation, ``(template, signal) -> score``, which does the template's
-share of the work once (its raw norm, statistics or raw absolute mass, and
-the sign and magnitude tuples to slice) and returns ``score(k)``, the
-values of the windows at lags k and k + 1 together.  Windows are tuple
-slices, not new :class:`Signal` objects.  Consecutive windows share M - 1
-samples of a template of M, so one pass over the template serves two: it
-slices the signal once, for window k + 1, and carries window k's sample,
-the one window k + 1 held a pass earlier.  A window still costs O(M), but
-two windows share a slice and a loop pass (two passes for pearson, whose
-window means come first).  Each window's sums are still taken afresh, left
-to right, with its own accumulators, so the scores are bit-identical to
-calling the index on each window.  The preparations append one zero
-sample to the signal, only so that window k + 1 exists when k is the last
-lag; that window is not a valid one, and the engine drops its score, so it
-never reaches the profile or its flags.  The engine
-alone steps over the lags, applies the rule for an undefined window (a
-score of None) and takes the argmax, the same for every index.
+preparation, a generator ``(template, signal) -> scores``, which does the
+template's share of the work once (its raw norm, statistics or raw
+absolute mass, and the sign and magnitude tuples to slice) and then yields
+the value of every window in lag order.  Windows are tuple slices, not new
+:class:`Signal` objects.  Consecutive windows share M - 1 samples of a
+template of M, so one pass over the template serves two: it slices the
+signal once, for window k + 1, and carries window k's sample, the one
+window k + 1 held a pass earlier, and the generator yields window k's
+score and then window k + 1's.  A window still costs O(M), but two windows
+share a slice and a loop pass (two passes for pearson, whose window means
+come first).  Each window's sums are still taken afresh, left to right,
+with its own accumulators, so the scores are bit-identical to calling the
+index on each window.  The preparations append one zero sample to the
+signal, only so that window k + 1 exists when k is the last lag; that
+window is not a valid one, and the engine takes only as many scores as
+there are lags, so the generator is never resumed to yield its score.  The engine alone applies
+the rule for an undefined window (a score of None) and takes the argmax,
+the same for every index.
 """
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from .indices import _coincidence_windows, _cosine_windows, _inner_windows, _jaccard_windows
 from .msetops import Signal, _member
@@ -71,11 +73,14 @@ class MatchProfile:
     degenerate_lags: tuple[int, ...] = ()
 
 
-# Window preparations: (template, signal) -> score, where score(k) gives
-# the values of the windows at lags k and k + 1, each None where the index
-# is undefined on that window, for every even k below the lag count.  A
-# preparation raises ValueError where the index is undefined on the
-# template alone, and so on every window.
+# Window preparations: generators (template, signal) -> scores, which yield
+# the value of each window in lag order, None where the index is undefined
+# on that window; slide takes one per lag.  A preparation raises ValueError
+# at its first score where the index is undefined on the template alone,
+# and so on every window.  The template's share, too, runs at the first
+# score, not when the generator is made, so a span around a preparation
+# call (perfbench's tracer wraps these entries by name) times only the
+# generator's creation.
 _SCORERS = {
     SlideIndex.INNER: _inner_windows,
     SlideIndex.JACCARD: _jaccard_windows,
@@ -103,14 +108,9 @@ def slide(template: Signal, signal: Signal, index: SlideIndex) -> MatchProfile:
 
     lags = range(len(signal.values) - m + 1)
     try:
-        score = prepare(template, signal)
+        scores = list(islice(prepare(template, signal), len(lags)))
     except ValueError:
         scores = [None] * len(lags)
-    else:
-        scores = []
-        for k in lags[::2]:
-            scores += score(k)
-        del scores[len(lags):]  # the padded window past the last lag
     flagged = tuple(k for k in lags if scores[k] is None)
     if flagged:
         scores = [0.0 if s is None else s for s in scores]

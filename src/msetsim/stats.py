@@ -13,9 +13,10 @@ overflows, and ``double_pearson`` sums those of the standardized samples
 in its own loop, where no product can overflow.  Every pair function
 refuses operands whose lengths or sample spacings differ.
 ``_pearson_windows`` is the Pearson window
-preparation for :func:`msetsim.sliding.slide`: it takes the template's
-statistics once and scores two adjacent windows per call through
-``_pearson``, the rule that decides where :func:`pearson` is undefined.
+preparation for :func:`msetsim.sliding.slide`: a generator that takes
+the template's statistics once and yields every window's coefficient,
+two adjacent windows per pass, through ``_pearson``, the rule that
+decides where :func:`pearson` is undefined.
 """
 
 import math
@@ -240,20 +241,19 @@ def double_pearson(x: Signal, y: Signal, alpha: float) -> DoublePearson:
 
 
 def _pearson_windows(template: Signal, signal: Signal):
-    """The window preparation of pearson for slide: score(k) gives the
-    Pearson coefficients of the template with the windows at lags k and
-    k + 1, from one slice of the zero-padded signal and two passes that
-    carry window k's sample, as the preparations in :mod:`msetsim.indices`
-    do: the window means, then the centred sums.  Each window goes through
-    _pearson, the pair function's own rule, by _defined, so it is None
-    exactly where pearson() would raise on it.  A template of fewer than 2
-    samples raises here, in sample_stats, as pearson() would on every
-    window."""
+    """The window preparation of pearson for slide: a generator of the
+    Pearson coefficients of the template with every window, in lag order.
+    It yields the windows at lags k and k + 1 from one slice of the
+    zero-padded signal and two passes that carry window k's sample, as the
+    preparations in :mod:`msetsim.indices` do: the window means, then the
+    centred sums.  Each window goes through _pearson, the pair function's
+    own rule, by _defined, so it is None exactly where pearson() would
+    raise on it.  A template of fewer than 2 samples raises at the first
+    score, in sample_stats, as pearson() would on every window."""
     tv, sv, m = template.values, signal.values + (0.0,), len(template.values)
     st = sample_stats(template)
     tdev = tuple(a - st.mean for a in tv)
-
-    def score(k):
+    for k in range(0, len(sv) - m, 2):
         window = sv[k + 1:k + 1 + m]
         s0 = s1 = 0.0
         x = sv[k]
@@ -273,6 +273,5 @@ def _pearson_windows(template: Signal, signal: Signal):
             sww1 += d * d
             stw1 += da * d
             x = y
-        return (_defined(_pearson, stw0, st.std, math.sqrt(sww0 / (m - 1)), m),
-                _defined(_pearson, stw1, st.std, math.sqrt(sww1 / (m - 1)), m))
-    return score
+        yield _defined(_pearson, stw0, st.std, math.sqrt(sww0 / (m - 1)), m)
+        yield _defined(_pearson, stw1, st.std, math.sqrt(sww1 / (m - 1)), m)
