@@ -9,7 +9,10 @@ function: where the union, the smaller absolute mass or an operand's raw
 sum of squares is inf, the pair loop scores the samples again scaled by a
 power of two (``_scaled``), one comparison per call and nothing per
 sample, so every result whose denominator is finite keeps its bits.
-``slide``'s window scores are not rescored.
+``slide``'s windows follow the same rule, one comparison per window: a
+Jaccard or coincidence window whose union is inf, and a cosine window
+whose own or the template's raw sum of squares is inf, is scored by the
+pair loop on that window's slice.
 
 The normalised indices (Jaccard, interiority, coincidence, cosine and the
 Jaccard power) are ratios of two sums over the same samples, so the
@@ -415,9 +418,11 @@ def report(f: Signal, g: Signal) -> SimilarityReport:
 # is the pair function's value, bit for bit; only the two windows' terms
 # interleave.  The signal is padded with one zero sample, so that window
 # k + 1 exists at the last lag too; slide stops before it asks for that
-# window's score.  A window on which the index is undefined scores None:
-# the cosine windows go through _cosine, the pair function's own rule, by
-# _defined.
+# window's score.  A window whose denominator overflows (the union, or a
+# raw sum of squares for cosine) is scored by the pair loop on its slice,
+# which rescores it as the pair function does.  A window on which the
+# index is undefined scores None: the cosine windows go through _cosine or
+# _pair_cosine, the pair function's own rule, by _defined.
 
 def _defined(rule, *sums):
     """rule(*sums), or None where the rule refuses (raises ValueError): the
@@ -447,7 +452,7 @@ def _inner_windows(template: Signal, signal: Signal):
 
 
 def _jaccard_windows(template: Signal, signal: Signal):
-    m = len(template.values)
+    tv, sv, m = template.values, signal.values, len(template.values)
     tp, ta = _window_gates(template.values)
     sp, sa = _window_gates(signal.values + (0.0,))
     for k in range(0, len(sp) - m, 2):
@@ -479,12 +484,14 @@ def _jaccard_windows(template: Signal, signal: Signal):
                 else:
                     scap1 -= a1
             p0, a0 = p1, a1
-        yield _jaccard_value(scap0, acup0)
-        yield _jaccard_value(scap1, acup1)
+        yield (_jaccard_value(scap0, acup0) if acup0 < math.inf
+               else _jaccard_samples(tv, sv[k:k + m]))
+        yield (_jaccard_value(scap1, acup1) if acup1 < math.inf
+               else _jaccard_samples(tv, sv[k + 1:k + 1 + m]))
 
 
 def _coincidence_windows(template: Signal, signal: Signal):
-    m = len(template.values)
+    tv, sv, m = template.values, signal.values, len(template.values)
     tp, ta = _window_gates(template.values)
     sp, sa = _window_gates(signal.values + (0.0,))
     tmass = _raw_mass(template.values)
@@ -523,21 +530,31 @@ def _coincidence_windows(template: Signal, signal: Signal):
                 else:
                     scap1 -= a1
             p0, a0 = p1, a1
-        yield _jaccard_value(scap0, acup0) * _interiority_value(acap0, tmass, mass0)
-        yield _jaccard_value(scap1, acup1) * _interiority_value(acap1, tmass, mass1)
+        # math.prod((j, i)) is 1 * j * i, and 1 * j is j, bit for bit
+        yield (_jaccard_value(scap0, acup0) * _interiority_value(acap0, tmass, mass0)
+               if acup0 < math.inf else math.prod(_jaccard_interiority_samples(tv, sv[k:k + m])))
+        yield (_jaccard_value(scap1, acup1) * _interiority_value(acap1, tmass, mass1)
+               if acup1 < math.inf
+               else math.prod(_jaccard_interiority_samples(tv, sv[k + 1:k + 1 + m])))
 
 
 def _cosine_windows(template: Signal, signal: Signal):
     tv, sv, m = template.values, signal.values + (0.0,), len(template.values)
-    nt = math.sqrt(_dot(tv, tv))
+    tt = _dot(tv, tv)
+    nt = math.sqrt(tt)
     for k in range(0, len(sv) - m, 2):
         tw0 = ww0 = tw1 = ww1 = 0.0
         x = sv[k]
-        for a, y in zip(tv, sv[k + 1:k + 1 + m]):
+        w1 = sv[k + 1:k + 1 + m]
+        for a, y in zip(tv, w1):
             tw0 += a * x
             ww0 += x * x
             tw1 += a * y
             ww1 += y * y
             x = y
-        yield _defined(_cosine, tw0, nt, math.sqrt(ww0))
-        yield _defined(_cosine, tw1, nt, math.sqrt(ww1))
+        # ww + tt is inf where either raw sum of squares is, and where only
+        # their sum overflows, which _pair_cosine then takes as given
+        yield (_defined(_cosine, tw0, nt, math.sqrt(ww0)) if ww0 + tt < math.inf
+               else _defined(_pair_cosine, tv, sv[k:k + m], tt, ww0, tw0))
+        yield (_defined(_cosine, tw1, nt, math.sqrt(ww1)) if ww1 + tt < math.inf
+               else _defined(_pair_cosine, tv, w1, tt, ww1, tw1))

@@ -136,7 +136,7 @@ def ojaccard_power(fv, gv, d):
 # a denominator overflows: the union for Jaccard, the smaller absolute mass
 # for interiority, an operand's raw sum of squares for cosine (that operand
 # alone is scaled).  Each oracle below states that law on the naive
-# oracles above; slide's window scores are not rescored, and keep them.
+# oracles above; so does oslide_rescored, for slide's windows.
 
 def oscale_exponent(top, n, power):
     """k of the rescore: top < 2**e and n < 2**L for the least such e and L
@@ -264,6 +264,30 @@ def oslide(tv, sv, index, dx=1.0):
             scores.append(score(tv, window))
     # the best lag is the smallest attaining the maximum of the scores that
     # are not NaN; lag 0, with its NaN, only when every score is NaN
+    best_lag = lags[0]
+    best_score = scores[0]
+    for k, s in zip(lags, scores):
+        if math.isnan(s):
+            continue
+        if math.isnan(best_score) or s > best_score:
+            best_lag = k
+            best_score = s
+    return lags, scores, best_lag, best_score, flagged
+
+
+def oslide_rescored(tv, sv, index, dx=1.0):
+    """oslide, with every Jaccard, coincidence and cosine window scored by
+    the rescored pair oracle: a window whose union overflows, or whose own
+    or template's raw sum of squares does, scores the pair function's value
+    on the scaled samples.  The lags, the flags and every other window are
+    oslide's."""
+    lags, scores, best_lag, best_score, flagged = oslide(tv, sv, index, dx)
+    rescored = {"jaccard": ojaccard_rescored, "coincidence": ocoincidence_rescored,
+                "cosine": ocosine_rescored}.get(index)
+    if rescored is None:
+        return lags, scores, best_lag, best_score, flagged
+    scores = [s if k in flagged else rescored(tv, list(sv[k:k + len(tv)]))
+              for k, s in zip(lags, scores)]
     best_lag = lags[0]
     best_score = scores[0]
     for k, s in zip(lags, scores):

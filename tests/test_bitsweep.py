@@ -10,7 +10,10 @@ CHANGES.md with its old and new value and the families it moves.  The
 splits were summed in direct loops, which left every digest unchanged.
 The ``pairs`` digest moved once since: pair indices whose union, smaller
 absolute mass or raw sum of squares overflows are scored again from
-scaled samples (see ``indices._scaled``)."""
+scaled samples (see ``indices._scaled``).  The ``slide`` digest,
+equal before and after the window preparations became generators, moved
+once: a Jaccard, coincidence or cosine window whose denominator overflows
+is scored by the pair loop."""
 
 import importlib.util
 from pathlib import Path
@@ -25,7 +28,7 @@ GOLDEN = {
     "pairs": "656a04d23ca4094a6756699f57e3448ef74e49c51446defd5e30c05457c7ba19",
     "aggregate": "7c639d5c9a3ab4e509211dd93dc4abbd106ad859ecf0b1f2ab805b0f0decb6b1",
     "stats": "e9f71f93b106eda3084dc203ab8c496694de240eefbc549cabfcb17679979926",
-    "slide": "9aea4727632d131901e46886d868fb8110104ed4ec65433a3fde46511fe5eefc",
+    "slide": "d36a695ea5d3868bb9873757e585f6e4c013ab36267f907f4318d1272eb72e45",
 }
 
 

@@ -38,7 +38,6 @@ from oracles import (
     oaggregate,
     ocoincidence,
     ocoincidence_rescored,
-    ocosine,
     ocosine_rescored,
     ocovariance,
     oeuclidean,
@@ -53,6 +52,7 @@ from oracles import (
     opearson,
     osign,
     oslide,
+    oslide_rescored,
     osplit_inner,
     osplit_intersection,
     ovariance,
@@ -267,7 +267,7 @@ def slide_cases():
 def test_slide_bits_match_oracle(index):
     for tv, sv, dx in slide_cases():
         profile = slide(Signal(tv, dx), Signal(sv, dx), index)
-        lags, scores, best_lag, best_score, flagged = oslide(tv, sv, index.value, dx)
+        lags, scores, best_lag, best_score, flagged = oslide_rescored(tv, sv, index.value, dx)
         where = (index, tv, sv, dx)
         assert profile.lags == tuple(lags), where
         assert all_bits(profile.scores) == all_bits(scores), where
@@ -281,11 +281,13 @@ ARGMAX_CASES = [
     # the smaller lag
     ((2.0,), (0.0, -TINY), SlideIndex.JACCARD, 0),
     ((2.0,), (-TINY, 0.0), SlideIndex.JACCARD, 0),
-    # cosine scores (nan, 0.0, 0.9999999999999998): the NaN at lag 0 is
-    # passed over for the largest score that is not NaN
-    ((1.0, 1.0), (HUGE, HUGE, 1.0, 1.0), SlideIndex.COSINE, 2),
-    # cosine scores (nan, nan): with no other score, lag 0 and its NaN
-    ((HUGE, HUGE), (HUGE, HUGE, HUGE), SlideIndex.COSINE, 0),
+    # the inner product scores (nan, -inf, 4.0), its products overflowing
+    # to inf - inf at lag 0: the NaN is passed over for the largest score
+    # that is not NaN
+    ((2.0, 2.0), (HUGE, -HUGE, 1.0, 1.0), SlideIndex.INNER, 2),
+    # the inner product scores (nan, nan): with no other score, lag 0 and
+    # its NaN
+    ((2.0, 2.0), (HUGE, -HUGE, HUGE), SlideIndex.INNER, 0),
 ]
 
 
@@ -293,7 +295,7 @@ def test_slide_argmax_on_signed_zero_ties_and_nan_matches_oracle():
     profiles = []
     for tv, sv, index, want_lag in ARGMAX_CASES:
         profile = slide(Signal(tv), Signal(sv), index)
-        _, scores, best_lag, best_score, _ = oslide(list(tv), list(sv), index.value)
+        _, scores, best_lag, best_score, _ = oslide_rescored(list(tv), list(sv), index.value)
         assert all_bits(profile.scores) == all_bits(scores), (tv, sv)
         assert (profile.best_lag, bits(profile.best_score)) == (best_lag, bits(best_score))
         assert best_lag == want_lag, (tv, sv)
@@ -301,8 +303,8 @@ def test_slide_argmax_on_signed_zero_ties_and_nan_matches_oracle():
     # guards the cases above against becoming vacuous
     assert all_bits(profiles[0].scores) == all_bits((0.0, -0.0))
     assert all_bits(profiles[1].scores) == all_bits((-0.0, 0.0))
-    assert math.isnan(profiles[2].scores[0])
-    assert profiles[2].best_score == profiles[2].scores[2] == 0.9999999999999998
+    assert math.isnan(profiles[2].scores[0]) and profiles[2].scores[1] == -math.inf
+    assert profiles[2].best_score == profiles[2].scores[2] == 4.0
     assert all(math.isnan(s) for s in profiles[3].scores + (profiles[3].best_score,))
 
 
@@ -314,11 +316,16 @@ def test_all_zero_template_flags_every_lag():
 
 
 def test_slide_overflow_cases_produce_nan():
-    # guards the edge cases above against becoming vacuous
-    profile = slide(Signal((HUGE, HUGE)), Signal((HUGE, HUGE, -HUGE)), SlideIndex.COSINE)
-    assert any(s != s for s in profile.scores)
+    # guards the edge cases above against becoming vacuous: the inner
+    # product's sums overflow to inf and to inf - inf
     profile = slide(Signal((HUGE, HUGE)), Signal((HUGE, HUGE, -HUGE)), SlideIndex.INNER)
-    assert profile.scores[0] == float("inf")
+    assert profile.scores[0] == float("inf") and math.isnan(profile.scores[1])
+    # the cosine windows of that case, whose sums of squares overflow too,
+    # score the rescored pair oracle, which is not NaN
+    profile = slide(Signal((HUGE, HUGE)), Signal((HUGE, HUGE, -HUGE)), SlideIndex.COSINE)
+    want = [ocosine_rescored([HUGE, HUGE], [HUGE, HUGE]), ocosine_rescored([HUGE, HUGE], [HUGE, -HUGE])]
+    assert all_bits(profile.scores) == all_bits(want)
+    assert not any(math.isnan(s) for s in want)
 
 
 # Cosine cancels the spacing, so a window is undefined only when a raw sum
@@ -399,12 +406,6 @@ def check_flags_match_pair_functions(tv, sv, dx) -> list[str]:
                 messages.append(str(exc))
             else:
                 assert k not in profile.degenerate_lags, where
-                window = sv[k:k + m]
-                if index is SlideIndex.COSINE and math.inf in (oinner(tv, tv),
-                                                               oinner(window, window)):
-                    # a raw sum of squares overflows: the pair function
-                    # scores the scaled samples, slide's window does not yet
-                    want = ocosine(tv, window)
                 assert bits(profile.scores[k]) == bits(want), where
     return messages
 

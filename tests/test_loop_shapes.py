@@ -6,20 +6,19 @@ The pair functions (``jaccard``, ``interiority``, ``coincidence``,
 window scorers take two adjacent windows per pass, the Jaccard and
 coincidence ones over per-sample gate tuples, each over a signal padded
 with one zero sample.  For equal-length operands ``slide`` scores exactly
-one window, and drops the padded one, so its score must be the pair
-function's value for every index (the inner product times ``dx``), and
-where ``cosine`` or ``pearson`` raises, its one lag must be flagged and
-score +0.0.  The gate loop behind ``aggregate``,
-``kernel`` and ``split_intersection`` is checked against the oracles of
-every kind.  Every sign-aware value is also checked to be unchanged when
+one window, and never takes the padded one's score, so its score must be
+the pair function's value for every index (the inner product times
+``dx``), and where ``cosine`` or ``pearson`` raises, its one lag must be
+flagged and score +0.0.  The gate loop behind ``aggregate``, ``kernel``
+and ``split_intersection`` is checked against the oracles of every kind.  Every sign-aware value is also checked to be unchanged when
 both operands are negated, the symmetry the sign-branch loops fold on.
 Inputs reach every binade, from the subnormals to the largest
 float, with signed zeros, over three spacings; where a sum overflows and
 makes a result NaN, two NaN results match.  Where the union, the smaller
 absolute mass or a raw sum of squares overflows, the pair functions score
 the samples scaled by a power of two and match the oracles on those
-samples, while ``slide``'s windows are not rescored and keep the
-oracles' values of the samples as they are."""
+samples, and so do ``slide``'s windows: each window's score is still the
+pair function's value."""
 
 import math
 import random
@@ -47,13 +46,9 @@ from msetsim.stats import pearson
 from oracles import (
     OP_NAMES,
     oaggregate,
-    ocoincidence,
     ocoincidence_rescored,
-    ocosine,
     ocosine_rescored,
-    oinner,
     ointeriority_rescored,
-    ojaccard,
     ojaccard_power_rescored,
     ojaccard_rescored,
     okernel,
@@ -115,20 +110,13 @@ def test_loop_shapes_agree_bit_for_bit(dx, seed):
     for fv, gv, f, g, alpha in cases(dx, seed):
         where = (fv, gv, dx)
         j, i, c = jaccard(f, g), interiority(f, g), coincidence(f, g)
-        union_overflows = oaggregate("acup", fv, gv) == math.inf
-        squares_overflow = math.inf in (oinner(fv, fv), oinner(gv, gv))
-        rescored += union_overflows
+        rescored += oaggregate("acup", fv, gv) == math.inf
         cos = outcome(lambda: cosine(f, g))
-        # the window loops score the one window of equal-length operands,
-        # and flag it exactly where the pair function raises; where a
-        # denominator overflows, the pair function scores the scaled samples
-        # and the window keeps the oracle's value of the samples as they are
-        for index, value in ((SlideIndex.JACCARD, ojaccard(fv, gv) if union_overflows else j),
-                             (SlideIndex.COINCIDENCE,
-                              ocoincidence(fv, gv) if union_overflows else c),
-                             (SlideIndex.INNER, inner(f, g)),
-                             (SlideIndex.COSINE, cos if isinstance(cos, tuple)
-                              or not squares_overflow else ocosine(fv, gv)),
+        # the window loops score the one window of equal-length operands
+        # with the pair function's value, rescored where a denominator
+        # overflows, and flag it exactly where the pair function raises
+        for index, value in ((SlideIndex.JACCARD, j), (SlideIndex.COINCIDENCE, c),
+                             (SlideIndex.INNER, inner(f, g)), (SlideIndex.COSINE, cos),
                              (SlideIndex.PEARSON, outcome(lambda: pearson(f, g)))):
             profile = slide(f, g, index)
             raised = isinstance(value, tuple)

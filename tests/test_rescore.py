@@ -15,7 +15,11 @@ the oracles at those scales, with no use of the library's choice of k, or
 from exact cases such as ``jaccard(f, f) == 1``.  The values that scale
 with the spacing keep an honest inf, and every result whose denominator
 is finite keeps its bits.  ``tests/oracles.py`` states the rescore, with
-its k, for the random cases."""
+its k, for the random cases.
+
+``slide``'s Jaccard, coincidence and cosine windows are scored by the same
+pair loops where a denominator overflows, so each window's score is the
+pair function's value on that window."""
 
 import math
 import random
@@ -39,6 +43,7 @@ from msetsim.indices import (
 )
 from msetsim.io import fmt
 from msetsim.msetops import MsetOpKind, Signal, aggregate
+from msetsim.sliding import SlideIndex, slide
 
 from oracles import (
     oabs_mass,
@@ -190,3 +195,54 @@ def test_results_whose_denominators_are_finite_keep_their_bits():
             assert bits(cosine(f, g)) == bits(report(f, g).cosine) == bits(ocosine(fv, gv)), where
     # guards the sweep: both kinds of case are met, and so are overflows
     assert 300 < kept < 2900 and 300 < cosines < 2900
+
+
+def test_overflowing_windows_are_rescored():
+    # each window's value is its pair function's, derived at two scales
+    template, signal = (1e308, 1e308), (1e308, 1.0, 1e308)
+    windows = [signal[k:k + 2] for k in range(2)]
+    for index, oracle in ((SlideIndex.JACCARD, ojaccard), (SlideIndex.COINCIDENCE, ocoincidence)):
+        profile = slide(Signal(template), Signal(signal), index)
+        want = [law(oracle, template, w) for w in windows]
+        assert all(oaggregate("acup", template, w) == math.inf for w in windows)
+        assert list(map(bits, profile.scores)) == list(map(bits, want)) == [bits(0.5)] * 2
+        assert profile.degenerate_lags == ()
+    # the window (1e308, 1) is scaled alone, as in the pair case above
+    profile = slide(Signal((1.0, 1.0)), Signal((1e308, 1.0, 1.0, 1.0)), SlideIndex.COSINE)
+    want = ocosine((1.0, 1.0), scaled((1e308, 1.0), 520))
+    assert bits(ocosine((1.0, 1.0), scaled((1e308, 1.0), 600))) == bits(want)
+    assert profile.scores == (want, ocosine((1.0, 1.0), (1.0, 1.0)), ocosine((1.0, 1.0), (1.0, 1.0)))
+    assert profile.scores[0] == 0.7071067811865475
+    # a template whose sum of squares overflows is scaled for every window
+    profile = slide(Signal((1e308, 1e308)), Signal((1.0,) * 4), SlideIndex.COSINE)
+    want = ocosine(scaled((1e308, 1e308), 520), (1.0, 1.0))
+    assert bits(ocosine(scaled((1e308, 1e308), 600), (1.0, 1.0))) == bits(want)
+    assert profile.scores == (want,) * 3 and want == 0.9999999999999998
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(huge_or_small, min_size=1, max_size=6), st.integers(1, 9),
+       st.sampled_from((1.0, 0.5, 1e-300)), st.data())
+def test_slide_windows_score_the_pair_functions(tv, lag_count, dx, data):
+    """Every Jaccard, coincidence and cosine window, at odd and even lag
+    counts, scores the pair function's value on that window, and a window
+    is flagged exactly where cosine raises on it."""
+    m = len(tv)
+    sv = data.draw(st.lists(huge_or_small, min_size=m + lag_count - 1,
+                            max_size=m + lag_count - 1))
+    template = Signal(tv, dx)
+    windows = [Signal(sv[k:k + m], dx) for k in range(lag_count)]
+    for index, pair in ((SlideIndex.JACCARD, jaccard), (SlideIndex.COINCIDENCE, coincidence),
+                        (SlideIndex.COSINE, cosine)):
+        profile = slide(template, Signal(sv, dx), index)
+        assert profile.lags == tuple(range(lag_count))
+        flagged = []
+        for k, window in enumerate(windows):
+            try:
+                want = pair(template, window)
+            except ValueError:
+                flagged.append(k)
+                want = 0.0
+            assert bits(profile.scores[k]) == bits(want), (index, tv, sv, k)
+        assert profile.degenerate_lags == tuple(flagged), (index, tv, sv)
+

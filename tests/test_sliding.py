@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from msetsim.msetops import Signal
 from msetsim.sliding import SlideIndex, slide
 
-from oracles import oslide
+from oracles import oslide, oslide_rescored
 
 
 def planted_signal(rng, template, offset, length):
@@ -156,7 +156,8 @@ def test_slide_matches_the_oracle_bit_for_bit(index, m, lag_count, shape, dx, da
     profile, and the padded window past an odd count must neither appear nor
     be flagged, even when it is undefined (a signal ending in m - 1 zeros
     makes it all zero).  A one-sample pearson template and an all-zero
-    cosine template flag every lag."""
+    cosine template flag every lag.  A Jaccard, coincidence or cosine
+    window whose denominator overflows scores the rescored pair oracle."""
     n = m + lag_count - 1
     tv = data.draw(st.lists(EDGE_SAMPLES, min_size=m, max_size=m))
     sv = data.draw(st.lists(EDGE_SAMPLES, min_size=n, max_size=n))
@@ -168,7 +169,7 @@ def test_slide_matches_the_oracle_bit_for_bit(index, m, lag_count, shape, dx, da
     elif shape == "zero template":
         tv = data.draw(st.lists(st.sampled_from((0.0, -0.0)), min_size=m, max_size=m))
     profile = slide(Signal(tv, dx), Signal(sv, dx), index)
-    lags, scores, best_lag, best_score, flagged = oslide(tv, sv, index.value, dx)
+    lags, scores, best_lag, best_score, flagged = oslide_rescored(tv, sv, index.value, dx)
     where = (tv, sv, dx)
     assert profile.lags == tuple(lags), where
     assert list(map(key, profile.scores)) == list(map(key, scores)), where
