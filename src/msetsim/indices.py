@@ -12,7 +12,9 @@ sample, so every result whose denominator is finite keeps its bits.
 ``slide``'s windows follow the same rule, one comparison per window: a
 Jaccard or coincidence window whose union is inf, and a cosine window
 whose own or the template's raw sum of squares is inf, is scored by the
-pair loop on that window's slice.
+pair loop on that window's slice.  :func:`jaccard_alt`, whose squared
+union can leave the normal range at either end, scores the pair again from
+scaled samples at a scaled spacing.
 
 The normalised indices (Jaccard, interiority, coincidence, cosine and the
 Jaccard power) are ratios of two sums over the same samples, so the
@@ -285,14 +287,30 @@ def jaccard_alt(f: Signal, g: Signal) -> float:
     absolutes; for longer signals the two generally differ because that
     factorization holds pointwise, not for the aggregates (f=(2,1),
     g=(1,2) gives jaccard 0.5 but jaccard_alt 0.25).
+
+    It is 0 for two identically zero operands.  Where the squared union
+    overflows, or falls below the normal range while some sample is not
+    zero, the pair is scored again from its samples scaled by 2**-k, the
+    largest magnitude then in [0.5, 1), at the spacing scaled by 2**-e
+    into [0.5, 1): the value does not change with the samples' scale, and
+    scales with 1 / dx, so it is the rescored value times 2**-e.  A value
+    past the float range is inf with its sign.
     """
     den = aggregate(MsetOpKind.ACUP, f, g)
     den_sq = den * den
-    if den_sq == 0.0:
-        # covers identically zero signals and operands so small that the
-        # square underflows; the numerator underflows at the same scale
+    if 2.0 ** -1022 <= den_sq < math.inf:
+        return inner(f, g) / den_sq
+    if not (any(f.values) or any(g.values)):
         return 0.0
-    return inner(f, g) / den_sq
+    k = math.frexp(max(max(map(abs, v)) for v in (f.values, g.values)))[1]
+    dx, e = math.frexp(f.dx)
+    fv, gv = ([math.ldexp(x, -k) for x in v.values] for v in (f, g))
+    den = dx * _gated_sum((1.0, 1.0, 1.0, True), fv, gv)  # the union, as aggregate takes it
+    r = dx * _dot(fv, gv) / (den * den)
+    try:
+        return math.ldexp(r, -e)
+    except OverflowError:
+        return math.copysign(math.inf, r)
 
 
 def _pair_jaccard_interiority(f: Signal, g: Signal) -> tuple[float, float]:

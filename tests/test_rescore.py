@@ -19,14 +19,19 @@ its k, for the random cases.
 
 ``slide``'s Jaccard, coincidence and cosine windows are scored by the same
 pair loops where a denominator overflows, so each window's score is the
-pair function's value on that window."""
+pair function's value on that window.  ``jaccard_alt``, whose squared
+union leaves the normal range at both ends, is scored again from scaled
+samples at a scaled spacing; its expected values come from exact
+``Fraction`` arithmetic and from its two scale laws."""
 
 import math
 import random
 import struct
 import sys
+from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from msetsim.cli import main as cli
@@ -37,6 +42,7 @@ from msetsim.indices import (
     inner,
     interiority,
     jaccard,
+    jaccard_alt,
     jaccard_power,
     norm,
     report,
@@ -246,3 +252,68 @@ def test_slide_windows_score_the_pair_functions(tv, lag_count, dx, data):
             assert bits(profile.scores[k]) == bits(want), (index, tv, sv, k)
         assert profile.degenerate_lags == tuple(flagged), (index, tv, sv)
 
+
+def exact_jaccard_alt(fv, gv, dx):
+    """dx * sum(f * g) / (dx * sum(max(|f|, |g|)))**2 in exact arithmetic,
+    rounded once."""
+    union = sum(max(abs(Fraction(a)), abs(Fraction(b))) for a, b in zip(fv, gv))
+    dot = sum(Fraction(a) * Fraction(b) for a, b in zip(fv, gv))
+    return float(Fraction(dx) * dot / (Fraction(dx) * union) ** 2)
+
+
+@pytest.mark.parametrize("fv, dx, want", [
+    ((9e153, 9e153), 1.0, 0.5),  # the squared union overflows
+    ((1e-170, 1e-170), 1.0, 0.5),  # it underflows to 0
+    ((1.0, 1.0), 1e-200, 5e199),  # it underflows to 0 at a small spacing
+    ((1.0, 1.0), 1e-160, 5e159),  # it is subnormal
+])
+def test_jaccard_alt_outside_the_normal_range(fv, dx, want):
+    f = Signal(fv, dx)
+    assert exact_jaccard_alt(fv, fv, dx) == want
+    assert bits(jaccard_alt(f, f)) == bits(want)
+    union = aggregate(MsetOpKind.ACUP, f, f)
+    assert not 2.0 ** -1022 <= union * union < math.inf
+
+
+def test_jaccard_alt_is_zero_only_for_zero_operands():
+    assert bits(jaccard_alt(Signal((0.0, -0.0)), Signal((-0.0, 0.0)))) == bits(0.0)
+    assert jaccard_alt(Signal((1e-200,)), Signal((0.0,))) == 0.0  # its inner product is 0
+    assert jaccard_alt(Signal((5e-324,)), Signal((5e-324,))) == exact_jaccard_alt(
+        (5e-324,), (5e-324,), 1.0) == 1.0
+    # a value past the float range is inf with its sign
+    assert jaccard_alt(Signal((1.0,), 5e-324), Signal((-1.0,), 5e-324)) == -math.inf
+
+
+law_samples = st.one_of(st.just(0.0), st.floats(0.5, 8.0), st.floats(-8.0, -0.5))
+# an exponent far from 0, at either end, or a moderate one
+law_powers = st.one_of(st.integers(-1010, -600), st.integers(600, 1010), st.integers(-100, 100))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(law_samples, law_samples), min_size=1, max_size=12),
+       st.sampled_from((1.0, 0.1, 3.0)), law_powers, law_powers)
+def test_jaccard_alt_scale_laws(pairs, dx, a, b):
+    """jaccard_alt(2**a f, 2**a g) equals jaccard_alt(f, g), and the value
+    at the spacing dx * 2**b is the value at dx times 2**-b, both taken
+    where no sample, spacing, term or value leaves the normal range.  The
+    scaled operands are drawn so that their squared union leaves that
+    range, at either end, where the pair is scored again."""
+    fv, gv = [x for x, _ in pairs], [y for _, y in pairs]
+    magnitudes = [abs(v) for v in fv + gv if v != 0.0]
+    assume(magnitudes)
+    f, g = Signal(fv, dx), Signal(gv, dx)
+    union = aggregate(MsetOpKind.ACUP, f, g)
+    base = jaccard_alt(f, g)
+    assert 2.0 ** -1022 <= union * union < math.inf
+
+    def normal(v, power):
+        """v * 2**power is normal: 2**(e - 1) <= |v| < 2**e for e = frexp's."""
+        return -1021 <= math.frexp(v)[1] + power <= 1024
+
+    assume(normal(max(magnitudes), a) and normal(min(magnitudes), a) and normal(dx, b))
+    assume(base == 0.0 or normal(base, -b))
+    scaled_f = Signal([math.ldexp(v, a) for v in fv], math.ldexp(dx, b))
+    scaled_g = Signal([math.ldexp(v, a) for v in gv], math.ldexp(dx, b))
+    union = aggregate(MsetOpKind.ACUP, scaled_f, scaled_g)
+    assume(not 2.0 ** -1022 <= union * union < math.inf)
+    assert bits(jaccard_alt(scaled_f, scaled_g)) == bits(math.ldexp(base, -b))
