@@ -38,14 +38,15 @@ interiority and coincidence also sums both operands' absolute masses, so
 functions are window preparations for :func:`msetsim.sliding.slide`:
 each is a generator that does the template's share of the work once and
 then yields every window's score in lag order, two windows from each
-slice and pass, the pass carrying the first window's sample.  The Jaccard and coincidence preparations build each operand's
-sign-flag and magnitude tuples once, because each sample's gates are
-shared by the m windows that hold it, and each pair of windows slices
-them once.  Both shapes turn their sums into an index through the same
-rule, ``_jaccard_value`` or ``_interiority_value``, so each ratio and its
+slice and pass, the pass carrying the first window's sample.  The
+Jaccard and coincidence preparations build each operand's sign-flag and
+magnitude tuples once, because each sample's gates are shared by the m
+windows that hold it, and each pair of windows slices them once.  Both
+shapes turn their sums into an index through the same rule,
+``_jaccard_value`` or ``_interiority_value``, so each ratio and its
 zero-denominator convention are written once; the cosine windows go
-through ``_cosine``, by ``_defined``, so a window is undefined exactly
-when :func:`cosine` would raise on it.
+through ``_cosine`` or ``_pair_cosine``, by ``_defined``, so a window is
+undefined exactly when :func:`cosine` would raise on it.
 """
 
 import math
@@ -471,8 +472,8 @@ def _inner_windows(template: Signal, signal: Signal):
 
 def _jaccard_windows(template: Signal, signal: Signal):
     tv, sv, m = template.values, signal.values, len(template.values)
-    tp, ta = _window_gates(template.values)
-    sp, sa = _window_gates(signal.values + (0.0,))
+    tp, ta = _window_gates(tv)
+    sp, sa = _window_gates(sv + (0.0,))
     for k in range(0, len(sp) - m, 2):
         scap0 = acup0 = scap1 = acup1 = 0.0
         p0, a0 = sp[k], sa[k]
@@ -510,9 +511,9 @@ def _jaccard_windows(template: Signal, signal: Signal):
 
 def _coincidence_windows(template: Signal, signal: Signal):
     tv, sv, m = template.values, signal.values, len(template.values)
-    tp, ta = _window_gates(template.values)
-    sp, sa = _window_gates(signal.values + (0.0,))
-    tmass = _raw_mass(template.values)
+    tp, ta = _window_gates(tv)
+    sp, sa = _window_gates(sv + (0.0,))
+    tmass = _raw_mass(tv)
     for k in range(0, len(sp) - m, 2):
         scap0 = acup0 = acap0 = mass0 = scap1 = acup1 = acap1 = mass1 = 0.0
         p0, a0 = sp[k], sa[k]

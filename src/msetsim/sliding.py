@@ -20,9 +20,9 @@ with its own accumulators, so the scores are bit-identical to calling the
 index on each window.  The preparations append one zero sample to the
 signal, only so that window k + 1 exists when k is the last lag; that
 window is not a valid one, and the engine takes only as many scores as
-there are lags, so the generator is never resumed to yield its score.  The engine alone applies
-the rule for an undefined window (a score of None) and takes the argmax,
-the same for every index.
+there are lags, so the generator is never resumed to yield its score.
+The engine alone applies the rule for an undefined window (a score of
+None) and takes the argmax, the same for every index.
 """
 
 from dataclasses import dataclass

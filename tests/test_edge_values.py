@@ -323,7 +323,7 @@ def test_slide_overflow_cases_produce_nan():
     # the cosine windows of that case, whose sums of squares overflow too,
     # score the rescored pair oracle, which is not NaN
     profile = slide(Signal((HUGE, HUGE)), Signal((HUGE, HUGE, -HUGE)), SlideIndex.COSINE)
-    want = [ocosine_rescored([HUGE, HUGE], [HUGE, HUGE]), ocosine_rescored([HUGE, HUGE], [HUGE, -HUGE])]
+    want = [ocosine_rescored([HUGE, HUGE], w) for w in ([HUGE, HUGE], [HUGE, -HUGE])]
     assert all_bits(profile.scores) == all_bits(want)
     assert not any(math.isnan(s) for s in want)
 

@@ -10,8 +10,9 @@ one window, and never takes the padded one's score, so its score must be
 the pair function's value for every index (the inner product times
 ``dx``), and where ``cosine`` or ``pearson`` raises, its one lag must be
 flagged and score +0.0.  The gate loop behind ``aggregate``, ``kernel``
-and ``split_intersection`` is checked against the oracles of every kind.  Every sign-aware value is also checked to be unchanged when
-both operands are negated, the symmetry the sign-branch loops fold on.
+and ``split_intersection`` is checked against the oracles of every kind.
+Every sign-aware value is also checked to be unchanged when both
+operands are negated, the symmetry the sign-branch loops fold on.
 Inputs reach every binade, from the subnormals to the largest
 float, with signed zeros, over three spacings; where a sum overflows and
 makes a result NaN, two NaN results match.  Where the union, the smaller

@@ -217,7 +217,8 @@ def test_overflowing_windows_are_rescored():
     profile = slide(Signal((1.0, 1.0)), Signal((1e308, 1.0, 1.0, 1.0)), SlideIndex.COSINE)
     want = ocosine((1.0, 1.0), scaled((1e308, 1.0), 520))
     assert bits(ocosine((1.0, 1.0), scaled((1e308, 1.0), 600))) == bits(want)
-    assert profile.scores == (want, ocosine((1.0, 1.0), (1.0, 1.0)), ocosine((1.0, 1.0), (1.0, 1.0)))
+    ones = ocosine((1.0, 1.0), (1.0, 1.0))
+    assert profile.scores == (want, ones, ones)
     assert profile.scores[0] == 0.7071067811865475
     # a template whose sum of squares overflows is scaled for every window
     profile = slide(Signal((1e308, 1e308)), Signal((1.0,) * 4), SlideIndex.COSINE)

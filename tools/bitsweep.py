@@ -64,7 +64,7 @@ ALPHAS = (0.0, 0.3, 0.5, 1.0)
 
 
 def _sample(rng: random.Random, regime: str) -> float:
-    """A sample of one of three regimes.  ``plain``: an edge value, a
+    """A sample of one of four regimes.  ``plain``: an edge value, a
     subnormal, a small value, or one of any binade whose square is finite.
     ``huge``: a plain sample, or one near +-1e308 or of a binade whose
     square overflows.  ``tiny``: a signed zero, a subnormal, or a value
