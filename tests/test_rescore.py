@@ -276,7 +276,7 @@ def test_jaccard_alt_outside_the_normal_range(fv, dx, want):
     assert not 2.0 ** -1022 <= union * union < math.inf
 
 
-def test_jaccard_alt_is_zero_only_for_zero_operands():
+def test_jaccard_alt_of_zero_subnormal_and_overflowing_values():
     assert bits(jaccard_alt(Signal((0.0, -0.0)), Signal((-0.0, 0.0)))) == bits(0.0)
     assert jaccard_alt(Signal((1e-200,)), Signal((0.0,))) == 0.0  # its inner product is 0
     assert jaccard_alt(Signal((5e-324,)), Signal((5e-324,))) == exact_jaccard_alt(
