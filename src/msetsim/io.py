@@ -10,8 +10,7 @@ CSV lines and PGM pixels are written by one loop, :func:`export_field`,
 which :func:`write_field_csv` and :func:`write_pgm` call on a field's
 rows; it writes both files in one pass over rows as they are evaluated,
 holding one row, the nx*ny-byte image, the CSV writer's memo and the
-texts it keeps for y-mirror rows (at most ``_KEPT`` bytes), never the
-field.
+half-row texts it keeps (at most ``_KEPT`` bytes), never the field.
 
 A CSV row the writer's memo does not serve, and whose right half mirrors
 its left half in magnitude (as every row of ``jr``, ``jrpow`` and ``a3``
@@ -19,9 +18,10 @@ does on a range symmetric about zero), formats the magnitudes of one half
 and the centre, and writes both halves from those texts through a
 template that prints a literal ``-`` before each value whose sign bit is
 set.  A NaN's text has no sign, so a row holding a NaN is formatted whole.
-On such a range row ny-1-j also has the magnitudes of row j, so the rows
-below the centre nearest it keep their texts, and their y mirrors write
-from them when their packed magnitudes are the same bytes.
+Those texts depend on the half's magnitudes alone, so the first such rows
+keep them under their magnitudes packed as doubles, and a later row whose
+half packs to the same bytes writes from them: on such a range row
+ny-1-j has the magnitudes of row j.
 """
 
 import contextlib
@@ -78,10 +78,10 @@ def _resolve(name: str, header: list[str], path) -> int:
 # peaks above the csv-record loop
 _HINT = 1 << 15
 
-# bytes the field CSV writer may keep for rows below the centre whose y
-# mirror comes later, charged 32 a kept value (8 packed, and at most 23
-# characters of text and a newline): every such row of a grid up to 256²,
-# and the 81 rows nearest the centre of a 401² one
+# bytes of half-row texts the field CSV writer may keep, charged 32 a kept
+# value (8 packed, and at most 23 characters of text and a newline): the
+# first 81 mirrored rows of a 401-wide grid, and every mirrored row below
+# the centre of a grid up to 256²
 _KEPT = 1 << 19
 
 
@@ -306,10 +306,9 @@ def _texts(new: tuple) -> str:
 _SIGN_BIT = bytes(b >> 7 for b in range(256))
 
 
-def _csv_row_writer(fh, xs: tuple[float, ...], ys: tuple[float, ...]):
+def _csv_row_writer(fh, xs: tuple[float, ...]):
     """Write the "x,y,value" header to ``fh`` and return ``write(y, row)``,
-    which writes one row's lines, the rows given in row-major order, the
-    y of row j being ``ys[j]``.
+    which writes one row's lines.
 
     Lines come from per-file ``%`` templates split at the y slot
     (``\\x00``; no :func:`fmt` output contains it or ``%``).  While a
@@ -333,17 +332,18 @@ def _csv_row_writer(fh, xs: tuple[float, ...], ys: tuple[float, ...]):
     holding one, and every row whose magnitudes do not mirror, is formatted
     by the ``%.17g`` template, one ``%`` a row.
 
-    Those texts are a function of the magnitudes alone, so a row j below
-    the centre that formats them keeps them, with its magnitudes packed as
-    doubles, for its y mirror ny-1-j when ``ys[ny-1-j] == -ys[j]``: on a
-    range symmetric about zero, every row of those surfaces has the
-    magnitudes of its mirror.  That row takes the kept texts when its own
-    packed magnitudes are the same bytes, so the same floats, and drops
-    them either way; its own signs and y fill the template.  Only the
-    rows nearest the centre keep theirs, as many as ``_KEPT`` bytes cover
-    at 32 a value, so memory stays O(nx + ny) beside that budget.
+    Those texts are a function of the half's magnitudes alone, so they are
+    kept under those magnitudes packed as doubles: the same bytes are the
+    same floats, which print the same texts.  A mirrored row takes its
+    half's texts from there when they are kept, and formats them
+    otherwise; the first rows without a NaN to format theirs keep them, as
+    many as ``_KEPT`` bytes cover at 32 a value, and nothing is dropped,
+    so memory stays O(nx + ny) beside that budget.  Every surface is the
+    sign product times a function of |x| and |y|, so on a range symmetric
+    about zero the rows above the centre take the texts of their y mirrors
+    below it.
     """
-    nx, ny = len(xs), len(ys)
+    nx = len(xs)
     h = nx // 2  # at least 1: a grid has nx >= 2
     heads = [f"{fmt(x)},\x00," for x in xs]
 
@@ -360,16 +360,11 @@ def _csv_row_writer(fh, xs: tuple[float, ...], ys: tuple[float, ...]):
     bits, signed = bytes(nx), memoised  # no sign bit set: every cell "%s"
     memo: dict | None = {}
     cap = _memo_cap(xs)
-    mid = ny // 2  # rows 0..mid-1 lie below the centre
-    first = max(0, mid - _KEPT // (32 * (nx - h)))
-    keeps = {j for j in range(first, mid) if ys[-1 - j] == -ys[j]}
-    kept: dict[int, tuple[bytes, str]] = {}  # mirror row -> packed magnitudes, texts
-    rows = itertools.count()
+    kept: dict[bytes, str] = {}  # packed magnitudes of a half -> their texts
+    room = _KEPT // (32 * (nx - h))
 
     def write(y: float, row: Sequence[float]) -> None:
         nonlocal memo, cap, bits, signed
-        j = next(rows)
-        mirror = kept.pop(j, None)
         tops = pack(*row)[7::8]
         if memo is not None and 0x80 not in tops:
             cap += 2
@@ -380,11 +375,11 @@ def _csv_row_writer(fh, xs: tuple[float, ...], ys: tuple[float, ...]):
             memo = None
         mags = tuple(map(abs, row))
         if mags[:h] == mags[:nx - h - 1:-1]:
-            key = pack_half(*mags[h:]) if mirror or j in keeps else None
-            text = mirror[1] if mirror and mirror[0] == key else _texts(mags[h:])
+            key = pack_half(*mags[h:])
+            text = kept.get(key) or _texts(mags[h:])
             if "nan" not in text:
-                if j in keeps:
-                    kept[ny - 1 - j] = key, text
+                if len(kept) < room:
+                    kept[key] = text
                 if (now := tops.translate(_SIGN_BIT)) != bits:
                     bits, signed = now, template([("%s\n", "-%s\n")[b] for b in now])
                 done = text.split("\n")
@@ -595,12 +590,11 @@ def export_field(spec: GridSpec, rows: Iterable[Sequence[float]], path,
     ``rows``: the field's rows in row-major order, as
     :func:`msetsim.fields.field_rows` yields them.
 
-    Each row is written to the CSV by :func:`_csv_row_writer`, which is
-    given the lattice's ys to find each row's y mirror, and rendered to its
-    nx pixels by :func:`_pgm_row_renderer` as it comes, and the image is
-    written after the CSV, so memory is one row, the nx*ny-byte image, the
-    CSV writer's memo and the texts it keeps for y-mirror rows, at most
-    ``_KEPT`` bytes.  Both files are opened before the first row, under
+    Each row is written to the CSV by :func:`_csv_row_writer` and
+    rendered to its nx pixels by :func:`_pgm_row_renderer` as it comes,
+    and the image is written after the CSV, so memory is one row, the
+    nx*ny-byte image, the CSV writer's memo and the half-row texts it
+    keeps, at most ``_KEPT`` bytes.  Both files are opened before the first row, under
     the output rule of :func:`_outputs`: a failed export leaves an
     existing output's old bytes and no new file.  A heatmap with an
     ``rng`` that is not a :class:`HeatmapRange`, and a lattice that
@@ -611,7 +605,7 @@ def export_field(spec: GridSpec, rows: Iterable[Sequence[float]], path,
         raise ValueError(f"a heatmap needs a HeatmapRange, got {_shown(rng)}")
     xs, ys = spec.xs(), spec.ys()
     with _outputs((path, "w"), (pgm_path, "wb")) as (fh, pgm):
-        write = None if fh is None else _csv_row_writer(fh, xs, ys)
+        write = None if fh is None else _csv_row_writer(fh, xs)
         render = None if pgm is None else _pgm_row_renderer(rng)
         shades = []
         for y, row in zip(ys, rows):

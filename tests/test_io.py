@@ -1243,25 +1243,27 @@ class TestMirroredRows:
     NAN = float("nan")
     # after three rows of fresh values the memo is gone, so each of these
     # rows is written from its mirrored magnitudes or formatted directly:
-    # (row, values formatted from it before that, None for none).  A NaN
-    # equals no magnitude, so a NaN in a half sends the row straight to
-    # the direct template; a NaN at the centre is formatted with the right
-    # half, and then the row is formatted whole: a NaN prints no sign, so
-    # "-" + "nan" would be wrong
+    # (row, the sizes of the values formatted from its two copies, rows 3
+    # and 4).  A NaN equals no magnitude, so a NaN in a half sends the row
+    # straight to the direct template; a NaN at the centre is formatted
+    # with the right half, and then the row is formatted whole (a NaN
+    # prints no sign, so "-" + "nan" would be wrong) and its texts are not
+    # kept, so row 4 formats them again.  Every other mirrored row keeps
+    # its texts, and row 4, with the same magnitudes, takes them
     ROWS = [
-        ([NAN, 1.0, 0.5, -1.0, -NAN], None),    # odd, NaN in both halves
-        ([-NAN, -1.0, 0.5, 1.0, NAN], None),    # the same, mirrored
-        ([NAN, 2.0, 5.0, 2.0, NAN], None),      # even, NaN's bits in both halves
-        ([-NAN, 2.0, NAN, 2.0, -NAN], None),
-        ([1.0, -2.0, -NAN, 2.0, -1.0], 3),      # odd, the only NaN at the centre
-        ([1.0, -2.0, 0.5, 2.0, -1.0], 3),       # odd, mixed signs in both halves
-        ([-0.0, 3.0, 1.0, 3.0, -0.0], 3),       # even, -0.0 in both halves
-        ([-0.0, -3.0, 0.0, 3.0, 0.0], 3),       # odd, the right half clear
-        ([0.0, 3.0, -0.0, -3.0, -0.0], 3),      # odd, the left half clear
-        ([-math.inf, -5e-324, 7.0, 5e-324, math.inf], 3),
-        ([math.inf, 1e-310, -2.0, -1e-310, -math.inf], 3),
-        ([1.0, 2.0, 3.0, 2.0000000000000004, 1.0], None),  # one ulp off
-        ([-0.0, -0.0, -0.0, -0.0, -0.0], 3),
+        ([NAN, 1.0, 0.5, -1.0, -NAN], []),      # odd, NaN in both halves
+        ([-NAN, -1.0, 0.5, 1.0, NAN], []),      # the same, mirrored
+        ([NAN, 2.0, 5.0, 2.0, NAN], []),        # even, NaN's bits in both halves
+        ([-NAN, 2.0, NAN, 2.0, -NAN], []),
+        ([1.0, -2.0, -NAN, 2.0, -1.0], [3, 3]),  # odd, the only NaN at the centre
+        ([1.0, -2.0, 0.5, 2.0, -1.0], [3]),     # odd, mixed signs in both halves
+        ([-0.0, 3.0, 1.0, 3.0, -0.0], [3]),     # even, -0.0 in both halves
+        ([-0.0, -3.0, 0.0, 3.0, 0.0], [3]),     # odd, the right half clear
+        ([0.0, 3.0, -0.0, -3.0, -0.0], [3]),    # odd, the left half clear
+        ([-math.inf, -5e-324, 7.0, 5e-324, math.inf], [3]),
+        ([math.inf, 1e-310, -2.0, -1e-310, -math.inf], [3]),
+        ([1.0, 2.0, 3.0, 2.0000000000000004, 1.0], []),  # one ulp off
+        ([-0.0, -0.0, -0.0, -0.0, -0.0], [3]),
     ]
 
     @pytest.mark.parametrize("row, sizes", ROWS, ids=repr)
@@ -1270,7 +1272,7 @@ class TestMirroredRows:
         fld = ScalarField(GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 5), fresh + row + row)
         assert_writes_reference(tmp_path, fld)
         # rows 0 and 1 fill the memo; row 2 would pass its cap
-        assert formatted == [5, 5] + ([sizes] * 2 if sizes else [])
+        assert formatted == [5, 5] + sizes
         # no NaN prints a sign
         text = (tmp_path / "f.csv").read_text()
         assert "-nan" not in text and text.count("nan") == 2 * str(row).count("nan")
@@ -1283,14 +1285,15 @@ class TestMirroredRows:
         flipped = [-v for v in row]
         fld = ScalarField(GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 5), fresh + row + flipped + row)
         assert_writes_reference(tmp_path, fld)
-        # rows 0 and 1 fill the memo; row 2 would pass its cap
-        assert formatted == [5, 5, 3, 3, 3]
+        # rows 0 and 1 fill the memo; row 2 would pass its cap and formats
+        # its texts, and rows 3 and 4, with its magnitudes, take them
+        assert formatted == [5, 5, 3]
 
     @pytest.mark.parametrize("nx", [2, 3, 4, 5])
     def test_small_rows_of_each_shape(self, tmp_path, formatted, nx):
         # even, odd with either half clear, and not mirrored, on each width;
-        # rows hold -0.0, so none goes to the memo.  Row 2 has the
-        # magnitudes of its mirror, row 1, and takes its texts
+        # rows hold -0.0, so none goes to the memo.  Rows 1 and 2 have the
+        # magnitudes of row 0 and take its texts
         spec = GridSpec(-1.0, 1.0, -1.0, 1.0, nx, 4)
         h = nx // 2
         neg = [-0.0, -2.5][:h]
@@ -1299,7 +1302,7 @@ class TestMirroredRows:
         values = (neg + centre + neg[::-1] + neg + centre + pos[::-1]
                   + pos + centre + neg[::-1] + [-0.0] + [3.0] * (nx - 1))
         assert_writes_reference(tmp_path, ScalarField(spec, values))
-        assert formatted == [nx - h] * 2
+        assert formatted == [nx - h]
 
     # rows 0-2 of the fields below: the memo takes rows 0 and 1, row 2
     # would pass its cap, and none of them mirrors, so none keeps texts
@@ -1342,23 +1345,28 @@ class TestMirroredRows:
         assert [len(call) for call in formatted_values[:2]] == [5, 5]  # the memo's
         assert formatted_values[2:] == [self.half((below, above)[i]) for i in rows]
 
-    def test_asymmetric_y_lattice_keeps_no_texts(self, tmp_path, formatted_values):
+    def test_rows_off_a_y_mirror_take_kept_texts(self, tmp_path, formatted_values):
         # the same magnitudes, but y = 1.5 tops the lattice, so row 4's y
-        # is not the negation of row 3's: row 3 keeps nothing
+        # is not the negation of row 3's: texts are kept by a half's
+        # magnitudes, not by a row's position, so row 4 takes row 3's
         row = [1.0, -2.0, 0.5, 2.0, -1.0]
         spec = GridSpec(-1.0, 1.0, -1.0, 1.5, 5, 8)
         assert spec.ys()[4] != -spec.ys()[3]
         fld = ScalarField(spec, [v for r in (*self.FRESH, row, row[::-1], *self.FRESH)
                                  for v in r])
         assert_writes_reference(tmp_path, fld)
-        assert formatted_values[2:] == [self.half(row)] * 2
+        assert formatted_values[2:] == [self.half(row)]
 
-    @pytest.mark.parametrize("budget, kept", [(2 * 96, 2), (2 * 96 - 1, 1), (0, 0)])
-    def test_only_rows_nearest_the_centre_keep_texts(self, tmp_path, monkeypatch,
-                                                     formatted_values, budget, kept):
-        # rows 3-5 lie below the centre row 6, and rows 9, 8 and 7 are their
-        # mirrors; a 5-wide row is charged 32 bytes for each of its 3
-        # values, so the budget covers the ``kept`` rows nearest the centre
+    @pytest.mark.parametrize("budget, again", [(2 * 96, [4.0]), (2 * 96 - 1, [4.0, 3.0]),
+                                               (0, [4.0, 3.0, 2.0])])
+    def test_the_first_rows_keep_texts_within_the_budget(self, tmp_path, monkeypatch,
+                                                         formatted_values, budget, again):
+        # rows 3-5 (k = 2, 3, 4) lie below the centre row 6, and rows 7-9
+        # (k = 4, 3, 2) are their mirrors; a 5-wide row is charged 32 bytes
+        # for each of its 3 values, so the budget covers the texts of the
+        # first 2, 1 or 0 rows that format theirs, rows 3 and 4, row 3 or
+        # none, and those stay kept; the mirrors of the others, the k of
+        # ``again``, format their texts again
         monkeypatch.setattr(msetsim.io, "_KEPT", budget)
         below = [[1.0, -k, 0.5, k, -1.0] for k in (2.0, 3.0, 4.0)]
         centre = [5.0, 6.0, 7.0, -6.0, -5.0]
@@ -1366,7 +1374,7 @@ class TestMirroredRows:
                 *self.FRESH]
         fld = ScalarField(GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 13), [v for r in rows for v in r])
         assert_writes_reference(tmp_path, fld)
-        formats = [*below, centre, *below[::-1][kept:]]
+        formats = [*below, centre, *[[1.0, -k, 0.5, k, -1.0] for k in again]]
         assert formatted_values[2:] == [self.half(r) for r in formats]
 
     def test_jr_keeps_as_many_rows_as_the_budget_covers(self, tmp_path, formatted):
