@@ -290,8 +290,9 @@ def jaccard_alt(f: Signal, g: Signal) -> float:
     g=(1,2) gives jaccard 0.5 but jaccard_alt 0.25).
 
     It is 0 for two identically zero operands.  Where the squared union
-    overflows, or falls below the normal range while some sample is not
-    zero, the pair is scored again from its samples scaled by 2**-k, the
+    or the raw sum of f*g overflows, or falls below the normal range while
+    some sample is not zero, the pair is scored again from its samples
+    scaled by 2**-k, the
     largest magnitude then in [0.5, 1), at the spacing scaled by 2**-e
     into [0.5, 1): the value does not change with the samples' scale, and
     scales with 1 / dx, so it is the rescored value times 2**-e.  A value
@@ -299,8 +300,9 @@ def jaccard_alt(f: Signal, g: Signal) -> float:
     """
     den = aggregate(MsetOpKind.ACUP, f, g)
     den_sq = den * den
-    if 2.0 ** -1022 <= den_sq < math.inf:
-        return inner(f, g) / den_sq
+    dot = _dot(f.values, g.values)
+    if 2.0 ** -1022 <= den_sq < math.inf and 2.0 ** -1022 <= abs(dot) < math.inf:
+        return f.dx * dot / den_sq  # inner(f, g) / den_sq
     if not (any(f.values) or any(g.values)):
         return 0.0
     k = math.frexp(max(max(map(abs, v)) for v in (f.values, g.values)))[1]

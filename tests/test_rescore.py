@@ -20,9 +20,9 @@ its k, for the random cases.
 ``slide``'s Jaccard, coincidence and cosine windows are scored by the same
 pair loops where a denominator overflows, so each window's score is the
 pair function's value on that window.  ``jaccard_alt``, whose squared
-union leaves the normal range at both ends, is scored again from scaled
-samples at a scaled spacing; its expected values come from exact
-``Fraction`` arithmetic and from its two scale laws."""
+union or raw inner sum leaves the normal range at either end, is scored
+again from scaled samples at a scaled spacing; its expected values come
+from exact ``Fraction`` arithmetic and from its two scale laws."""
 
 import math
 import random
@@ -283,6 +283,45 @@ def test_jaccard_alt_of_zero_subnormal_and_overflowing_values():
         (5e-324,), (5e-324,), 1.0) == 1.0
     # a value past the float range is inf with its sign
     assert jaccard_alt(Signal((1.0,), 5e-324), Signal((-1.0,), 5e-324)) == -math.inf
+
+
+def normal(v):
+    return 2.0 ** -1022 <= abs(v) < math.inf
+
+
+@pytest.mark.parametrize("v, dx, a, b", [
+    (1e300, 1e-300, -997, 997),  # the raw sum of f*g overflows
+    (1e-200, 1e200, 664, -664),  # it underflows to 0
+    (1e-160, 1e20, 532, -66),  # it is subnormal
+])
+def test_jaccard_alt_whose_inner_sum_leaves_the_normal_range(v, dx, a, b):
+    """The squared union is normal, but v * v is not: the value is that of
+    the pair scaled by 2**a at the spacing dx * 2**b, where every sum is
+    normal, times 2**b (the two scale laws), within 4 ulps of the exact
+    value."""
+    f = Signal((v,), dx)
+    union = aggregate(MsetOpKind.ACUP, f, f)
+    assert normal(union * union) and not normal(v * v)
+    w, d = math.ldexp(v, a), math.ldexp(dx, b)
+    assert normal(w * w) and normal(d * w * w) and normal((d * w) ** 2)
+    scaled = Signal((w,), d)
+    want = math.ldexp(jaccard_alt(scaled, scaled), b)
+    assert bits(jaccard_alt(f, f)) == bits(want)
+    exact = exact_jaccard_alt((v,), (v,), dx)
+    assert abs(Fraction(want) - Fraction(exact)) <= 4 * Fraction(math.ulp(exact))
+
+
+def test_jaccard_alt_whose_inner_sum_is_nan():
+    # at dx = 1e-300 the squared union of (1e200, 1e200) and (1e200,
+    # -1e200) is normal, but their products overflow to inf and -inf, so
+    # the raw sum is NaN; the exact inner product, and so the value, is 0
+    f, g = Signal((1e200, 1e200), 1e-300), Signal((1e200, -1e200), 1e-300)
+    union = aggregate(MsetOpKind.ACUP, f, g)
+    assert normal(union * union) and math.isnan(1e200 * 1e200 + 1e200 * -1e200)
+    assert exact_jaccard_alt(f.values, g.values, f.dx) == 0.0
+    assert bits(jaccard_alt(f, g)) == bits(0.0)
+    # a raw sum of exactly 0 is scored again too, and is still +0.0
+    assert bits(jaccard_alt(Signal((1, 1)), Signal((1, -1)))) == bits(0.0)
 
 
 law_samples = st.one_of(st.just(0.0), st.floats(0.5, 8.0), st.floats(-8.0, -0.5))
