@@ -65,8 +65,7 @@ _finite_float = _checked(float, _FINITE)
 _positive_float = _checked(float, (lambda v: v > 0, "must be positive"), _FINITE)
 _unit_interval = _checked(float, (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"))
 _positive_int = _checked(int, _AT_LEAST_1)
-_axis_points = _checked(int, _AT_LEAST_1,
-                        (lambda v: v >= 2, "grids need at least 2 points per axis"))
+_axis_points = _checked(int, (lambda v: v >= 2, "grids need at least 2 points per axis"))
 
 
 def _selector(token: str):

@@ -415,6 +415,16 @@ class TestExitCodes:
         assert f"argument {flag}: must be finite: {value}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--nx", "--ny"])
+    @pytest.mark.parametrize("value", ["0", "-5", "1"])
+    def test_axis_count_below_two_names_the_two_point_rule(self, tmp_path, capsys, flag,
+                                                           value):
+        out = tmp_path / "f.csv"
+        assert cli(["field", "--expr", "a3", f"{flag}={value}", "--out", str(out)]) == 2
+        want = f"argument {flag}: grids need at least 2 points per axis: {value}\n"
+        assert capsys.readouterr().err.endswith(want)
+        assert not out.exists()
+
     def test_unparseable_field_flag_says_not_a_number(self, tmp_path, capsys):
         # the same message as --dx and --alpha
         assert cli(["field", "--expr", "a3", "--lo", "x", "--out", str(tmp_path / "f.csv")]) == 2
