@@ -1213,8 +1213,8 @@ class TestMirroredRows:
         # the guard that the mirrored path is taken: row 0 goes to the memo
         # (401 new values, under its cap of 405), which row 1 would pass, so
         # from row 1 on each row formats its right half and centre, but for
-        # the mirrors 201..281 of the 81 rows 119..199 nearest the centre,
-        # which take those rows' texts
+        # rows 319..399, the y mirrors of rows 81..1, whose texts rows 1..81
+        # kept, as many rows as the budget covers
         assert_writes_reference(tmp_path, field(FieldExpr.JR, GridSpec(nx=401, ny=401)))
         assert formatted == [401] + [201] * (400 - 81)
 
@@ -1377,11 +1377,55 @@ class TestMirroredRows:
         formats = [*below, centre, *[[1.0, -k, 0.5, k, -1.0] for k in again]]
         assert formatted_values[2:] == [self.half(r) for r in formats]
 
+    # magnitudes of a half row: zeros, subnormals, the least normal, plain
+    # values, the largest finite one, inf and any finite float
+    MAGNITUDES = st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.5, 1.0, 3.0,
+                         1e308, math.inf]),
+        st.floats(0.0, 1e308))
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_kept_texts_on_any_lattice(self, data):
+        # rows that repeat a few half rows' magnitudes, each with its own
+        # signs and at any position, beside rows that do not mirror, on a
+        # symmetric or an asymmetric lattice, under a text budget of none,
+        # one row, a few rows or the default; a NaN leads some halves (the
+        # centre of an odd row, and a value in a half of an even one).  The
+        # memo may be turned away from the first row, so that every row
+        # reaches the rule of halves, whatever its values
+        nx, ny = data.draw(st.integers(2, 7)), data.draw(st.integers(2, 9))
+        h = nx // 2
+        half = st.tuples(self.MAGNITUDES | st.just(self.NAN),
+                         *[self.MAGNITUDES] * (nx - h - 1))
+        halves = data.draw(st.lists(half, min_size=1, max_size=3))
+        signs = st.lists(st.sampled_from([1.0, -1.0]), min_size=nx, max_size=nx)
+        rows = []
+        for _ in range(ny):
+            if data.draw(st.booleans()):
+                right = list(data.draw(st.sampled_from(halves)))
+                mags = right[:-h - 1:-1] + right
+            else:
+                mags = data.draw(st.lists(self.MAGNITUDES, min_size=nx, max_size=nx))
+            rows += map(math.copysign, mags, data.draw(signs))
+        xmax, ymin = data.draw(st.sampled_from([(1.0, -1.0), (2.5, -1.0), (1.0, -3.0)]))
+        fld = ScalarField(GridSpec(-1.0, xmax, ymin, 1.0, nx, ny), rows)
+        budget = data.draw(st.sampled_from([0, 1, 3, None]))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(msetsim.io, "_KEPT", budget * 32 * (nx - h))
+            if not data.draw(st.booleans()):
+                mp.setattr(msetsim.io, "_from_memo", lambda memo, row, cap: None)
+            out = os.path.join(tmp, "f.csv")
+            write_field_csv(fld, out)
+            with open(out, "rb") as fh:
+                assert fh.read() == reference_csv(fld)
+
     def test_jr_keeps_as_many_rows_as_the_budget_covers(self, tmp_path, formatted):
         # a 401-wide row is charged 32 * 201 bytes, so 512 KiB cover 81
-        # rows: rows 2..82 below the centre row 83 keep their texts, and
-        # rows 84..164 take them.  Row 0 goes to the memo, and rows 1 and
-        # 83 and the mirrors 165 and 166 of rows 1 and 0 format their own
+        # rows: rows 1..81 keep their texts, and their y mirrors, rows
+        # 165..85, take them.  Row 0 goes to the memo, and rows 82..84 and
+        # row 166, the mirror of row 0, format their own
         assert msetsim.io._KEPT // (32 * 201) == 81
         assert_writes_reference(tmp_path, field(FieldExpr.JR, GridSpec(nx=401, ny=167)))
         assert formatted == [401] + [201] * (167 - 1 - 81)
