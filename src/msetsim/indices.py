@@ -292,11 +292,10 @@ def jaccard_alt(f: Signal, g: Signal) -> float:
     It is 0 for two identically zero operands.  Where the squared union
     or the raw sum of f*g overflows, or falls below the normal range while
     some sample is not zero, the pair is scored again from its samples
-    scaled by 2**-k, the
-    largest magnitude then in [0.5, 1), at the spacing scaled by 2**-e
-    into [0.5, 1): the value does not change with the samples' scale, and
-    scales with 1 / dx, so it is the rescored value times 2**-e.  A value
-    past the float range is inf with its sign.
+    scaled by 2**-k, the largest magnitude then in [0.5, 1), at the
+    spacing scaled by 2**-e into [0.5, 1): the value does not change with
+    the samples' scale, and scales with 1 / dx, so it is the rescored
+    value times 2**-e.  A value past the float range is inf with its sign.
     """
     den = aggregate(MsetOpKind.ACUP, f, g)
     den_sq = den * den

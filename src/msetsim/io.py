@@ -594,10 +594,10 @@ def export_field(spec: GridSpec, rows: Iterable[Sequence[float]], path,
     rendered to its nx pixels by :func:`_pgm_row_renderer` as it comes,
     and the image is written after the CSV, so memory is one row, the
     nx*ny-byte image, the CSV writer's memo and the half-row texts it
-    keeps, at most ``_KEPT`` bytes.  Both files are opened before the first row, under
-    the output rule of :func:`_outputs`: a failed export leaves an
-    existing output's old bytes and no new file.  A heatmap with an
-    ``rng`` that is not a :class:`HeatmapRange`, and a lattice that
+    keeps, at most ``_KEPT`` bytes.  Both files are opened before the
+    first row, under the output rule of :func:`_outputs`: a failed export
+    leaves an existing output's old bytes and no new file.  A heatmap with
+    an ``rng`` that is not a :class:`HeatmapRange`, and a lattice that
     :meth:`~msetsim.fields.GridSpec.xs` or ``ys`` refuses, raise ValueError
     before either is opened.
     """
