@@ -285,7 +285,7 @@ def test_jaccard_alt_of_zero_subnormal_and_overflowing_values():
     assert jaccard_alt(Signal((1.0,), 5e-324), Signal((-1.0,), 5e-324)) == -math.inf
 
 
-def normal(v):
+def is_normal(v):
     return 2.0 ** -1022 <= abs(v) < math.inf
 
 
@@ -301,9 +301,9 @@ def test_jaccard_alt_whose_inner_sum_leaves_the_normal_range(v, dx, a, b):
     value."""
     f = Signal((v,), dx)
     union = aggregate(MsetOpKind.ACUP, f, f)
-    assert normal(union * union) and not normal(v * v)
+    assert is_normal(union * union) and not is_normal(v * v)
     w, d = math.ldexp(v, a), math.ldexp(dx, b)
-    assert normal(w * w) and normal(d * w * w) and normal((d * w) ** 2)
+    assert is_normal(w * w) and is_normal(d * w * w) and is_normal((d * w) ** 2)
     scaled = Signal((w,), d)
     want = math.ldexp(jaccard_alt(scaled, scaled), b)
     assert bits(jaccard_alt(f, f)) == bits(want)
@@ -317,7 +317,7 @@ def test_jaccard_alt_whose_inner_sum_is_nan():
     # the raw sum is NaN; the exact inner product, and so the value, is 0
     f, g = Signal((1e200, 1e200), 1e-300), Signal((1e200, -1e200), 1e-300)
     union = aggregate(MsetOpKind.ACUP, f, g)
-    assert normal(union * union) and math.isnan(1e200 * 1e200 + 1e200 * -1e200)
+    assert is_normal(union * union) and math.isnan(1e200 * 1e200 + 1e200 * -1e200)
     assert exact_jaccard_alt(f.values, g.values, f.dx) == 0.0
     assert bits(jaccard_alt(f, g)) == bits(0.0)
     # a raw sum of exactly 0 is scored again too, and is still +0.0
